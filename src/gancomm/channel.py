@@ -7,12 +7,13 @@ fresh per block.
 
 These simulators generate the data the channel GAN trains on and carry all
 final evaluation traffic. They are observation-only: there is deliberately
-no gradient path through this module (see ``backward``).
+no gradient path through this module (see ``backward``). ``make_channel``
+wraps them in one object per channel kind, which is where the rest of the
+package learns whether there is a fading state and a pilot.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,13 +121,88 @@ def pilot_receive(
     if n_pilot < 1:
         raise ValueError("n_pilot must be >= 1")
     h = np.asarray(realization.h, dtype=np.complex128)
-    if h.ndim == 1:
-        pilots = np.ones((h.shape[0], n_pilot), dtype=np.float64)
-        x = complex_to_iq(pilots.astype(np.complex128))
-    else:
-        x = complex_to_iq(np.ones((1, n_pilot), dtype=np.complex128))
-    y = fading_apply(x, realization, rng)
-    return y if h.ndim == 1 else y[0]
+    x = complex_to_iq(np.ones(h.shape + (n_pilot,), dtype=np.complex128))
+    return fading_apply(x, realization, rng)
+
+
+class Channel:
+    """One channel kind as training and evaluation see it.
+
+    A channel knows its pilot count (0 without pilots), the GAN
+    conditioning width that follows from it, how to draw the per-block
+    state of a batch, and what a receiver observes. Every draw comes from
+    the stream passed in; the methods call the simulators above.
+    """
+
+    n_pilot: int
+
+    def cond_dim(self, n: int) -> int:
+        """GAN conditioning width for n-use blocks: block plus pilots."""
+        return 2 * n + 2 * self.n_pilot
+
+    def draw_state(self, rng: np.random.Generator, batch: int):
+        """Per-block channel state of a batch, or None if there is none."""
+        raise NotImplementedError
+
+    def apply(self, x: np.ndarray, state, noise_std: float,
+              rng: np.random.Generator) -> np.ndarray:
+        """Received blocks for transmitted blocks x under state."""
+        raise NotImplementedError
+
+    def pilots(self, state, noise_std: float,
+               rng: np.random.Generator) -> np.ndarray | None:
+        """Received pilots under state, or None without pilots."""
+        raise NotImplementedError
+
+    def observe(self, x: np.ndarray, state, noise_std: float,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+        """What the receiver sees: the received blocks, then the received
+        pilots (or None). Block noise is drawn before pilot noise."""
+        return self.apply(x, state, noise_std, rng), self.pilots(state, noise_std, rng)
+
+
+class AwgnChannel(Channel):
+    """Additive white Gaussian noise: no state and no pilots."""
+
+    n_pilot = 0
+
+    def draw_state(self, rng, batch):
+        return None
+
+    def apply(self, x, state, noise_std, rng):
+        return awgn_apply(x, noise_std, rng)
+
+    def pilots(self, state, noise_std, rng):
+        return None
+
+
+class RayleighChannel(Channel):
+    """Rayleigh block fading: one h ~ CN(0, 1) per block, shared by the
+    block and its n_pilot all-ones pilot uses. The state is h, a scalar or
+    one coefficient per block."""
+
+    def __init__(self, n_pilot: int = 1):
+        self.n_pilot = n_pilot
+
+    def draw_state(self, rng, batch):
+        return rayleigh_sample(rng, batch)
+
+    def apply(self, x, state, noise_std, rng):
+        return fading_apply(x, ChannelRealization(h=state, noise_std=noise_std), rng)
+
+    def pilots(self, state, noise_std, rng):
+        return pilot_receive(
+            ChannelRealization(h=state, noise_std=noise_std), self.n_pilot, rng
+        )
+
+
+def make_channel(kind: str, n_pilot: int = 1) -> Channel:
+    """The channel object of a kind; n_pilot counts only where there are pilots."""
+    if kind == "awgn":
+        return AwgnChannel()
+    if kind == "rayleigh":
+        return RayleighChannel(n_pilot)
+    raise ValueError(f"unknown channel kind {kind!r}")
 
 
 def backward(*_args, **_kwargs):
@@ -139,27 +215,3 @@ def backward(*_args, **_kwargs):
         "the real channel has no backward path; route transmitter gradients "
         "through the GAN surrogate"
     )
-
-
-def dump_trace(
-    path: str,
-    x: np.ndarray,
-    y: np.ndarray,
-    h: np.ndarray | None = None,
-) -> None:
-    """Debug CSV of transmitted/received blocks, one row per channel use."""
-    x_c = iq_to_complex(np.atleast_2d(x))
-    y_c = iq_to_complex(np.atleast_2d(y))
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["block_id", "use_index", "x_re", "x_im", "y_re", "y_im", "h_re", "h_im"]
-        )
-        for b in range(x_c.shape[0]):
-            hb = 1.0 + 0.0j if h is None else complex(np.asarray(h).reshape(-1)[b % np.asarray(h).size])
-            for u in range(x_c.shape[1]):
-                writer.writerow(
-                    [b, u, repr(x_c[b, u].real), repr(x_c[b, u].imag),
-                     repr(y_c[b, u].real), repr(y_c[b, u].imag),
-                     repr(hb.real), repr(hb.imag)]
-                )

@@ -109,15 +109,15 @@ def load_system(
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed checkpoint file {name}: {exc}") from None
 
-    n_pilot = cfg.n_pilot if cfg.is_fading else 0
-    cond_dim = 2 * cfg.n + 2 * n_pilot
+    model = cfg.make_channel()
+    cond_dim = model.cond_dim(cfg.n)
     # the wrapper constructors re-check every dimension against cfg
     tx = transceiver.Transmitter(nets["transmitter.json"], cfg.n)
     if tx.m_count != cfg.M:
         raise ConfigError(
             f"transmitter expects M = {tx.m_count} messages, config says {cfg.M}"
         )
-    rx = transceiver.Receiver(nets["receiver.json"], cfg.M, cfg.n, n_pilot)
+    rx = transceiver.Receiver(nets["receiver.json"], cfg.M, cfg.n, model.n_pilot)
     g_net = nets["generator.json"]
     g = gan.Generator(g_net, cfg.n, g_net.input_dim - cond_dim, cond_dim)
     if g.z_dim != cfg.z_dim:

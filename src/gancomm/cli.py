@@ -145,9 +145,7 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     else:
         x = tx.encode_messages(np.arange(cfg.M))
         std = channel.noise_std_from_snr(cfg.snr_train())
-        h = None
-        if cfg.is_fading:
-            h = channel.rayleigh_sample(substream(args.seed, "dump", "h"), cfg.M)
+        h = cfg.make_channel().draw_state(substream(args.seed, "dump", "h"), cfg.M)
         evaluate.gan_scatter_dump(
             g, x, std, args.out, n_samples=args.samples, seed=args.seed,
             h=h, n_pilot=cfg.n_pilot,

@@ -10,9 +10,11 @@ a default.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from dataclasses import asdict, dataclass, fields
 
-from .channel import SnrSpec
+from .channel import Channel, SnrSpec, make_channel
 
 CHANNELS = ("awgn", "rayleigh")
 
@@ -69,7 +71,8 @@ class TrainConfig:
             if not ok:
                 raise ConfigError(f"{key}: {why}")
 
-        require(self.channel in CHANNELS, "channel", f"must be one of {CHANNELS}")
+        require(self.channel in CHANNELS, "channel",
+                f"unknown channel {self.channel!r}; must be one of {CHANNELS}")
         require(self.k >= 1, "k", "must be >= 1")
         require(self.n >= 1, "n", "must be >= 1")
         require(self.n_pilot >= 1, "n_pilot", "must be >= 1")
@@ -117,6 +120,9 @@ class TrainConfig:
     def is_fading(self) -> bool:
         return self.channel == "rayleigh"
 
+    def make_channel(self) -> Channel:
+        return make_channel(self.channel, self.n_pilot)
+
     def snr_train(self) -> SnrSpec:
         return SnrSpec(ebn0_db=float(self.train_ebn0_db), k=self.k, n=self.n)
 
@@ -140,43 +146,39 @@ class TrainConfig:
                 continue
             value = data[f.name]
             try:
-                kwargs[f.name] = _coerce(f.name, value)
+                kwargs[f.name] = _coerce(_FIELD_TYPES[f.name], value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{f.name}: {exc}") from None
         return cls(**kwargs)
 
 
-_INT_KEYS = {
-    "k", "n", "n_pilot", "batch_size", "outer_iterations", "rx_steps",
-    "tx_steps", "gan_steps", "warmup_gan_steps", "final_rx_steps", "seed",
-    "z_dim", "d_updates",
-}
-_FLOAT_KEYS = {"train_ebn0_db", "lr_transceiver", "lr_gan", "lr_disc",
-               "gan_beta1", "ema_decay", "label_smoothing"}
-_STR_KEYS = {"channel", "hidden_activation"}
-_TUPLE_KEYS = {"tx_hidden", "rx_hidden", "gen_hidden", "disc_hidden"}
+_FIELD_TYPES = typing.get_type_hints(TrainConfig)
 
 
-def _coerce(key: str, value):
-    if key in _INT_KEYS:
+def _coerce(hint, value):
+    """Check a JSON value against a field's annotation. Optional fields
+    check as their base type (from_dict skips None)."""
+    if isinstance(hint, types.UnionType):
+        hint = next(t for t in typing.get_args(hint) if t is not type(None))
+    if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"expected an integer, got {value!r}")
         return value
-    if key in _FLOAT_KEYS:
+    if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"expected a number, got {value!r}")
         return float(value)
-    if key in _STR_KEYS:
+    if hint is str:
         if not isinstance(value, str):
             raise ValueError(f"expected a string, got {value!r}")
         return value
-    if key in _TUPLE_KEYS:
+    if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in value
         ):
             raise ValueError(f"expected a list of integers, got {value!r}")
         return tuple(value)
-    raise ValueError(f"unhandled key {key!r}")
+    raise ValueError(f"unhandled type {hint!r}")
 
 
 def load_config(path: str) -> TrainConfig:

@@ -125,8 +125,8 @@ def bler_sweep_learned(
     channel the config names."""
     if tx.n != cfg.n or tx.m_count != cfg.M:
         raise ConfigError("transmitter dimensions do not match the config")
-    expected_pilot = cfg.n_pilot if cfg.is_fading else 0
-    if rx.n != cfg.n or rx.m_count != cfg.M or rx.n_pilot != expected_pilot:
+    model = cfg.make_channel()
+    if rx.n != cfg.n or rx.m_count != cfg.M or rx.n_pilot != model.n_pilot:
         raise ConfigError("receiver dimensions do not match the config")
     if seed is None:
         seed = cfg.seed
@@ -138,15 +138,8 @@ def bler_sweep_learned(
         def trial_fn(n_trials: int, rng: np.random.Generator) -> int:
             messages = rng.integers(0, cfg.M, size=n_trials)
             x = tx.encode_messages(messages)
-            if cfg.is_fading:
-                h = channel.rayleigh_sample(rng, n_trials)
-                realization = channel.ChannelRealization(h=h, noise_std=std)
-                y = channel.fading_apply(x, realization, rng)
-                y_p = channel.pilot_receive(realization, cfg.n_pilot, rng)
-                probs = rx.decode(y, y_p)
-            else:
-                y = channel.awgn_apply(x, std, rng)
-                probs = rx.decode(y)
+            state = model.draw_state(rng, n_trials)
+            probs = rx.decode(*model.observe(x, state, std, rng))
             decided = transceiver.hard_decision(probs)
             return int(np.sum(decided != messages))
 
@@ -274,6 +267,36 @@ def energy_distance(a: np.ndarray, b: np.ndarray, subsample: int = 1024) -> floa
     )
 
 
+def _fixed_condition(
+    x: np.ndarray, c: int, h: np.ndarray | None, noise_std: float,
+    n_samples: int, n_pilot: int,
+):
+    """The real channel at condition c: a sampler of n_samples received
+    blocks, the generator conditioning for them, the noiseless received
+    block and a label.
+
+    With h None the channel is AWGN and the conditioning is the block x[c];
+    otherwise it is block fading at the fixed coefficient h[c], and the
+    conditioning appends the noiseless pilot observation h[c] * 1.
+    """
+    xc = np.tile(x[c], (n_samples, 1))
+    label = f"x={x[c].round(4).tolist()}"
+    if h is None:
+        hc, model, m, target = None, channel.make_channel("awgn"), xc, x[c].copy()
+    else:
+        hc = complex(np.asarray(h, dtype=np.complex128).reshape(-1)[c])
+        model = channel.make_channel("rayleigh", n_pilot)
+        pilot = model.pilots(hc, 0.0, None)  # noiseless: draws nothing
+        m = np.concatenate([xc, np.tile(pilot, (n_samples, 1))], axis=1)
+        target = channel.complex_to_iq(hc * channel.iq_to_complex(x[c][None, :]))[0]
+        label = f"h={hc:.4g}, {label}"
+
+    def sample(rng: np.random.Generator) -> np.ndarray:
+        return model.apply(xc, hc, noise_std, rng)
+
+    return sample, m, target, label
+
+
 def gan_fidelity(
     g: gan.Generator | None,
     x: np.ndarray,
@@ -297,31 +320,13 @@ def gan_fidelity(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] % 2 != 0:
         raise ValueError(f"conditions must be (C, 2n), got {x.shape}")
-    n = x.shape[1] // 2
     reports = []
     for c in range(x.shape[0]):
         rng = substream(seed, "fidelity", c)
-        xc = np.tile(x[c], (n_samples, 1))
-        if h is None:
-            target = x[c].copy()
-            real = channel.awgn_apply(xc, noise_std, rng)
-            real2 = channel.awgn_apply(xc, noise_std, rng)
-            m = xc
-            label = f"x={x[c].round(4).tolist()}"
-        else:
-            hc = complex(np.asarray(h, dtype=np.complex128).reshape(-1)[c])
-            target = channel.complex_to_iq(
-                hc * channel.iq_to_complex(x[c][None, :])
-            )[0]
-            realization = channel.ChannelRealization(h=hc, noise_std=noise_std)
-            real = channel.fading_apply(xc, realization, rng)
-            real2 = channel.fading_apply(xc, realization, rng)
-            # conditioning pilot: the noiseless observation of h itself
-            pilot = np.tile(
-                channel.complex_to_iq(np.full((1, n_pilot), hc)), (n_samples, 1)
-            )
-            m = np.concatenate([xc, pilot], axis=1)
-            label = f"h={hc:.4g}, x={x[c].round(4).tolist()}"
+        sample, m, target, label = _fixed_condition(x, c, h, noise_std, n_samples,
+                                                    n_pilot)
+        real = sample(rng)
+        real2 = sample(rng)
         if g is None:
             fake = real2
         else:
@@ -390,18 +395,8 @@ def gan_scatter_dump(
 
         for c in range(x.shape[0]):
             rng = substream(seed, "scatter", c)
-            xc = np.tile(x[c], (n_samples, 1))
-            if h is None:
-                real = channel.awgn_apply(xc, noise_std, rng)
-                m = xc
-            else:
-                hc = complex(np.asarray(h, dtype=np.complex128).reshape(-1)[c])
-                realization = channel.ChannelRealization(h=hc, noise_std=noise_std)
-                real = channel.fading_apply(xc, realization, rng)
-                pilot = np.tile(
-                    channel.complex_to_iq(np.full((1, n_pilot), hc)), (n_samples, 1)
-                )
-                m = np.concatenate([xc, pilot], axis=1)
+            sample, m, _, _ = _fixed_condition(x, c, h, noise_std, n_samples, n_pilot)
+            real = sample(rng)
             fake = gan.generate(g, gan.sample_z(rng, n_samples, g.z_dim), m)
             emit(c, "condition", x[c][None, :])
             emit(c, "real", real)

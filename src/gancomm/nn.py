@@ -165,10 +165,6 @@ class Gradients:
             [np.concatenate([w.ravel(), b]) for w, b in zip(self.weights, self.biases)]
         )
 
-    def norm(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(w * w)) + float(np.sum(b * b))
-                                 for w, b in zip(self.weights, self.biases))))
-
 
 def forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, Tape]:
     """Run a batch through the net; the tape holds everything backward needs."""

@@ -71,19 +71,6 @@ class TrainLog:
                 ])
 
 
-def sample_batch(
-    cfg: TrainConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, channel.ChannelRealization | None]:
-    """Uniform message indices plus, on fading channels, one realization
-    (per-block h and the configured noise level). AWGN needs none."""
-    messages = rng.integers(0, cfg.M, size=cfg.batch_size)
-    if not cfg.is_fading:
-        return messages, None
-    h = channel.rayleigh_sample(rng, cfg.batch_size)
-    std = channel.noise_std_from_snr(cfg.snr_train())
-    return messages, channel.ChannelRealization(h=h, noise_std=std)
-
-
 def conditioning(x: np.ndarray, y_pilot: np.ndarray | None) -> np.ndarray:
     """GAN conditioning: the transmitted block, plus received pilots when
     the channel state must be inferred."""
@@ -167,14 +154,14 @@ def build_system(
 ) -> tuple[transceiver.Transmitter, transceiver.Receiver, gan.Generator,
            gan.Discriminator]:
     """Fresh nets for the configured system, each from its own init stream."""
-    n_pilot = cfg.n_pilot if cfg.is_fading else 0
-    cond_dim = 2 * cfg.n + 2 * n_pilot
+    model = cfg.make_channel()
+    cond_dim = model.cond_dim(cfg.n)
     tx = transceiver.Transmitter.create(
         cfg.M, cfg.n, substream(cfg.seed, "init", "tx"),
         hidden=cfg.tx_hidden, hidden_activation=cfg.hidden_activation,
     )
     rx = transceiver.Receiver.create(
-        cfg.M, cfg.n, substream(cfg.seed, "init", "rx"), n_pilot=n_pilot,
+        cfg.M, cfg.n, substream(cfg.seed, "init", "rx"), n_pilot=model.n_pilot,
         hidden=cfg.rx_hidden, hidden_activation=cfg.hidden_activation,
     )
     g = gan.Generator.create(
@@ -189,10 +176,16 @@ def build_system(
 
 
 class Trainer:
-    """Holds nets, optimizers, and RNG streams for one training run."""
+    """Holds nets, optimizers, and RNG streams for one training run.
 
-    def __init__(self, cfg: TrainConfig):
+    ``source`` maps the message indices of a GAN-phase batch to the blocks
+    sent through the channel; by default it is the transmitter in training.
+    """
+
+    def __init__(self, cfg: TrainConfig, source=None):
         self.cfg = cfg
+        self.channel_model = cfg.make_channel()
+        self.noise_std = channel.noise_std_from_snr(cfg.snr_train())
         self.tx, self.rx, self.generator, self.discriminator = build_system(cfg)
         self.tx_opt = nn.AdamState.for_net(self.tx.net, cfg.lr_transceiver)
         self.rx_opt = nn.AdamState.for_net(self.rx.net, cfg.lr_transceiver)
@@ -203,6 +196,7 @@ class Trainer:
             self.discriminator.net, cfg.lr_disc, beta1=cfg.gan_beta1
         )
         self._g_ema = nn.EmaTracker(self.generator.net, cfg.ema_decay)
+        self._source = source or self.tx.encode_messages
         self._rng_batch = substream(cfg.seed, "train", "batch")
         self._rng_channel = substream(cfg.seed, "train", "channel")
         self._rng_z = substream(cfg.seed, "train", "z")
@@ -210,28 +204,22 @@ class Trainer:
         self.step = 0
         self._pinned = 0
 
-    @property
-    def noise_std(self) -> float:
-        return channel.noise_std_from_snr(self.cfg.snr_train())
-
-    def _through_channel(
-        self, x: np.ndarray, realization: channel.ChannelRealization | None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        if realization is None:
-            return channel.awgn_apply(x, self.noise_std, self._rng_channel), None
-        y = channel.fading_apply(x, realization, self._rng_channel)
-        y_p = channel.pilot_receive(realization, self.cfg.n_pilot, self._rng_channel)
-        return y, y_p
+    def _draw_batch(self) -> tuple[np.ndarray, object]:
+        """Uniform message indices, then the channel state of each block,
+        both from the batch stream."""
+        batch = self.cfg.batch_size
+        messages = self._rng_batch.integers(0, self.cfg.M, size=batch)
+        return messages, self.channel_model.draw_state(self._rng_batch, batch)
 
     def train_gan_step(self, iteration: int) -> float:
-        messages, realization = sample_batch(self.cfg, self._rng_batch)
-        onehot = transceiver.to_onehot(messages, self.cfg.M)
-        x, _ = self.tx.encode(onehot)
-        real_y, y_p = self._through_channel(x, realization)
-        m = conditioning(x, y_p)
+        messages, state = self._draw_batch()
+        x = self._source(messages)
+        real_y, y_p = self.channel_model.observe(
+            x, state, self.noise_std, self._rng_channel
+        )
         d_loss_val, g_loss_val, d_acc = gan_update(
             self.generator, self.discriminator, self.g_opt, self.d_opt,
-            real_y, m, self._rng_z,
+            real_y, conditioning(x, y_p), self._rng_z,
             label_smoothing=self.cfg.label_smoothing,
             d_updates=self.cfg.d_updates,
         )
@@ -246,10 +234,12 @@ class Trainer:
         return d_loss_val
 
     def train_receiver_step(self, iteration: int) -> float:
-        messages, realization = sample_batch(self.cfg, self._rng_batch)
+        messages, state = self._draw_batch()
         onehot = transceiver.to_onehot(messages, self.cfg.M)
         x, _ = self.tx.encode(onehot)
-        y, y_p = self._through_channel(x, realization)
+        y, y_p = self.channel_model.observe(
+            x, state, self.noise_std, self._rng_channel
+        )
         loss, grads = receiver_forward_backward(self.rx, onehot, y, y_p)
         nn.adam_step(self.rx.net, grads, self.rx_opt)
         self.step += 1
@@ -264,13 +254,9 @@ class Trainer:
         )
 
     def train_transmitter_step(self, iteration: int) -> float:
-        messages, realization = sample_batch(self.cfg, self._rng_batch)
+        messages, state = self._draw_batch()
         onehot = transceiver.to_onehot(messages, self.cfg.M)
-        y_p = None
-        if realization is not None:
-            y_p = channel.pilot_receive(
-                realization, self.cfg.n_pilot, self._rng_channel
-            )
+        y_p = self.channel_model.pilots(state, self.noise_std, self._rng_channel)
         z = gan.sample_z(self._rng_z, self.cfg.batch_size, self.cfg.z_dim)
         loss, grads = transmitter_forward_backward(
             self.tx, self.rx, self.generator, onehot, z, y_p
@@ -327,73 +313,25 @@ def train_full(cfg: TrainConfig, out_dir: str | None = None, progress=None) -> T
     return trainer
 
 
+def _qam16_blocks(messages: np.ndarray) -> np.ndarray:
+    """Message indices -> one-use 16-QAM blocks, (batch, 2)."""
+    return channel.complex_to_iq(baseline.qam16_modulate(messages)[:, None])
+
+
 def train_channel_gan(
-    channel_kind: str,
-    ebn0_db: float,
-    steps: int,
-    seed: int,
-    batch_size: int = 320,
-    lr_gan: float = 0.0001,
-    lr_disc: float | None = None,
-    gan_beta1: float = 0.0,
-    ema_decay: float = 0.995,
-    z_dim: int = 16,
-    n_pilot: int = 1,
-    gen_hidden: tuple[int, ...] = (128, 128, 128),
-    disc_hidden: tuple[int, ...] = (32, 32, 32),
-    label_smoothing: float = 0.0,
-    d_updates: int = 2,
+    channel_kind: str, ebn0_db: float, steps: int, seed: int, **overrides
 ) -> tuple[gan.Generator, gan.Discriminator, TrainLog]:
     """GAN-only training against a fixed 16-QAM alphabet (one channel use).
 
     This isolates the surrogate: no transmitter or receiver learning, just
     the generator chasing the channel's conditional output distribution.
-    Eb/N0 is interpreted at 4 bits per channel use. The returned generator
-    carries the parameter average, not the last snapshot.
+    Eb/N0 is interpreted at 4 bits per channel use; overrides are further
+    TrainConfig fields (batch size, GAN nets and optimizers). The returned
+    generator carries the parameter average, not the last snapshot.
     """
-    if channel_kind not in ("awgn", "rayleigh"):
-        raise ValueError(f"unknown channel kind {channel_kind!r}")
-    fading = channel_kind == "rayleigh"
-    std = channel.noise_std_from_snr(channel.SnrSpec(ebn0_db, k=4, n=1))
-    cond_dim = 2 + 2 * n_pilot if fading else 2
-    g = gan.Generator.create(
-        1, cond_dim, substream(seed, "init", "gen"), z_dim=z_dim, hidden=gen_hidden
-    )
-    d = gan.Discriminator.create(
-        1, cond_dim, substream(seed, "init", "disc"), hidden=disc_hidden
-    )
-    g_opt = nn.AdamState.for_net(g.net, lr_gan, beta1=gan_beta1)
-    d_opt = nn.AdamState.for_net(
-        d.net, 4.0 * lr_gan if lr_disc is None else lr_disc, beta1=gan_beta1
-    )
-    ema = nn.EmaTracker(g.net, ema_decay)
-    rng_batch = substream(seed, "train", "batch")
-    rng_channel = substream(seed, "train", "channel")
-    rng_z = substream(seed, "train", "z")
-    log = TrainLog()
-    pinned = 0
-    for step in range(1, steps + 1):
-        symbols = baseline.qam16_modulate(rng_batch.integers(0, 16, size=batch_size))
-        x = channel.complex_to_iq(symbols[:, None])
-        if fading:
-            h = channel.rayleigh_sample(rng_batch, batch_size)
-            realization = channel.ChannelRealization(h=h, noise_std=std)
-            real_y = channel.fading_apply(x, realization, rng_channel)
-            y_p = channel.pilot_receive(realization, n_pilot, rng_channel)
-            m = conditioning(x, y_p)
-        else:
-            real_y = channel.awgn_apply(x, std, rng_channel)
-            m = x
-        d_loss_val, g_loss_val, d_acc = gan_update(
-            g, d, g_opt, d_opt, real_y, m, rng_z,
-            label_smoothing=label_smoothing, d_updates=d_updates,
-        )
-        ema.update(g.net)
-        pinned = pinned + 1 if d_acc >= 1.0 else 0
-        if pinned >= PINNED_ACCURACY_RESET_STEPS:
-            d_opt.reset_moments()
-            pinned = 0
-        log.append(StepRecord(step, 0, "gan", d_loss_val,
-                              g_loss=g_loss_val, d_accuracy=d_acc))
-    g_avg = gan.Generator(ema.averaged_net(g.net), g.n, g.z_dim, g.cond_dim)
-    return g_avg, d, log
+    cfg = TrainConfig(k=4, n=1, channel=channel_kind, train_ebn0_db=ebn0_db,
+                      seed=seed, **overrides)
+    trainer = Trainer(cfg, source=_qam16_blocks)
+    for _ in range(steps):
+        trainer.train_gan_step(0)
+    return trainer.generator_averaged(), trainer.discriminator, trainer.log

@@ -257,14 +257,8 @@ def test_7_channel_monte_carlo_invariants():
         assert passed, name
 
 
-def test_8_identical_runs_are_byte_identical(tmp_path):
-    # a complete (reduced-size) pipeline run twice: training, checkpoints,
-    # step log, and a BLER sweep CSV must match byte for byte
-    cfg_kwargs = dict(outer_iterations=30, final_rx_steps=50, seed=5)
-    spec = evaluate.SweepSpec(
-        ebn0_db=(2.0, 6.0), min_trials=2000, max_trials=100_000,
-        target_errors=50,
-    )
+def _train_twice_and_compare(tmp_path, cfg_kwargs, spec):
+    """Train and sweep twice; the names of the outputs that differ."""
     dirs = []
     for run in ("a", "b"):
         out = tmp_path / run
@@ -277,12 +271,41 @@ def test_8_identical_runs_are_byte_identical(tmp_path):
 
     names = ["transmitter.json", "receiver.json", "generator.json",
              "discriminator.json", "config.json", "train_log.csv", "bler.csv"]
-    mismatched = [
+    return [
         name for name in names
         if (dirs[0] / name).read_bytes() != (dirs[1] / name).read_bytes()
     ]
+
+
+def test_8_identical_runs_are_byte_identical(tmp_path):
+    # a complete (reduced-size) pipeline run twice: training, checkpoints,
+    # step log, and a BLER sweep CSV must match byte for byte
+    cfg_kwargs = dict(outer_iterations=30, final_rx_steps=50, seed=5)
+    spec = evaluate.SweepSpec(
+        ebn0_db=(2.0, 6.0), min_trials=2000, max_trials=100_000,
+        target_errors=50,
+    )
+    mismatched = _train_twice_and_compare(tmp_path, cfg_kwargs, spec)
     ok = not mismatched
     report(ok, "8 determinism",
+           "all checkpoint and csv bytes equal across two runs"
+           if ok else f"files differ: {', '.join(mismatched)}")
+    assert not mismatched, f"files differ: {mismatched}"
+
+
+def test_8_identical_rayleigh_runs_are_byte_identical(tmp_path):
+    # the fading draw path (h from the batch stream, block then pilot noise
+    # from the channel stream, pilot-only draws in the transmitter phase)
+    # on a shorter schedule
+    cfg_kwargs = dict(channel="rayleigh", outer_iterations=8, warmup_gan_steps=20,
+                      final_rx_steps=20, seed=5)
+    spec = evaluate.SweepSpec(
+        ebn0_db=(6.0, 14.0), min_trials=2000, max_trials=60_000,
+        target_errors=50,
+    )
+    mismatched = _train_twice_and_compare(tmp_path, cfg_kwargs, spec)
+    ok = not mismatched
+    report(ok, "8 determinism (rayleigh)",
            "all checkpoint and csv bytes equal across two runs"
            if ok else f"files differ: {', '.join(mismatched)}")
     assert not mismatched, f"files differ: {mismatched}"

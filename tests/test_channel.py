@@ -1,4 +1,5 @@
-"""Channel simulators: SNR conversion, AWGN, Rayleigh fading, pilots."""
+"""Channel simulators: SNR conversion, AWGN, Rayleigh fading, pilots, and
+the channel objects built on them."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gancomm import channel
+from gancomm.config import TrainConfig
 
 
 class TestIqLayout:
@@ -176,13 +178,65 @@ class TestNoGradient:
             channel.backward(np.zeros((2, 2)), anything=1)
 
 
-class TestDumpTrace:
-    def test_writes_one_row_per_use(self, tmp_path):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(3, 4))
-        y = channel.awgn_apply(x, 0.2, rng)
-        path = tmp_path / "trace.csv"
-        channel.dump_trace(str(path), x, y)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("block_id,use_index")
-        assert len(lines) == 1 + 3 * 2
+class TestChannelObject:
+    @staticmethod
+    def same(a, b):
+        return (a is None and b is None) or (
+            a is not None and b is not None
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        )
+
+    def test_pilot_count_and_conditioning_width_at_defaults(self):
+        awgn = TrainConfig().make_channel()
+        fading = TrainConfig(channel="rayleigh").make_channel()
+        assert isinstance(awgn, channel.AwgnChannel)
+        assert isinstance(fading, channel.RayleighChannel)
+        assert (awgn.n_pilot, awgn.cond_dim(7)) == (0, 14)
+        assert (fading.n_pilot, fading.cond_dim(7)) == (1, 16)
+        assert channel.make_channel("rayleigh", n_pilot=3).cond_dim(1) == 8
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown channel kind"):
+            channel.make_channel("rician")
+
+    def test_awgn_draws_no_state(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert channel.make_channel("awgn").draw_state(rng, 5) is None
+        assert rng.bit_generator.state == before
+
+    def test_awgn_matches_the_primitive_draws(self):
+        x = np.random.default_rng(1).normal(size=(6, 4))
+        model = channel.make_channel("awgn")
+        rng = np.random.default_rng(2)
+        y, y_p = model.observe(x, model.draw_state(rng, 6), 0.3, rng)
+        ref = np.random.default_rng(2)
+        assert y_p is None
+        assert self.same(y, channel.awgn_apply(x, 0.3, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert model.pilots(None, 0.3, rng) is None
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_fading_matches_the_primitive_draws(self):
+        # state, then block noise, then pilot noise, from the streams given
+        x = np.random.default_rng(3).normal(size=(6, 4))
+        model = channel.make_channel("rayleigh", n_pilot=2)
+        rng = np.random.default_rng(4)
+        h = model.draw_state(rng, 6)
+        y, y_p = model.observe(x, h, 0.3, rng)
+        y_p2 = model.pilots(h, 0.3, rng)
+
+        ref = np.random.default_rng(4)
+        h_ref = channel.rayleigh_sample(ref, 6)
+        real = channel.ChannelRealization(h=h_ref, noise_std=0.3)
+        assert np.shape(h) == (6,)
+        assert self.same(h, h_ref)
+        assert self.same(y, channel.fading_apply(x, real, ref))
+        assert self.same(y_p, channel.pilot_receive(real, 2, ref))
+        assert self.same(y_p2, channel.pilot_receive(real, 2, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_noiseless_pilot_draws_nothing(self):
+        model = channel.make_channel("rayleigh", n_pilot=2)
+        pilot = model.pilots(0.6 - 0.8j, 0.0, None)
+        assert np.array_equal(pilot, [0.6, -0.8, 0.6, -0.8])

@@ -7,6 +7,7 @@ import pytest
 
 from gancomm import channel, checkpoint, gan, nn, train, transceiver
 from gancomm.config import TrainConfig
+from gancomm.rng import substream
 from helpers import central_difference, relative_error
 
 
@@ -51,20 +52,22 @@ class TestTrainLog:
 
 
 class TestSampleBatch:
-    def test_awgn_needs_no_realization(self):
-        cfg = tiny_cfg()
-        messages, realization = train.sample_batch(cfg, np.random.default_rng(0))
-        assert realization is None
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_trainer_draws_messages_then_state_from_the_batch_stream(self, kind):
+        cfg = tiny_cfg(channel=kind)
+        trainer = train.Trainer(cfg)
+        messages, state = trainer._draw_batch()
         assert messages.shape == (cfg.batch_size,)
         assert messages.min() >= 0 and messages.max() < cfg.M
-
-    def test_fading_gets_one_coefficient_per_block(self):
-        cfg = tiny_cfg(channel="rayleigh")
-        _, realization = train.sample_batch(cfg, np.random.default_rng(1))
-        assert realization is not None
-        assert np.shape(realization.h) == (cfg.batch_size,)
-        expected = channel.noise_std_from_snr(cfg.snr_train())
-        assert realization.noise_std == expected
+        ref = substream(cfg.seed, "train", "batch")
+        assert np.array_equal(messages, ref.integers(0, cfg.M, size=cfg.batch_size))
+        if kind == "awgn":
+            assert state is None
+        else:
+            h = channel.rayleigh_sample(ref, cfg.batch_size)
+            assert state.tobytes() == h.tobytes()
+        assert trainer._rng_batch.bit_generator.state == ref.bit_generator.state
+        assert trainer.noise_std == channel.noise_std_from_snr(cfg.snr_train())
 
     def test_conditioning_concatenates_pilots(self):
         x = np.ones((3, 4))
