@@ -52,8 +52,13 @@ def save_net(net: nn.DenseNet, path: str) -> None:
 
 
 def load_net(path: str) -> nn.DenseNet:
+    """Read a net; a NaN or Inf parameter (the JSON of a diverged run that
+    was flushed on abort) is rejected rather than evaluated."""
     with open(path) as f:
-        return net_from_dict(json.load(f))
+        net = net_from_dict(json.load(f))
+    if not np.isfinite(net.flat_params()).all():
+        raise ConfigError(f"checkpoint file {path} holds non-finite parameters")
+    return net
 
 
 def _atomic_json(data: dict, path: str) -> None:

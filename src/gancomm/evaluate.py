@@ -131,17 +131,17 @@ def bler_sweep_learned(
     if seed is None:
         seed = cfg.seed
     label = f"learned-{cfg.channel}"
+    # the transmitter is deterministic, so its M blocks serve every trial
+    codebook = tx.encode_messages(np.arange(cfg.M))
     points = []
     for i, ebn0 in enumerate(spec.ebn0_db):
         std = channel.noise_std_from_snr(channel.SnrSpec(ebn0, cfg.k, cfg.n))
 
         def trial_fn(n_trials: int, rng: np.random.Generator) -> int:
             messages = rng.integers(0, cfg.M, size=n_trials)
-            x = tx.encode_messages(messages)
             state = model.draw_state(rng, n_trials)
-            probs = rx.decode(*model.observe(x, state, std, rng))
-            decided = transceiver.hard_decision(probs)
-            return int(np.sum(decided != messages))
+            y, y_pilot = model.observe(codebook[messages], state, std, rng)
+            return int(np.sum(rx.decode(y, y_pilot) != messages))
 
         points.append(_run_point(trial_fn, ebn0, spec, seed, label, i, workers))
     return points
@@ -282,14 +282,15 @@ def _fixed_condition(
     xc = np.tile(x[c], (n_samples, 1))
     label = f"x={x[c].round(4).tolist()}"
     if h is None:
-        hc, model, m, target = None, channel.make_channel("awgn"), xc, x[c].copy()
+        hc, model, m = None, channel.make_channel("awgn"), xc
     else:
         hc = complex(np.asarray(h, dtype=np.complex128).reshape(-1)[c])
         model = channel.make_channel("rayleigh", n_pilot)
         pilot = model.pilots(hc, 0.0, None)  # noiseless: draws nothing
         m = np.concatenate([xc, np.tile(pilot, (n_samples, 1))], axis=1)
-        target = channel.complex_to_iq(hc * channel.iq_to_complex(x[c][None, :]))[0]
         label = f"h={hc:.4g}, {label}"
+    # the channel's own noiseless output, so the target is bit-equal to it
+    target = model.apply(x[c][None, :], hc, 0.0, None)[0]
 
     def sample(rng: np.random.Generator) -> np.ndarray:
         return model.apply(xc, hc, noise_std, rng)

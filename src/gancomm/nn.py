@@ -28,21 +28,20 @@ class NonFiniteError(FloatingPointError):
     """A loss, gradient, or parameter came out NaN or Inf."""
 
 
-def _activate(z: np.ndarray, name: str) -> np.ndarray:
+def _activate_in_place(z: np.ndarray, name: str) -> None:
     if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    return z
+        np.maximum(z, 0.0, out=z)
+    elif name == "tanh":
+        np.tanh(z, out=z)
 
 
-def _activation_grad(z: np.ndarray, name: str) -> np.ndarray | None:
+def _activation_grad(a: np.ndarray, name: str) -> np.ndarray | None:
+    # From the layer output a: relu's mask a > 0 equals z > 0, tanh' = 1 - a^2.
     # None means identity (saves a multiply for linear layers).
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return a > 0.0
     if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
+        return 1.0 - a * a
     return None
 
 
@@ -139,12 +138,13 @@ class DenseNet:
 class Tape:
     """Cached activations from one forward pass, consumed by ``backward``."""
 
-    inputs: list[np.ndarray]  # input to each layer, (batch, fan_in)
-    preacts: list[np.ndarray]  # pre-activation of each layer, (batch, fan_out)
+    # the net input, then each layer's output: acts[i] feeds layer i and
+    # acts[i + 1] is what it emitted, (batch, width)
+    acts: list[np.ndarray]
 
     @property
     def batch_size(self) -> int:
-        return self.inputs[0].shape[0]
+        return self.acts[0].shape[0]
 
 
 @dataclass
@@ -167,7 +167,11 @@ class Gradients:
 
 
 def forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """Run a batch through the net; the tape holds everything backward needs."""
+    """Run a batch through the net; the tape holds everything backward needs.
+
+    The returned output is also the tape's last activation, so it must not
+    be modified in place before ``backward`` runs on the tape.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ShapeError(f"expected a (batch, {net.input_dim}) input, got {x.shape}")
@@ -175,15 +179,14 @@ def forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, Tape]:
         raise ShapeError(
             f"layer 0 expects input dim {net.input_dim}, got {x.shape[1]}"
         )
-    inputs: list[np.ndarray] = []
-    preacts: list[np.ndarray] = []
-    a = x
+    # one new array per layer: the activation overwrites its pre-activation
+    acts = [x]
     for layer in net.layers:
-        z = a @ layer.w + layer.b
-        inputs.append(a)
-        preacts.append(z)
-        a = _activate(z, layer.activation)
-    return a, Tape(inputs=inputs, preacts=preacts)
+        z = acts[-1] @ layer.w
+        z += layer.b
+        _activate_in_place(z, layer.activation)
+        acts.append(z)
+    return acts[-1], Tape(acts=acts)
 
 
 def backward(
@@ -196,20 +199,20 @@ def backward(
     """
     g = np.asarray(upstream_grad, dtype=np.float64)
     n_layers = len(net.layers)
-    if len(tape.preacts) != n_layers:
+    if len(tape.acts) != n_layers + 1:
         raise ShapeError("tape does not belong to this network")
-    if g.shape != tape.preacts[-1].shape:
+    if g.shape != tape.acts[-1].shape:
         raise ShapeError(
             f"upstream gradient {g.shape} does not match the forward batch "
-            f"{tape.preacts[-1].shape}"
+            f"{tape.acts[-1].shape}"
         )
     weight_grads: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
     bias_grads: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
     for i in range(n_layers - 1, -1, -1):
         layer = net.layers[i]
-        act_grad = _activation_grad(tape.preacts[i], layer.activation)
+        act_grad = _activation_grad(tape.acts[i + 1], layer.activation)
         dz = g if act_grad is None else g * act_grad
-        weight_grads[i] = tape.inputs[i].T @ dz
+        weight_grads[i] = tape.acts[i].T @ dz
         bias_grads[i] = dz.sum(axis=0)
         g = dz @ layer.w.T
     return Gradients(weights=weight_grads, biases=bias_grads), g

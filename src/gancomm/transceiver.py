@@ -3,8 +3,8 @@
 The transmitter maps a one-hot message to n complex channel uses
 (interleaved as 2n reals) and rescales every block to exactly n total
 power, i.e. unit average power per complex use. The receiver maps a
-received block (plus received pilots on fading channels) to a probability
-vector over the M messages.
+received block (plus received pilots on fading channels) to logits over
+the M messages and decides on the largest.
 """
 
 from __future__ import annotations
@@ -33,16 +33,6 @@ def to_onehot(messages: np.ndarray, m_count: int) -> np.ndarray:
     out = np.zeros((messages.size, m_count), dtype=np.float64)
     out[np.arange(messages.size), messages] = 1.0
     return out
-
-
-def hard_decision(probs: np.ndarray) -> np.ndarray:
-    """Most likely message per row; ties resolve to the lowest index."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim == 1:
-        return int(np.argmax(probs))
-    if probs.ndim != 2:
-        raise nn.ShapeError(f"probs must be 1-D or 2-D, got shape {probs.shape}")
-    return np.argmax(probs, axis=1)
 
 
 @dataclass
@@ -200,6 +190,7 @@ class Receiver:
     def decode(
         self, y: np.ndarray, y_pilot: np.ndarray | None = None
     ) -> np.ndarray:
-        """Received block(s) -> (B, M) probability rows (softmax output)."""
+        """Received blocks -> (B,) decided messages: the largest logit, i.e.
+        the most likely message under the softmax; ties go to the lowest index."""
         logits, _ = self.forward_logits(y, y_pilot)
-        return nn.softmax(logits)
+        return np.argmax(logits, axis=1)

@@ -120,3 +120,14 @@ class TestSystemRoundTrip:
             json.dump(doctored, f)
         with pytest.raises(ConfigError):
             checkpoint.load_system(str(tmp_path))
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        # a run aborted on divergence flushes its NaN weights as JSON NaN
+        cfg = tiny_cfg()
+        checkpoint.save_system(str(tmp_path), cfg, *train.build_system(cfg))
+        path = tmp_path / "receiver.json"
+        data = json.loads(path.read_text())
+        data["layers"][0]["w"][0][0] = float("nan")
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="receiver.json"):
+            checkpoint.load_system(str(tmp_path))

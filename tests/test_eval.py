@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from gancomm import baseline, channel, evaluate, gan, transceiver
+from gancomm import baseline, channel, evaluate, gan, nn, transceiver
 from gancomm.config import ConfigError, TrainConfig
+from gancomm.rng import substream
 
 
 def q_func(x):
@@ -121,7 +122,51 @@ def small_system(seed=0):
     return cfg, tx, rx
 
 
+def reference_sweep(tx, rx, cfg, spec, seed):
+    """The learned sweep trial by trial: one-hot encode each message, take
+    the receiver's logits, softmax, argmax. Shards, substreams, the draw
+    order (messages, h, block noise, pilot noise) and the stop rule are
+    those of evaluate.bler_sweep_learned."""
+    model = cfg.make_channel()
+    points = []
+    for i, ebn0 in enumerate(spec.ebn0_db):
+        std = channel.noise_std_from_snr(channel.SnrSpec(ebn0, cfg.k, cfg.n))
+        trials = errors = 0
+        for j in range(math.ceil(spec.max_trials / evaluate.SHARD_TRIALS)):
+            size = min(evaluate.SHARD_TRIALS, spec.max_trials - j * evaluate.SHARD_TRIALS)
+            rng = substream(seed, "eval", f"learned-{cfg.channel}", i, j)
+            messages = rng.integers(0, cfg.M, size=size)
+            onehots = [transceiver.to_onehot(messages[t:t + 1], cfg.M) for t in range(size)]
+            x = np.concatenate([tx.encode(onehot)[0] for onehot in onehots])
+            y, y_pilot = model.observe(x, model.draw_state(rng, size), std, rng)
+            for t in range(size):
+                pilot = None if y_pilot is None else y_pilot[t:t + 1]
+                logits, _ = rx.forward_logits(y[t:t + 1], pilot)
+                errors += int(np.argmax(nn.softmax(logits)[0]) != messages[t])
+            trials += size
+            if trials >= spec.min_trials and errors >= spec.target_errors:
+                break
+        points.append(evaluate.BlerPoint.from_counts(ebn0, trials, errors))
+    return points
+
+
 class TestLearnedSweep:
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_matches_the_trial_by_trial_reference(self, kind, monkeypatch):
+        # short shards, so a point spans several and three workers run waves
+        monkeypatch.setattr(evaluate, "SHARD_TRIALS", 100)
+        cfg = TrainConfig(k=2, n=2, channel=kind, tx_hidden=(8,), rx_hidden=(8,))
+        rng = np.random.default_rng(9)
+        tx = transceiver.Transmitter.create(cfg.M, cfg.n, rng, hidden=cfg.tx_hidden)
+        rx = transceiver.Receiver.create(cfg.M, cfg.n, rng, hidden=cfg.rx_hidden,
+                                         n_pilot=cfg.make_channel().n_pilot)
+        spec = evaluate.SweepSpec(ebn0_db=(0.0, 8.0), min_trials=250, max_trials=950,
+                                  target_errors=300)
+        expected = reference_sweep(tx, rx, cfg, spec, seed=13)
+        for workers in (1, 3):
+            assert evaluate.bler_sweep_learned(
+                tx, rx, cfg, spec, seed=13, workers=workers) == expected
+
     def test_dimension_mismatch_is_rejected(self):
         cfg, tx, rx = small_system()
         other = transceiver.Transmitter.create(8, 2, np.random.default_rng(1))
@@ -291,6 +336,18 @@ class TestGanFidelity:
         (r,) = reports
         assert r.target_mean == pytest.approx([1.0, 0.0], abs=1e-15)
         assert np.abs(r.real_mean - r.target_mean).max() < 0.02
+
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_target_is_the_noiseless_channel_output_bit_for_bit(self, kind):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(8, 4))
+        h = channel.rayleigh_sample(rng, 8) if kind == "rayleigh" else None
+        reports = evaluate.gan_fidelity(None, x, 0.1, n_samples=4, seed=3, h=h)
+        model = channel.make_channel(kind)
+        for c, r in enumerate(reports):
+            state = None if h is None else complex(h[c])
+            noiseless = model.apply(x[c][None, :], state, 0.0, None)[0]
+            assert r.target_mean.tobytes() == noiseless.tobytes()
 
     def test_one_report_per_condition(self):
         x = np.tile([1.0, 0.0], (5, 1))

@@ -27,13 +27,17 @@ class TestForward:
         out, tape = nn.forward(tiny_net(), np.array([[1.0, 2.0]]))
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(-0.75, abs=1e-15)
-        assert np.allclose(tape.preacts[0], [[1.5, 2.5]])
+        # both pre-activations are positive, so relu passes them through
+        assert np.allclose(tape.acts[1], [[1.5, 2.5]])
+        assert tape.acts[2] is out
 
     def test_relu_clamps_negative_preactivations(self):
         net = tiny_net()
-        out, tape = nn.forward(net, np.array([[-3.0, 0.0]]))
+        x = np.array([[-3.0, 0.0]])
+        out, tape = nn.forward(net, x)
         # z1 = [-3+0.5, 3-0.5] = [-2.5, 2.5]; relu kills the first unit
-        assert tape.preacts[0][0, 0] == pytest.approx(-2.5)
+        assert tape.acts[0] is x
+        assert np.array_equal(tape.acts[1], [[0.0, 2.5]])
         assert out[0, 0] == pytest.approx(-2.5 + 0.25)
 
     def test_rejects_wrong_input_width(self):
@@ -96,6 +100,18 @@ class TestBackward:
 
         fd = central_difference(loss_at, flat_x, np.arange(flat_x.size))
         assert relative_error(input_grad.reshape(-1), fd).max() < 1e-6
+
+    def test_relu_gradient_is_zero_at_an_exactly_zero_preactivation(self):
+        # x = [-0.5, 1] -> z1 = [-0.5 + 0.5, 0.5 + 2 - 0.5] = [0, 2]: the
+        # first unit sits exactly at the kink, where the gradient taken is 0
+        net = tiny_net()
+        x = np.array([[-0.5, 1.0]])
+        out, tape = nn.forward(net, x)
+        grads, input_grad = nn.backward(net, tape, np.ones_like(out))
+        # dLoss/da1 = w2.T = [1, -1]; the mask [0, 1] leaves dz1 = [0, -1]
+        assert np.array_equal(grads.biases[0], [0.0, -1.0])
+        assert np.array_equal(grads.weights[0], [[0.0, 0.5], [0.0, -1.0]])
+        assert np.array_equal(input_grad, [[1.0, -2.0]])
 
     def test_upstream_shape_checked(self):
         rng = np.random.default_rng(13)

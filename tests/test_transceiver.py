@@ -35,17 +35,21 @@ class TestOnehot:
         assert np.array_equal(out.argmax(axis=1), msgs)
 
 
+def identity_receiver(m_count=4):
+    # one linear layer with identity weights: the logits are the received
+    # block itself (n = m_count / 2 complex uses)
+    layer = nn.Layer(w=np.eye(m_count), b=np.zeros(m_count), activation="linear")
+    return transceiver.Receiver(nn.DenseNet([layer]), m_count, m_count // 2)
+
+
 class TestHardDecision:
     def test_picks_argmax(self):
-        probs = np.array([[0.1, 0.7, 0.2], [0.5, 0.3, 0.2]])
-        assert np.array_equal(transceiver.hard_decision(probs), [1, 0])
+        logits = np.array([[0.1, 0.7, 0.2, -1.0], [0.5, 0.3, 0.2, -1.0]])
+        assert np.array_equal(identity_receiver().decode(logits), [1, 0])
 
     def test_tie_goes_to_lowest_index(self):
-        probs = np.array([[0.4, 0.4, 0.2]])
-        assert transceiver.hard_decision(probs)[0] == 0
-
-    def test_single_vector_returns_int(self):
-        assert transceiver.hard_decision(np.array([0.2, 0.8])) == 1
+        logits = np.array([[0.4, -0.2, 0.4, 0.2], [-3.0, -3.0, -3.0, -3.0]])
+        assert np.array_equal(identity_receiver().decode(logits), [0, 0])
 
 
 def make_tx(seed=0, m_count=8, n=3):
@@ -120,13 +124,15 @@ class TestTransmitter:
 
 
 class TestReceiver:
-    def test_decode_rows_are_probabilities(self):
+    def test_decode_returns_the_most_likely_message_per_row(self):
         rng = np.random.default_rng(7)
         rx = transceiver.Receiver.create(8, 3, rng, hidden=(10,))
-        probs = rx.decode(rng.normal(size=(5, 6)))
-        assert probs.shape == (5, 8)
-        assert np.all(probs > 0.0)
-        assert np.allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
+        y = rng.normal(size=(5, 6))
+        decided = rx.decode(y)
+        assert decided.shape == (5,)
+        assert np.issubdtype(decided.dtype, np.integer)
+        logits, _ = rx.forward_logits(y)
+        assert np.array_equal(decided, nn.softmax(logits).argmax(axis=1))
 
     def test_pilot_required_when_configured(self):
         rng = np.random.default_rng(8)
@@ -143,8 +149,8 @@ class TestReceiver:
     def test_pilot_widens_input(self):
         rng = np.random.default_rng(10)
         rx = transceiver.Receiver.create(8, 3, rng, n_pilot=2, hidden=(10,))
-        probs = rx.decode(rng.normal(size=(4, 6)), rng.normal(size=(4, 4)))
-        assert probs.shape == (4, 8)
+        decided = rx.decode(rng.normal(size=(4, 6)), rng.normal(size=(4, 4)))
+        assert decided.shape == (4,)
 
     def test_wrong_block_width_raises(self):
         rng = np.random.default_rng(11)
