@@ -95,17 +95,6 @@ def hamming74_mld_decode(y: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=1)
 
 
-def hamming74_hard_decode(y: np.ndarray) -> np.ndarray:
-    """Hard-decision decoding: slice bits, then nearest codeword in
-    Hamming distance (equivalent to syndrome correction for this code)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != 7:
-        raise nn.ShapeError(f"observations must be (batch, 7), got {y.shape}")
-    hard = (y < 0.0).astype(np.int64)
-    dist = (hard[:, None, :] != hamming74_codebook()[None, :, :]).sum(axis=2)
-    return np.argmin(dist, axis=1)
-
-
 # 16-QAM with per-axis Gray labeling. Bits (b0 b1 b2 b3), MSB first:
 # (b0, b1) pick the I level and (b2, b3) the Q level via
 #   00 -> -3, 01 -> -1, 11 -> +1, 10 -> +3,

@@ -98,20 +98,23 @@ def _check_cond(m: np.ndarray, cond_dim: int, batch: int) -> np.ndarray:
     return m
 
 
-def generate(g: Generator, z: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Fake received blocks for noise z under conditioning m."""
-    out, _ = generate_with_tape(g, z, m)
+def generate(
+    g: Generator, z: np.ndarray, m: np.ndarray, tape: nn.Tape | None = None
+) -> np.ndarray:
+    """Fake received blocks for noise z under conditioning m; with a tape,
+    written into it (see ``nn.forward``)."""
+    out, _ = generate_with_tape(g, z, m, tape)
     return out
 
 
 def generate_with_tape(
-    g: Generator, z: np.ndarray, m: np.ndarray
+    g: Generator, z: np.ndarray, m: np.ndarray, tape: nn.Tape | None = None
 ) -> tuple[np.ndarray, nn.Tape]:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != g.z_dim:
         raise nn.ShapeError(f"z must be (batch, {g.z_dim}), got {z.shape}")
     m = _check_cond(m, g.cond_dim, z.shape[0])
-    return nn.forward(g.net, np.concatenate([z, m], axis=1))
+    return nn.forward(g.net, np.concatenate([z, m], axis=1), tape)
 
 
 def discriminate(d: Discriminator, y: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -121,13 +124,13 @@ def discriminate(d: Discriminator, y: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def discriminate_with_tape(
-    d: Discriminator, y: np.ndarray, m: np.ndarray
+    d: Discriminator, y: np.ndarray, m: np.ndarray, tape: nn.Tape | None = None
 ) -> tuple[np.ndarray, nn.Tape]:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != 2 * d.n:
         raise nn.ShapeError(f"y must be (batch, {2 * d.n}), got {y.shape}")
     m = _check_cond(m, d.cond_dim, y.shape[0])
-    return nn.forward(d.net, np.concatenate([y, m], axis=1))
+    return nn.forward(d.net, np.concatenate([y, m], axis=1), tape)
 
 
 def d_loss(
@@ -136,42 +139,50 @@ def d_loss(
     fake_y: np.ndarray,
     m: np.ndarray,
     real_target: float = 1.0,
+    tapes: tuple[nn.Tape | None, nn.Tape | None] = (None, None),
 ) -> tuple[float, nn.Gradients, float]:
     """Discriminator BCE on a real and a fake batch under conditioning m.
 
     Returns (loss, parameter gradients, classification accuracy). The fake
     batch is treated as a constant: no gradient flows to the generator
     here. real_target below 1.0 applies one-sided label smoothing.
+    ``tapes`` are the real and the fake pass's tapes to reuse, if any.
     """
     if not 0.5 < real_target <= 1.0:
         raise ValueError("real_target must lie in (0.5, 1.0]")
-    logits_r, tape_r = discriminate_with_tape(d, real_y, m)
-    logits_f, tape_f = discriminate_with_tape(d, fake_y, m)
+    logits_r, tape_r = discriminate_with_tape(d, real_y, m, tapes[0])
+    logits_f, tape_f = discriminate_with_tape(d, fake_y, m, tapes[1])
     loss_r, grad_r = nn.sigmoid_bce(logits_r, np.full_like(logits_r, real_target))
     loss_f, grad_f = nn.sigmoid_bce(logits_f, np.zeros_like(logits_f))
-    grads_r, _ = nn.backward(d.net, tape_r, grad_r)
-    grads_f, _ = nn.backward(d.net, tape_f, grad_f)
     loss = float(loss_r + loss_f)
     if not np.isfinite(loss):
         raise nn.NonFiniteError("discriminator loss is not finite")
+    # before backward, which may overwrite the logits of a reused tape
     accuracy = float(0.5 * (np.mean(logits_r > 0.0) + np.mean(logits_f <= 0.0)))
-    return loss, grads_r.add(grads_f), accuracy
+    grads_r, _ = nn.backward(d.net, tape_r, grad_r)
+    grads_f, _ = nn.backward(d.net, tape_f, grad_f)
+    return loss, grads_r.accumulate(grads_f), accuracy
 
 
 def g_loss(
-    g: Generator, d: Discriminator, z: np.ndarray, m: np.ndarray
+    g: Generator,
+    d: Discriminator,
+    z: np.ndarray,
+    m: np.ndarray,
+    tapes: tuple[nn.Tape | None, nn.Tape | None] = (None, None),
 ) -> tuple[float, nn.Gradients]:
     """Non-saturating generator loss: BCE of D(fake) against target 'real'.
 
     The discriminator is read but not updated; only its input gradient is
-    used to reach the generator parameters.
+    used to reach the generator parameters. ``tapes`` are the generator's
+    and the discriminator's tapes to reuse, if any.
     """
-    fake_y, g_tape = generate_with_tape(g, z, m)
-    logits, d_tape = discriminate_with_tape(d, fake_y, m)
+    fake_y, g_tape = generate_with_tape(g, z, m, tapes[0])
+    logits, d_tape = discriminate_with_tape(d, fake_y, m, tapes[1])
     loss, grad_logits = nn.sigmoid_bce(logits, np.ones_like(logits))
     if not np.isfinite(loss):
         raise nn.NonFiniteError("generator loss is not finite")
-    _, d_input_grad = nn.backward(d.net, d_tape, grad_logits)
+    _, d_input_grad = nn.backward(d.net, d_tape, grad_logits, params=False)
     upstream_fake = d_input_grad[:, : 2 * d.n]
     g_grads, _ = nn.backward(g.net, g_tape, upstream_fake)
     return float(loss), g_grads

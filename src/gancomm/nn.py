@@ -9,6 +9,11 @@ into the network that feeds it.
 
 Losses average over the batch, so the gradients they return already carry
 the 1/batch factor and learning rates stay batch-size independent.
+
+A training loop can hand a tape back to ``forward`` to have the next pass
+written into the same arrays; ``backward`` on such a tape then overwrites
+the activations with gradients and keeps its results in buffers the tape
+owns, so a steady-state step allocates almost nothing.
 """
 
 from __future__ import annotations
@@ -35,14 +40,22 @@ def _activate_in_place(z: np.ndarray, name: str) -> None:
         np.tanh(z, out=z)
 
 
-def _activation_grad(a: np.ndarray, name: str) -> np.ndarray | None:
-    # From the layer output a: relu's mask a > 0 equals z > 0, tanh' = 1 - a^2.
-    # None means identity (saves a multiply for linear layers).
+def _preact_grad(
+    g: np.ndarray, a: np.ndarray, name: str, out: np.ndarray | None
+) -> np.ndarray:
+    # dLoss/dz from dLoss/da and the layer output a: relu's mask a > 0
+    # equals z > 0, tanh' = 1 - a^2. Written into out when given, else into
+    # a new array (or, for a linear layer, g itself).
     if name == "relu":
-        return a > 0.0
+        return np.multiply(g, a > 0.0, out=out)
     if name == "tanh":
-        return 1.0 - a * a
-    return None
+        d = np.multiply(a, a, out=out)
+        np.subtract(1.0, d, out=d)
+        return np.multiply(g, d, out=d)
+    if out is None:
+        return g
+    out[...] = g
+    return out
 
 
 @dataclass
@@ -118,33 +131,61 @@ class DenseNet:
 
     def flat_params(self) -> np.ndarray:
         """All parameters concatenated (row-major weights, then bias) per layer."""
-        return np.concatenate(
-            [np.concatenate([l.w.ravel(), l.b]) for l in self.layers]
-        )
+        return np.concatenate([p.ravel() for p in self._param_arrays()])
 
     def set_flat_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (self.n_params,):
             raise ShapeError(f"expected {self.n_params} parameters, got {flat.shape}")
-        pos = 0
-        for layer in self.layers:
-            layer.w[...] = flat[pos : pos + layer.w.size].reshape(layer.w.shape)
-            pos += layer.w.size
-            layer.b[...] = flat[pos : pos + layer.b.size]
-            pos += layer.b.size
+        for param, view in zip(self._param_arrays(), _unflatten(flat, self)):
+            param[...] = view
+
+    def _param_arrays(self) -> list[np.ndarray]:
+        """Weights then bias of each layer, in ``flat_params`` order."""
+        return [p for layer in self.layers for p in (layer.w, layer.b)]
+
+
+def _unflatten(flat: np.ndarray, net: DenseNet) -> list[np.ndarray]:
+    """Views of a flat parameter vector shaped like the net's arrays."""
+    views, pos = [], 0
+    for param in net._param_arrays():
+        views.append(flat[pos : pos + param.size].reshape(param.shape))
+        pos += param.size
+    return views
 
 
 @dataclass
 class Tape:
-    """Cached activations from one forward pass, consumed by ``backward``."""
+    """Cached activations from one forward pass, consumed by ``backward``.
+
+    A tape passed to ``forward`` is reused: the pass is written into its
+    arrays (allocated on first use, or when the batch size changes), and
+    ``backward`` on it overwrites each activation with its pre-activation
+    gradient and returns arrays the tape owns, valid until the tape's next
+    forward. A tape made by ``forward`` itself is fresh and ``backward``
+    returns new arrays, leaving the tape as it was.
+    """
 
     # the net input, then each layer's output: acts[i] feeds layer i and
     # acts[i + 1] is what it emitted, (batch, width)
-    acts: list[np.ndarray]
+    acts: list[np.ndarray] = field(default_factory=list)
+    reused: bool = False
+    # owned by a reused tape: parameter gradients, and one input-gradient
+    # array per layer input width
+    grads: Gradients | None = None
+    input_grads: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def batch_size(self) -> int:
         return self.acts[0].shape[0]
+
+    def _input_grad(self, width: int) -> np.ndarray | None:
+        if not self.reused:
+            return None
+        buf = self.input_grads.get(width)
+        if buf is None:
+            buf = self.input_grads[width] = np.empty((self.batch_size, width))
+        return buf
 
 
 @dataclass
@@ -154,11 +195,11 @@ class Gradients:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def add(self, other: "Gradients") -> "Gradients":
-        return Gradients(
-            weights=[a + b for a, b in zip(self.weights, other.weights)],
-            biases=[a + b for a, b in zip(self.biases, other.biases)],
-        )
+    def accumulate(self, other: "Gradients") -> "Gradients":
+        """Add other's gradients into these, in place; returns self."""
+        for mine, theirs in zip(self.weights + self.biases, other.weights + other.biases):
+            mine += theirs
+        return self
 
     def flat(self) -> np.ndarray:
         return np.concatenate(
@@ -166,11 +207,14 @@ class Gradients:
         )
 
 
-def forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, Tape]:
+def forward(
+    net: DenseNet, x: np.ndarray, tape: Tape | None = None
+) -> tuple[np.ndarray, Tape]:
     """Run a batch through the net; the tape holds everything backward needs.
 
     The returned output is also the tape's last activation, so it must not
-    be modified in place before ``backward`` runs on the tape.
+    be modified in place before ``backward`` runs on the tape. Given a tape,
+    the pass is written into that tape's arrays and the tape is returned.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -179,23 +223,36 @@ def forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, Tape]:
         raise ShapeError(
             f"layer 0 expects input dim {net.input_dim}, got {x.shape[1]}"
         )
-    # one new array per layer: the activation overwrites its pre-activation
-    acts = [x]
-    for layer in net.layers:
-        z = acts[-1] @ layer.w
+    if tape is None:
+        tape = Tape(acts=[x] + [None] * len(net.layers))
+    else:
+        shapes = [(x.shape[0], layer.w.shape[1]) for layer in net.layers]
+        if [a.shape for a in tape.acts[1:]] != shapes:
+            # first use, or another batch size: start the tape afresh
+            tape.acts = [x] + [np.empty(shape) for shape in shapes]
+            tape.grads = None
+            tape.input_grads = {}
+        tape.reused = True
+        tape.acts[0] = x
+    # one array per layer (new, or the tape's): the activation overwrites
+    # its pre-activation
+    acts = tape.acts
+    for i, layer in enumerate(net.layers):
+        z = acts[i + 1] = np.matmul(acts[i], layer.w, out=acts[i + 1])
         z += layer.b
         _activate_in_place(z, layer.activation)
-        acts.append(z)
-    return acts[-1], Tape(acts=acts)
+    return acts[-1], tape
 
 
 def backward(
-    net: DenseNet, tape: Tape, upstream_grad: np.ndarray
-) -> tuple[Gradients, np.ndarray]:
+    net: DenseNet, tape: Tape, upstream_grad: np.ndarray, *, params: bool = True
+) -> tuple[Gradients | None, np.ndarray]:
     """Backpropagate ``upstream_grad`` (dLoss/dOutput) through the net.
 
     Returns the parameter gradients and the gradient with respect to the
-    network input. Parameters are left untouched.
+    network input. Parameters are left untouched. With ``params=False`` the
+    net is only read: just the input gradient is computed, and None comes
+    back in place of the parameter gradients.
     """
     g = np.asarray(upstream_grad, dtype=np.float64)
     n_layers = len(net.layers)
@@ -206,16 +263,26 @@ def backward(
             f"upstream gradient {g.shape} does not match the forward batch "
             f"{tape.acts[-1].shape}"
         )
-    weight_grads: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    bias_grads: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
+    grads = None
+    if params and tape.reused:
+        if tape.grads is None:
+            tape.grads = Gradients(
+                weights=[np.empty_like(l.w) for l in net.layers],
+                biases=[np.empty_like(l.b) for l in net.layers],
+            )
+        grads = tape.grads
+    elif params:
+        grads = Gradients(weights=[None] * n_layers, biases=[None] * n_layers)
     for i in range(n_layers - 1, -1, -1):
         layer = net.layers[i]
-        act_grad = _activation_grad(tape.acts[i + 1], layer.activation)
-        dz = g if act_grad is None else g * act_grad
-        weight_grads[i] = tape.acts[i].T @ dz
-        bias_grads[i] = dz.sum(axis=0)
-        g = dz @ layer.w.T
-    return Gradients(weights=weight_grads, biases=bias_grads), g
+        # a reused tape's activation is not read again: dz takes its array
+        a = tape.acts[i + 1]
+        dz = _preact_grad(g, a, layer.activation, a if tape.reused else None)
+        if grads is not None:
+            grads.weights[i] = np.matmul(tape.acts[i].T, dz, out=grads.weights[i])
+            grads.biases[i] = np.sum(dz, axis=0, out=grads.biases[i])
+        g = np.matmul(dz, layer.w.T, out=tape._input_grad(layer.w.shape[0]))
+    return grads, g
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -291,6 +358,11 @@ class AdamState:
     v_w: list[np.ndarray] = field(default_factory=list)
     m_b: list[np.ndarray] = field(default_factory=list)
     v_b: list[np.ndarray] = field(default_factory=list)
+    # two arrays per parameter array, in flat_params order: the step, and
+    # the candidate parameters checked before any is committed
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=list, repr=False
+    )
 
     @classmethod
     def for_net(cls, net: DenseNet, learning_rate: float, **kwargs) -> "AdamState":
@@ -299,6 +371,9 @@ class AdamState:
         state.v_w = [np.zeros_like(l.w) for l in net.layers]
         state.m_b = [np.zeros_like(l.b) for l in net.layers]
         state.v_b = [np.zeros_like(l.b) for l in net.layers]
+        state.scratch = [
+            (np.empty_like(p), np.empty_like(p)) for p in net._param_arrays()
+        ]
         return state
 
     def reset_moments(self) -> None:
@@ -309,7 +384,13 @@ class AdamState:
 
 
 def adam_step(net: DenseNet, grads: Gradients, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place, on net and state."""
+    """One bias-corrected Adam update, in place, on net and state.
+
+    All or nothing for the net: the new parameters are built in the state's
+    scratch and committed only once every one of them is finite. A
+    ``NonFiniteError`` leaves the net as it was (the moments and the step
+    count have moved on).
+    """
     if len(grads.weights) != len(net.layers):
         raise ShapeError("gradients do not mirror the network's layers")
     for i, layer in enumerate(net.layers):
@@ -321,18 +402,37 @@ def adam_step(net: DenseNet, grads: Gradients, state: AdamState) -> None:
     t = state.step_count
     bias1 = 1.0 - state.beta1**t
     bias2 = 1.0 - state.beta2**t
-    for i, layer in enumerate(net.layers):
-        for param, grad, m, v in (
-            (layer.w, grads.weights[i], state.m_w[i], state.v_w[i]),
-            (layer.b, grads.biases[i], state.m_b[i], state.v_b[i]),
-        ):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * grad
-            v *= state.beta2
-            v += (1.0 - state.beta2) * grad * grad
-            param -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
-        if not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all()):
-            raise NonFiniteError(f"layer {i}: parameters became non-finite")
+    rows = zip(
+        net._param_arrays(),
+        (g for pair in zip(grads.weights, grads.biases) for g in pair),
+        (m for pair in zip(state.m_w, state.m_b) for m in pair),
+        (v for pair in zip(state.v_w, state.v_b) for v in pair),
+        state.scratch,
+    )
+    candidates = []
+    for k, (param, grad, m, v, (step, candidate)) in enumerate(rows):
+        # the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # param - lr * (m / bias1) / (sqrt(v / bias2) + eps) in their
+        # evaluation order, so the result is that expression's to the bit
+        m *= state.beta1
+        np.multiply(1.0 - state.beta1, grad, out=step)
+        m += step
+        v *= state.beta2
+        np.multiply(1.0 - state.beta2, grad, out=step)
+        step *= grad
+        v += step
+        np.divide(m, bias1, out=step)
+        step *= state.learning_rate
+        np.divide(v, bias2, out=candidate)
+        np.sqrt(candidate, out=candidate)
+        candidate += state.epsilon
+        step /= candidate
+        np.subtract(param, step, out=candidate)
+        if not np.isfinite(candidate).all():
+            raise NonFiniteError(f"layer {k // 2}: parameters became non-finite")
+        candidates.append((param, candidate))
+    for param, candidate in candidates:
+        param[...] = candidate
 
 
 class EmaTracker:
@@ -349,23 +449,20 @@ class EmaTracker:
             raise ValueError("decay must lie in [0, 1)")
         self.decay = decay
         self._avg = net.flat_params()
+        self._diff = np.empty_like(self._avg)
+        # per parameter array: its views into the average and the scratch
+        self._views = list(zip(_unflatten(self._avg, net), _unflatten(self._diff, net)))
 
     def update(self, net: DenseNet) -> None:
-        self._avg += (1.0 - self.decay) * (net.flat_params() - self._avg)
+        """avg += (1 - decay) * (params - avg), in place."""
+        keep = 1.0 - self.decay
+        for param, (avg, diff) in zip(net._param_arrays(), self._views):
+            np.subtract(param, avg, out=diff)
+            diff *= keep
+            avg += diff
 
     def averaged_net(self, net: DenseNet) -> DenseNet:
         """Copy of net carrying the averaged parameters."""
         out = net.copy()
         out.set_flat_params(self._avg)
         return out
-
-
-def param_checksum(net: DenseNet) -> bytes:
-    """Stable digest of all parameters; equal iff parameters are bit-identical."""
-    import hashlib
-
-    digest = hashlib.sha256()
-    for layer in net.layers:
-        digest.update(np.ascontiguousarray(layer.w).tobytes())
-        digest.update(np.ascontiguousarray(layer.b).tobytes())
-    return digest.digest()

@@ -10,8 +10,10 @@ GAN uses the non-saturating logistic losses.
 
 from __future__ import annotations
 
+import collections
 import csv
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +47,6 @@ class TrainLog:
     def append(self, record: StepRecord) -> None:
         self.records.append(record)
 
-    def phase_losses(self, phase: str) -> np.ndarray:
-        return np.array([r.loss for r in self.records if r.phase == phase])
-
-    def last_iteration_mean(self, phase: str) -> float:
-        matching = [r for r in self.records if r.phase == phase]
-        if not matching:
-            raise ValueError(f"no records for phase {phase!r}")
-        last_it = matching[-1].iteration
-        return float(np.mean([r.loss for r in matching if r.iteration == last_it]))
-
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
@@ -79,14 +71,20 @@ def conditioning(x: np.ndarray, y_pilot: np.ndarray | None) -> np.ndarray:
     return np.concatenate([x, y_pilot], axis=1)
 
 
+def _tape(tapes: Mapping[str, nn.Tape] | None, key: str) -> nn.Tape | None:
+    """The reusable tape kept under this key, or None for fresh arrays."""
+    return None if tapes is None else tapes[key]
+
+
 def receiver_forward_backward(
     rx: transceiver.Receiver,
     onehot: np.ndarray,
     y: np.ndarray,
     y_pilot: np.ndarray | None = None,
+    tape: nn.Tape | None = None,
 ) -> tuple[float, nn.Gradients]:
     """Cross-entropy on real channel output and its receiver gradients."""
-    logits, tape = rx.forward_logits(y, y_pilot)
+    logits, tape = rx.forward_logits(y, y_pilot, tape)
     loss, grad = nn.softmax_cross_entropy(logits, onehot)
     grads, _ = nn.backward(rx.net, tape, grad)
     return loss, grads
@@ -99,6 +97,7 @@ def transmitter_forward_backward(
     onehot: np.ndarray,
     z: np.ndarray,
     y_pilot: np.ndarray | None = None,
+    tapes: Mapping[str, nn.Tape] | None = None,
 ) -> tuple[float, nn.Gradients]:
     """End-to-end loss with the generator in place of the channel, and its
     transmitter gradients.
@@ -107,15 +106,18 @@ def transmitter_forward_backward(
     fake y -> receiver -> cross-entropy. Receiver and generator parameters
     are read only; their input gradients carry the signal back to the
     transmitter. Pilots are a fixed symbol, so the gradient w.r.t. the
-    pilot part of the conditioning is dropped.
+    pilot part of the conditioning is dropped. ``tapes``, if given, holds a
+    reusable tape for each net by name (tx, gen, rx).
     """
-    x, tx_tape = tx.encode(onehot)
+    x, tx_tape = tx.encode(onehot, _tape(tapes, "tx"))
     m = conditioning(x, y_pilot)
-    fake_y, g_tape = gan.generate_with_tape(g, z, m)
-    logits, rx_tape = rx.forward_logits(fake_y, y_pilot)
+    fake_y, g_tape = gan.generate_with_tape(g, z, m, _tape(tapes, "gen"))
+    logits, rx_tape = rx.forward_logits(fake_y, y_pilot, _tape(tapes, "rx"))
     loss, grad_logits = nn.softmax_cross_entropy(logits, onehot)
-    _, rx_input_grad = nn.backward(rx.net, rx_tape, grad_logits)
-    _, g_input_grad = nn.backward(g.net, g_tape, rx_input_grad[:, : 2 * tx.n])
+    _, rx_input_grad = nn.backward(rx.net, rx_tape, grad_logits, params=False)
+    _, g_input_grad = nn.backward(
+        g.net, g_tape, rx_input_grad[:, : 2 * tx.n], params=False
+    )
     x_grad = g_input_grad[:, g.z_dim : g.z_dim + 2 * tx.n]
     tx_grads, _ = tx.backward(tx_tape, x_grad)
     return loss, tx_grads
@@ -131,20 +133,26 @@ def gan_update(
     rng_z: np.random.Generator,
     label_smoothing: float = 0.0,
     d_updates: int = 1,
+    tapes: Mapping[str, nn.Tape] | None = None,
 ) -> tuple[float, float, float]:
     """One adversarial step: d_updates discriminator updates, then one
-    generator update. Returns (d loss, g loss, d accuracy)."""
+    generator update. Returns (d loss, g loss, d accuracy). ``tapes``, if
+    given, holds reusable tapes by net: gen, disc, and disc.fake for the
+    discriminator's fake pass."""
     batch = real_y.shape[0]
     d_loss_val = d_acc = 0.0
     for _ in range(d_updates):
         z = gan.sample_z(rng_z, batch, g.z_dim)
-        fake_y = gan.generate(g, z, m)
+        fake_y = gan.generate(g, z, m, _tape(tapes, "gen"))
         d_loss_val, d_grads, d_acc = gan.d_loss(
-            d, real_y, fake_y, m, real_target=1.0 - label_smoothing
+            d, real_y, fake_y, m, real_target=1.0 - label_smoothing,
+            tapes=(_tape(tapes, "disc"), _tape(tapes, "disc.fake")),
         )
         nn.adam_step(d.net, d_grads, d_opt)
     z = gan.sample_z(rng_z, batch, g.z_dim)
-    g_loss_val, g_grads = gan.g_loss(g, d, z, m)
+    g_loss_val, g_grads = gan.g_loss(
+        g, d, z, m, tapes=(_tape(tapes, "gen"), _tape(tapes, "disc"))
+    )
     nn.adam_step(g.net, g_grads, g_opt)
     return d_loss_val, g_loss_val, d_acc
 
@@ -180,6 +188,8 @@ class Trainer:
 
     ``source`` maps the message indices of a GAN-phase batch to the blocks
     sent through the channel; by default it is the transmitter in training.
+    The steps reuse one ``nn.Tape`` per net (two for the discriminator), so
+    a step allocates almost nothing; ``run`` drops them when it returns.
     """
 
     def __init__(self, cfg: TrainConfig, source=None):
@@ -200,6 +210,9 @@ class Trainer:
         self._rng_batch = substream(cfg.seed, "train", "batch")
         self._rng_channel = substream(cfg.seed, "train", "channel")
         self._rng_z = substream(cfg.seed, "train", "z")
+        # one tape per net, by role, plus "disc.fake": each step's passes
+        # through a net run one after another, except d_loss's two
+        self._tapes: dict[str, nn.Tape] = collections.defaultdict(nn.Tape)
         self.log = TrainLog()
         self.step = 0
         self._pinned = 0
@@ -221,7 +234,7 @@ class Trainer:
             self.generator, self.discriminator, self.g_opt, self.d_opt,
             real_y, conditioning(x, y_p), self._rng_z,
             label_smoothing=self.cfg.label_smoothing,
-            d_updates=self.cfg.d_updates,
+            d_updates=self.cfg.d_updates, tapes=self._tapes,
         )
         self._g_ema.update(self.generator.net)
         self._pinned = self._pinned + 1 if d_acc >= 1.0 else 0
@@ -236,11 +249,13 @@ class Trainer:
     def train_receiver_step(self, iteration: int) -> float:
         messages, state = self._draw_batch()
         onehot = transceiver.to_onehot(messages, self.cfg.M)
-        x, _ = self.tx.encode(onehot)
+        x, _ = self.tx.encode(onehot, self._tapes["tx"])
         y, y_p = self.channel_model.observe(
             x, state, self.noise_std, self._rng_channel
         )
-        loss, grads = receiver_forward_backward(self.rx, onehot, y, y_p)
+        loss, grads = receiver_forward_backward(
+            self.rx, onehot, y, y_p, self._tapes["rx"]
+        )
         nn.adam_step(self.rx.net, grads, self.rx_opt)
         self.step += 1
         self.log.append(StepRecord(self.step, iteration, "rx", loss))
@@ -259,7 +274,7 @@ class Trainer:
         y_p = self.channel_model.pilots(state, self.noise_std, self._rng_channel)
         z = gan.sample_z(self._rng_z, self.cfg.batch_size, self.cfg.z_dim)
         loss, grads = transmitter_forward_backward(
-            self.tx, self.rx, self.generator, onehot, z, y_p
+            self.tx, self.rx, self.generator, onehot, z, y_p, self._tapes
         )
         nn.adam_step(self.tx.net, grads, self.tx_opt)
         self.step += 1
@@ -269,31 +284,35 @@ class Trainer:
     def run(self, progress=None) -> None:
         """Warm-up GAN phase, the alternating outer loop, then a receiver
         polish: extra receiver-only steps on the now-frozen constellation,
-        which the interleaved schedule always leaves slightly stale."""
+        which the interleaved schedule always leaves slightly stale. The
+        step tapes are dropped on return; later steps make new ones."""
         cfg = self.cfg
-        if cfg.warmup_gan_steps:
-            losses = [self.train_gan_step(0) for _ in range(cfg.warmup_gan_steps)]
-            if progress:
-                progress(0, "gan", float(np.mean(losses)))
-        for it in range(1, cfg.outer_iterations + 1):
-            for phase, count, fn in (
-                ("gan", cfg.gan_steps, self.train_gan_step),
-                ("rx", cfg.rx_steps, self.train_receiver_step),
-                ("tx", cfg.tx_steps, self.train_transmitter_step),
-            ):
-                if count == 0:
-                    continue
-                losses = [fn(it) for _ in range(count)]
+        try:
+            if cfg.warmup_gan_steps:
+                losses = [self.train_gan_step(0) for _ in range(cfg.warmup_gan_steps)]
                 if progress:
-                    progress(it, phase, float(np.mean(losses)))
-        if cfg.final_rx_steps:
-            final_it = cfg.outer_iterations + 1
-            losses = [
-                self.train_receiver_step(final_it)
-                for _ in range(cfg.final_rx_steps)
-            ]
-            if progress:
-                progress(final_it, "rx", float(np.mean(losses[-100:])))
+                    progress(0, "gan", float(np.mean(losses)))
+            for it in range(1, cfg.outer_iterations + 1):
+                for phase, count, fn in (
+                    ("gan", cfg.gan_steps, self.train_gan_step),
+                    ("rx", cfg.rx_steps, self.train_receiver_step),
+                    ("tx", cfg.tx_steps, self.train_transmitter_step),
+                ):
+                    if count == 0:
+                        continue
+                    losses = [fn(it) for _ in range(count)]
+                    if progress:
+                        progress(it, phase, float(np.mean(losses)))
+            if cfg.final_rx_steps:
+                final_it = cfg.outer_iterations + 1
+                losses = [
+                    self.train_receiver_step(final_it)
+                    for _ in range(cfg.final_rx_steps)
+                ]
+                if progress:
+                    progress(final_it, "rx", float(np.mean(losses[-100:])))
+        finally:
+            self._tapes.clear()
 
 
 def train_full(cfg: TrainConfig, out_dir: str | None = None, progress=None) -> Trainer:

@@ -76,13 +76,16 @@ class Transmitter:
         )
         return cls(net, n)
 
-    def encode(self, onehot: np.ndarray) -> tuple[np.ndarray, TxTape]:
+    def encode(
+        self, onehot: np.ndarray, tape: nn.Tape | None = None
+    ) -> tuple[np.ndarray, TxTape]:
         """One-hot rows -> power-normalized blocks, with tape for backward.
 
         Every output row x satisfies sum(x**2) == n exactly up to float
-        rounding, i.e. unit average power per complex channel use.
+        rounding, i.e. unit average power per complex channel use. A given
+        dense-net tape is reused (see ``nn.forward``).
         """
-        prenorm, dense_tape = nn.forward(self.net, onehot)
+        prenorm, dense_tape = nn.forward(self.net, onehot, tape)
         norm_sq = np.einsum("ij,ij->i", prenorm, prenorm)
         if np.any(norm_sq / self.n < POWER_EPSILON):
             raise FloatingPointError(
@@ -183,9 +186,12 @@ class Receiver:
         return y
 
     def forward_logits(
-        self, y: np.ndarray, y_pilot: np.ndarray | None = None
+        self,
+        y: np.ndarray,
+        y_pilot: np.ndarray | None = None,
+        tape: nn.Tape | None = None,
     ) -> tuple[np.ndarray, nn.Tape]:
-        return nn.forward(self.net, self._stack_input(y, y_pilot))
+        return nn.forward(self.net, self._stack_input(y, y_pilot), tape)
 
     def decode(
         self, y: np.ndarray, y_pilot: np.ndarray | None = None

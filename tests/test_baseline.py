@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gancomm import baseline
+from helpers import hamming74_hard_decode
 
 
 class TestHammingEncode:
@@ -95,7 +96,7 @@ class TestMldDecode:
         clean = baseline.bpsk_modulate(baseline.hamming74_codebook()[messages])
         y = clean + rng.normal(0.0, 0.8, clean.shape)
         soft_errs = int(np.sum(baseline.hamming74_mld_decode(y) != messages))
-        hard_errs = int(np.sum(baseline.hamming74_hard_decode(y) != messages))
+        hard_errs = int(np.sum(hamming74_hard_decode(y) != messages))
         assert soft_errs <= hard_errs
         assert soft_errs < hard_errs  # strictly better at this noise level
 
@@ -106,7 +107,7 @@ class TestMldDecode:
                 flipped = cb[msg].copy()
                 flipped[pos] ^= 1
                 y = baseline.bpsk_modulate(flipped[None, :])
-                assert baseline.hamming74_hard_decode(y)[0] == msg
+                assert hamming74_hard_decode(y)[0] == msg
 
 
 class TestBitsMessages:

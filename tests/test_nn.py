@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gancomm import nn
-from helpers import central_difference, check_net_gradients, relative_error
+from helpers import (
+    central_difference,
+    check_net_gradients,
+    param_checksum,
+    reference_adam_step,
+    reference_ema_update,
+    relative_error,
+)
 
 
 def tiny_net():
@@ -126,9 +133,103 @@ class TestBackward:
         x = rng.normal(size=(2, 3))
         out, tape = nn.forward(net, x)
         g1, _ = nn.backward(net, tape, np.ones_like(out))
-        total = g1.add(g1)
-        assert np.allclose(total.weights[0], 2.0 * g1.weights[0])
-        assert np.allclose(total.biases[1], 2.0 * g1.biases[1])
+        once = nn.Gradients([w.copy() for w in g1.weights], [b.copy() for b in g1.biases])
+        total = g1.accumulate(once)
+        assert total is g1
+        assert np.array_equal(total.weights[0], 2.0 * once.weights[0])
+        assert np.array_equal(total.biases[1], 2.0 * once.biases[1])
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def fresh_pass(net, x, upstream, params=True):
+    """Forward and backward with fresh arrays; copies of everything returned."""
+    out, tape = nn.forward(net, x)
+    out = out.copy()
+    grads, input_grad = nn.backward(net, tape, upstream, params=params)
+    return out, grads, input_grad
+
+
+net_shapes = st.lists(st.integers(1, 9), min_size=2, max_size=5)
+
+
+class TestTapeReuse:
+    @given(dims=net_shapes, batch=st.integers(1, 12),
+           hidden=st.sampled_from(nn.ACTIVATIONS), output=st.sampled_from(nn.ACTIVATIONS),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_reused_tape_matches_fresh_arrays_bit_for_bit(
+        self, dims, batch, hidden, output, seed
+    ):
+        rng = np.random.default_rng(seed)
+        net = nn.DenseNet.create(dims, rng, hidden_activation=hidden,
+                                 output_activation=output)
+        tape = nn.Tape()
+        # the second pass writes new input over the first pass's arrays
+        for _ in range(2):
+            x = rng.normal(size=(batch, dims[0]))
+            upstream = rng.normal(size=(batch, dims[-1]))
+            want_out, want_grads, want_input = fresh_pass(net, x, upstream)
+            out, same = nn.forward(net, x, tape)
+            assert same is tape and tape.reused
+            assert same_bytes(out, want_out)
+            grads, input_grad = nn.backward(net, tape, upstream)
+            assert grads is tape.grads
+            for got, want in zip(grads.weights + grads.biases,
+                                 want_grads.weights + want_grads.biases):
+                assert same_bytes(got, want)
+            assert same_bytes(input_grad, want_input)
+
+    @given(dims=net_shapes, batch=st.integers(1, 12),
+           hidden=st.sampled_from(nn.ACTIVATIONS), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_params_false_gives_the_same_input_gradient(self, dims, batch, hidden, seed):
+        rng = np.random.default_rng(seed)
+        net = nn.DenseNet.create(dims, rng, hidden_activation=hidden)
+        x = rng.normal(size=(batch, dims[0]))
+        upstream = rng.normal(size=(batch, dims[-1]))
+        _, _, want = fresh_pass(net, x, upstream)
+        _, grads, fresh = fresh_pass(net, x, upstream, params=False)
+        assert grads is None and same_bytes(fresh, want)
+        tape = nn.Tape()
+        for _ in range(2):
+            nn.forward(net, x, tape)
+            grads, reused = nn.backward(net, tape, upstream, params=False)
+            assert grads is None and tape.grads is None
+            assert same_bytes(reused, want)
+
+    def test_a_tape_made_by_forward_can_be_handed_back(self):
+        rng = np.random.default_rng(15)
+        net = nn.DenseNet.create((3, 5, 2), rng)
+        x1, x2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        first, tape = nn.forward(net, x1)
+        assert not tape.reused
+        want, _ = nn.forward(net, x2)
+        out, same = nn.forward(net, x2, tape)
+        assert same is tape and out is first and same_bytes(out, want)
+
+    def test_fresh_tape_backward_leaves_the_tape_alone(self):
+        rng = np.random.default_rng(16)
+        net = nn.DenseNet.create((3, 5, 2), rng)
+        out, tape = nn.forward(net, rng.normal(size=(4, 3)))
+        kept = [a.copy() for a in tape.acts]
+        g1, in1 = nn.backward(net, tape, np.ones_like(out))
+        g2, in2 = nn.backward(net, tape, np.ones_like(out))
+        assert all(same_bytes(a, b) for a, b in zip(tape.acts, kept))
+        assert g1.weights[0] is not g2.weights[0] and in1 is not in2
+        assert same_bytes(g1.flat(), g2.flat())
+
+    def test_another_batch_size_reallocates_the_tape(self):
+        rng = np.random.default_rng(17)
+        net = nn.DenseNet.create((3, 5, 2), rng)
+        tape = nn.Tape()
+        nn.forward(net, rng.normal(size=(4, 3)), tape)
+        x = rng.normal(size=(6, 3))
+        out, _ = nn.forward(net, x, tape)
+        assert tape.batch_size == 6
+        assert same_bytes(out, nn.forward(net, x)[0])
 
 
 class TestSoftmaxCrossEntropy:
@@ -269,6 +370,42 @@ class TestAdam:
         assert state.step_count == 0
         assert np.all(state.m_w[0] == 0.0) and np.all(state.v_b[0] == 0.0)
 
+    def test_non_finite_update_leaves_every_parameter_untouched(self):
+        # layer 0 alone would step to finite values; layer 1 overflows, so
+        # nothing may be committed
+        rng = np.random.default_rng(33)
+        net = nn.DenseNet.create((2, 3, 2), rng)
+        net.layers[1].w[0, 0] = 1.7e308
+        before = param_checksum(net)
+        state = nn.AdamState.for_net(net, 1e308)
+        grads = nn.Gradients(
+            weights=[np.full_like(l.w, -1.0) for l in net.layers],
+            biases=[np.full_like(l.b, -1.0) for l in net.layers],
+        )
+        with pytest.raises(nn.NonFiniteError, match="layer 1"), np.errstate(over="ignore"):
+            nn.adam_step(net, grads, state)
+        assert param_checksum(net) == before
+
+    @given(dims=net_shapes, lr=st.sampled_from([1e-4, 1e-3, 0.05]),
+           beta1=st.sampled_from([0.5, 0.9]), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_array_expression_bit_for_bit(self, dims, lr, beta1, seed):
+        rng = np.random.default_rng(seed)
+        net = nn.DenseNet.create(dims, rng)
+        ref_net = net.copy()
+        state = nn.AdamState.for_net(net, lr, beta1=beta1)
+        ref_state = nn.AdamState.for_net(ref_net, lr, beta1=beta1)
+        for _ in range(5):
+            grads = nn.Gradients(
+                weights=[rng.normal(size=l.w.shape) for l in net.layers],
+                biases=[rng.normal(size=l.b.shape) for l in net.layers],
+            )
+            nn.adam_step(net, grads, state)
+            reference_adam_step(ref_net, grads, ref_state)
+            assert same_bytes(net.flat_params(), ref_net.flat_params())
+            for mine, ref in ((state.m_w, ref_state.m_w), (state.v_b, ref_state.v_b)):
+                assert all(same_bytes(a, b) for a, b in zip(mine, ref))
+
     def test_descends_a_quadratic(self):
         net = nn.DenseNet(
             [nn.Layer(w=np.array([[3.0]]), b=np.array([0.0]), activation="linear")]
@@ -296,7 +433,7 @@ class TestInit:
     def test_same_seed_same_net(self):
         a = nn.DenseNet.create((4, 8, 2), np.random.default_rng(7))
         b = nn.DenseNet.create((4, 8, 2), np.random.default_rng(7))
-        assert nn.param_checksum(a) == nn.param_checksum(b)
+        assert param_checksum(a) == param_checksum(b)
 
     def test_rejects_short_dims(self):
         with pytest.raises(ValueError):
@@ -321,14 +458,14 @@ class TestFlatParams:
         assert flat.size == net.n_params
         other = nn.DenseNet.create((3, 5, 2), np.random.default_rng(52))
         other.set_flat_params(flat)
-        assert nn.param_checksum(other) == nn.param_checksum(net)
+        assert param_checksum(other) == param_checksum(net)
 
     def test_copy_is_deep(self):
         rng = np.random.default_rng(53)
         net = nn.DenseNet.create((2, 3), rng)
         clone = net.copy()
         clone.layers[0].w += 1.0
-        assert nn.param_checksum(clone) != nn.param_checksum(net)
+        assert param_checksum(clone) != param_checksum(net)
 
 
 class TestEmaTracker:
@@ -339,7 +476,7 @@ class TestEmaTracker:
         net.layers[0].w += 0.5
         tracker.update(net)
         avg = tracker.averaged_net(net)
-        assert nn.param_checksum(avg) == nn.param_checksum(net)
+        assert param_checksum(avg) == param_checksum(net)
 
     def test_convex_combination(self):
         net = nn.DenseNet(
@@ -350,6 +487,20 @@ class TestEmaTracker:
         tracker.update(net)
         avg = tracker.averaged_net(net)
         assert avg.layers[0].w[0, 0] == pytest.approx(0.1, rel=1e-12)
+
+    @given(dims=net_shapes, decay=st.sampled_from([0.0, 0.5, 0.99, 0.999]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_array_expression_bit_for_bit(self, dims, decay, seed):
+        rng = np.random.default_rng(seed)
+        net = nn.DenseNet.create(dims, rng)
+        tracker = nn.EmaTracker(net, decay)
+        avg = net.flat_params()
+        for _ in range(5):
+            net.set_flat_params(net.flat_params() + rng.normal(size=net.n_params))
+            tracker.update(net)
+            reference_ema_update(avg, net, decay)
+        assert same_bytes(tracker.averaged_net(net).flat_params(), avg)
 
     def test_rejects_bad_decay(self):
         net = nn.DenseNet.create((2, 2), np.random.default_rng(0))

@@ -1,0 +1,64 @@
+"""Training steps reuse their buffers: what one step allocates, and that
+reuse changes nothing a run writes."""
+
+import math
+import tracemalloc
+
+import pytest
+
+from gancomm import checkpoint, train
+from gancomm.config import TrainConfig
+
+MIB = 1 << 20
+WARMUP_STEPS = 3
+
+
+def transient_peak(step) -> int:
+    """Peak bytes allocated during one call, above what it started with."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        step()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+def test_a_steady_state_step_allocates_under_one_mib(kind):
+    # default nets at batch 320: one generator pass alone spans about 1 MiB
+    # of activations, so a step that made new activation, gradient or Adam
+    # arrays would peak at several MiB
+    trainer = train.Trainer(TrainConfig(channel=kind))
+    steps = {"gan": trainer.train_gan_step, "rx": trainer.train_receiver_step,
+             "tx": trainer.train_transmitter_step}
+    for _ in range(WARMUP_STEPS):
+        for step in steps.values():
+            step(1)
+    peaks = {phase: transient_peak(lambda: step(1)) for phase, step in steps.items()}
+    assert all(peak < MIB for peak in peaks.values()), peaks
+
+
+def reduced_cfg(**overrides):
+    return TrainConfig(**{**dict(outer_iterations=2, warmup_gan_steps=5,
+                                 final_rx_steps=5, seed=8), **overrides})
+
+
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+def test_back_to_back_trainers_write_identical_files(tmp_path, kind):
+    # the second run in the process finds the first run's freed memory in
+    # the allocator; nothing it writes may depend on that
+    for run in ("a", "b"):
+        train.train_full(reduced_cfg(channel=kind), out_dir=str(tmp_path / run))
+    for name in (*checkpoint.CHECKPOINT_FILES, "config.json", "train_log.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_a_trainer_still_steps_after_run_released_its_tapes():
+    trainer = train.Trainer(reduced_cfg())
+    trainer.run()
+    assert not trainer._tapes
+    losses = [trainer.train_gan_step(9), trainer.train_receiver_step(9),
+              trainer.train_transmitter_step(9)]
+    assert all(math.isfinite(loss) for loss in losses)
+    assert [r.phase for r in trainer.log.records[-3:]] == ["gan", "rx", "tx"]
