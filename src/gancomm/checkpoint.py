@@ -1,8 +1,11 @@
-"""Checkpoint files: JSON nets that round-trip float64 exactly.
+"""Checkpoint files: JSON nets that round-trip their parameters exactly.
 
-json writes floats with repr(), which is exact for binary64, so a
-save/load cycle reproduces every parameter bit for bit and two identical
-training runs produce byte-identical checkpoint files.
+Nets are trained in and loaded into ``nn.PARAM_DTYPE`` (float32). json
+writes floats with repr(), which is exact for binary64 and so for every
+float32 value, so a save/load cycle reproduces every parameter bit for bit
+and two identical training runs produce byte-identical checkpoint files. A
+float64 checkpoint loads rounded to the nearest float32; a value beyond the
+float32 range becomes Inf, which loading refuses.
 """
 
 from __future__ import annotations
@@ -34,14 +37,16 @@ def net_to_dict(net: nn.DenseNet) -> dict:
 
 def net_from_dict(data: dict) -> nn.DenseNet:
     try:
-        layers = [
-            nn.Layer(
-                w=np.array(entry["w"], dtype=np.float64),
-                b=np.array(entry["b"], dtype=np.float64),
-                activation=entry["activation"],
-            )
-            for entry in data["layers"]
-        ]
+        # out-of-range values become Inf, which load_net refuses
+        with np.errstate(over="ignore"):
+            layers = [
+                nn.Layer(
+                    w=np.array(entry["w"], dtype=nn.PARAM_DTYPE),
+                    b=np.array(entry["b"], dtype=nn.PARAM_DTYPE),
+                    activation=entry["activation"],
+                )
+                for entry in data["layers"]
+            ]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed network checkpoint: {exc}") from None
     return nn.DenseNet(layers)

@@ -332,7 +332,8 @@ def gan_fidelity(
             fake = real2
         else:
             z = gan.sample_z(rng, n_samples, g.z_dim)
-            fake = gan.generate(g, z, m)
+            # the statistics run in float64, whatever the net's dtype
+            fake = gan.generate(g, z, m).astype(np.float64)
         reports.append(
             ConditionReport(
                 label=label,

@@ -85,17 +85,19 @@ class Discriminator:
 
 
 def sample_z(rng: np.random.Generator, batch: int, z_dim: int) -> np.ndarray:
-    """Standard normal noise input, (batch, z_dim)."""
+    """Standard normal noise input, (batch, z_dim), drawn in float64 like
+    every other random draw; it is cast where it enters the generator."""
     return rng.standard_normal((batch, z_dim))
 
 
-def _check_cond(m: np.ndarray, cond_dim: int, batch: int) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (batch, cond_dim):
+def _stack(a: np.ndarray, m: np.ndarray, cond_dim: int, net: nn.DenseNet) -> np.ndarray:
+    """[a, m] as one array in the net's dtype, after checking m's shape."""
+    m = np.asarray(m)
+    if m.shape != (a.shape[0], cond_dim):
         raise nn.ShapeError(
-            f"conditioning must be ({batch}, {cond_dim}), got {m.shape}"
+            f"conditioning must be ({a.shape[0]}, {cond_dim}), got {m.shape}"
         )
-    return m
+    return np.concatenate([a, m], axis=1, dtype=net.dtype)
 
 
 def generate(
@@ -110,11 +112,10 @@ def generate(
 def generate_with_tape(
     g: Generator, z: np.ndarray, m: np.ndarray, tape: nn.Tape | None = None
 ) -> tuple[np.ndarray, nn.Tape]:
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z)
     if z.ndim != 2 or z.shape[1] != g.z_dim:
         raise nn.ShapeError(f"z must be (batch, {g.z_dim}), got {z.shape}")
-    m = _check_cond(m, g.cond_dim, z.shape[0])
-    return nn.forward(g.net, np.concatenate([z, m], axis=1), tape)
+    return nn.forward(g.net, _stack(z, m, g.cond_dim, g.net), tape)
 
 
 def discriminate(d: Discriminator, y: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -126,11 +127,10 @@ def discriminate(d: Discriminator, y: np.ndarray, m: np.ndarray) -> np.ndarray:
 def discriminate_with_tape(
     d: Discriminator, y: np.ndarray, m: np.ndarray, tape: nn.Tape | None = None
 ) -> tuple[np.ndarray, nn.Tape]:
-    y = np.asarray(y, dtype=np.float64)
+    y = np.asarray(y)
     if y.ndim != 2 or y.shape[1] != 2 * d.n:
         raise nn.ShapeError(f"y must be (batch, {2 * d.n}), got {y.shape}")
-    m = _check_cond(m, d.cond_dim, y.shape[0])
-    return nn.forward(d.net, np.concatenate([y, m], axis=1), tape)
+    return nn.forward(d.net, _stack(y, m, d.cond_dim, d.net), tape)
 
 
 def d_loss(
@@ -159,8 +159,8 @@ def d_loss(
         raise nn.NonFiniteError("discriminator loss is not finite")
     # before backward, which may overwrite the logits of a reused tape
     accuracy = float(0.5 * (np.mean(logits_r > 0.0) + np.mean(logits_f <= 0.0)))
-    grads_r, _ = nn.backward(d.net, tape_r, grad_r)
-    grads_f, _ = nn.backward(d.net, tape_f, grad_f)
+    grads_r, _ = nn.backward(d.net, tape_r, grad_r, inputs=False)
+    grads_f, _ = nn.backward(d.net, tape_f, grad_f, inputs=False)
     return loss, grads_r.accumulate(grads_f), accuracy
 
 
@@ -184,5 +184,5 @@ def g_loss(
         raise nn.NonFiniteError("generator loss is not finite")
     _, d_input_grad = nn.backward(d.net, d_tape, grad_logits, params=False)
     upstream_fake = d_input_grad[:, : 2 * d.n]
-    g_grads, _ = nn.backward(g.net, g_tape, upstream_fake)
+    g_grads, _ = nn.backward(g.net, g_tape, upstream_fake, inputs=False)
     return float(loss), g_grads

@@ -1,11 +1,15 @@
 """Dense networks with hand-written forward/backward passes and Adam.
 
-Everything runs in float64 and batch-major layout: activations are
-(batch, dim) arrays. ``backward`` returns exact analytic gradients of a
-scalar loss -- whose gradient with respect to the network output the caller
-supplies -- for every parameter and for the network input. The input
-gradient is what lets a loss computed behind one network keep propagating
-into the network that feeds it.
+Everything runs in the parameters' dtype and batch-major layout:
+activations are (batch, dim) arrays. Product nets are float32
+(``PARAM_DTYPE``); a float64 net runs the same functions in float64, which
+is how the finite-difference tests check them.
+
+``backward`` returns exact analytic gradients of a scalar loss -- whose
+gradient with respect to the network output the caller supplies -- for
+every parameter and for the network input, skipping either on request. The
+input gradient is what lets a loss computed behind one network keep
+propagating into the network that feeds it.
 
 Losses average over the batch, so the gradients they return already carry
 the 1/batch factor and learning rates stay batch-size independent.
@@ -23,6 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "linear")
+
+# The dtype nets are created and loaded in. Everything else follows a net's
+# own dtype, so this is the one place the precision is decided.
+PARAM_DTYPE = np.float32
 
 
 class ShapeError(ValueError):
@@ -69,6 +77,11 @@ class Layer:
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.w.dtype not in (np.float32, np.float64) or self.b.dtype != self.w.dtype:
+            raise TypeError(
+                f"layer weights ({self.w.dtype}) and bias ({self.b.dtype}) must "
+                f"share one dtype, float32 or float64"
+            )
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
             raise ShapeError(
                 f"layer weights {self.w.shape} and bias {self.b.shape} do not agree"
@@ -87,7 +100,14 @@ class DenseNet:
                     f"layer {i} outputs {layers[i].w.shape[1]} features but "
                     f"layer {i + 1} expects {layers[i + 1].w.shape[0]}"
                 )
+        if len({layer.w.dtype for layer in layers}) != 1:
+            raise TypeError("all layers of a network must share one dtype")
         self.layers = layers
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the parameters, and of all the net's arithmetic."""
+        return self.layers[0].w.dtype
 
     @property
     def input_dim(self) -> int:
@@ -111,15 +131,16 @@ class DenseNet:
     ) -> "DenseNet":
         """Build a net with Glorot-uniform weights and zero biases.
 
-        ``dims`` lists layer widths input-first, e.g. [16, 32, 32, 14].
+        ``dims`` lists layer widths input-first, e.g. [16, 32, 32, 14]. The
+        weights are drawn in float64, then stored as ``PARAM_DTYPE``.
         """
         if len(dims) < 2:
             raise ValueError("dims must list at least input and output width")
         layers = []
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            b = np.zeros(fan_out)
+            w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(PARAM_DTYPE)
+            b = np.zeros(fan_out, dtype=PARAM_DTYPE)
             act = output_activation if i == len(dims) - 2 else hidden_activation
             layers.append(Layer(w=w, b=b, activation=act))
         return cls(layers)
@@ -134,7 +155,7 @@ class DenseNet:
         return np.concatenate([p.ravel() for p in self._param_arrays()])
 
     def set_flat_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = np.asarray(flat, dtype=self.dtype)
         if flat.shape != (self.n_params,):
             raise ShapeError(f"expected {self.n_params} parameters, got {flat.shape}")
         for param, view in zip(self._param_arrays(), _unflatten(flat, self)):
@@ -184,7 +205,9 @@ class Tape:
             return None
         buf = self.input_grads.get(width)
         if buf is None:
-            buf = self.input_grads[width] = np.empty((self.batch_size, width))
+            buf = self.input_grads[width] = np.empty(
+                (self.batch_size, width), dtype=self.acts[0].dtype
+            )
         return buf
 
 
@@ -215,8 +238,9 @@ def forward(
     The returned output is also the tape's last activation, so it must not
     be modified in place before ``backward`` runs on the tape. Given a tape,
     the pass is written into that tape's arrays and the tape is returned.
+    The input is cast to the net's dtype, and so is everything the pass makes.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=net.dtype)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ShapeError(f"expected a (batch, {net.input_dim}) input, got {x.shape}")
     if x.shape[1] != net.input_dim:
@@ -229,7 +253,7 @@ def forward(
         shapes = [(x.shape[0], layer.w.shape[1]) for layer in net.layers]
         if [a.shape for a in tape.acts[1:]] != shapes:
             # first use, or another batch size: start the tape afresh
-            tape.acts = [x] + [np.empty(shape) for shape in shapes]
+            tape.acts = [x] + [np.empty(shape, dtype=x.dtype) for shape in shapes]
             tape.grads = None
             tape.input_grads = {}
         tape.reused = True
@@ -245,16 +269,25 @@ def forward(
 
 
 def backward(
-    net: DenseNet, tape: Tape, upstream_grad: np.ndarray, *, params: bool = True
-) -> tuple[Gradients | None, np.ndarray]:
+    net: DenseNet,
+    tape: Tape,
+    upstream_grad: np.ndarray,
+    *,
+    params: bool = True,
+    inputs: bool = True,
+) -> tuple[Gradients | None, np.ndarray | None]:
     """Backpropagate ``upstream_grad`` (dLoss/dOutput) through the net.
 
     Returns the parameter gradients and the gradient with respect to the
-    network input. Parameters are left untouched. With ``params=False`` the
-    net is only read: just the input gradient is computed, and None comes
-    back in place of the parameter gradients.
+    network input, in the net's dtype (the upstream gradient is cast to it).
+    Parameters are left untouched. With ``params=False`` the net is only
+    read: just the input gradient is computed, and None comes back in place
+    of the parameter gradients. With ``inputs=False`` the input gradient is
+    skipped and None comes back in its place.
     """
-    g = np.asarray(upstream_grad, dtype=np.float64)
+    if not (params or inputs):
+        raise ValueError("backward with params=False and inputs=False computes nothing")
+    g = np.asarray(upstream_grad, dtype=net.dtype)
     n_layers = len(net.layers)
     if len(tape.acts) != n_layers + 1:
         raise ShapeError("tape does not belong to this network")
@@ -281,6 +314,8 @@ def backward(
         if grads is not None:
             grads.weights[i] = np.matmul(tape.acts[i].T, dz, out=grads.weights[i])
             grads.biases[i] = np.sum(dz, axis=0, out=grads.biases[i])
+        if i == 0 and not inputs:
+            return grads, None
         g = np.matmul(dz, layer.w.T, out=tape._input_grad(layer.w.shape[0]))
     return grads, g
 
@@ -298,10 +333,10 @@ def softmax_cross_entropy(
     """Mean cross-entropy between softmax(logits) and one-hot targets.
 
     The softmax is fused into the loss, so the returned gradient is with
-    respect to the logits: (softmax - onehot) / batch.
+    respect to the logits: (softmax - onehot) / batch, in the logits' dtype.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    onehot = np.asarray(onehot, dtype=np.float64)
+    logits = np.asarray(logits)
+    onehot = np.asarray(onehot, dtype=logits.dtype)
     if logits.shape != onehot.shape or logits.ndim != 2:
         raise ShapeError(f"logits {logits.shape} vs targets {onehot.shape}")
     is_onehot = np.all((onehot == 0.0) | (onehot == 1.0)) and np.all(
@@ -317,7 +352,7 @@ def softmax_cross_entropy(
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
+    out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -331,10 +366,11 @@ def sigmoid_bce(
     """Mean binary cross-entropy on logits, stable log-sum-exp form.
 
     loss_i = max(z,0) - z*t + log(1 + exp(-|z|)); grad = (sigmoid(z) - t) / N.
-    Targets may be soft (label smoothing), in [0, 1].
+    Targets may be soft (label smoothing), in [0, 1]. The gradient comes
+    back in the logits' dtype.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
+    z = np.asarray(logits)
+    t = np.asarray(targets, dtype=z.dtype)
     if z.shape != t.shape:
         raise ShapeError(f"logits {z.shape} vs targets {t.shape}")
     if np.any((t < 0.0) | (t > 1.0)):

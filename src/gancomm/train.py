@@ -86,7 +86,7 @@ def receiver_forward_backward(
     """Cross-entropy on real channel output and its receiver gradients."""
     logits, tape = rx.forward_logits(y, y_pilot, tape)
     loss, grad = nn.softmax_cross_entropy(logits, onehot)
-    grads, _ = nn.backward(rx.net, tape, grad)
+    grads, _ = nn.backward(rx.net, tape, grad, inputs=False)
     return loss, grads
 
 
@@ -119,7 +119,7 @@ def transmitter_forward_backward(
         g.net, g_tape, rx_input_grad[:, : 2 * tx.n], params=False
     )
     x_grad = g_input_grad[:, g.z_dim : g.z_dim + 2 * tx.n]
-    tx_grads, _ = tx.backward(tx_tape, x_grad)
+    tx_grads = tx.backward(tx_tape, x_grad)
     return loss, tx_grads
 
 

@@ -40,7 +40,7 @@ class TxTape:
     """Intermediates needed to backpropagate through encode()."""
 
     dense: nn.Tape
-    prenorm: np.ndarray  # (B, 2n) dense output before power scaling
+    prenorm: np.ndarray  # (B, 2n) dense output before power scaling, float64
     norm_sq: np.ndarray  # (B,) squared norms of prenorm rows
     scale: np.ndarray  # (B,) sqrt(n) / ||prenorm row||
 
@@ -81,11 +81,13 @@ class Transmitter:
     ) -> tuple[np.ndarray, TxTape]:
         """One-hot rows -> power-normalized blocks, with tape for backward.
 
-        Every output row x satisfies sum(x**2) == n exactly up to float
-        rounding, i.e. unit average power per complex channel use. A given
-        dense-net tape is reused (see ``nn.forward``).
+        Every output row x satisfies sum(x**2) == n exactly up to float64
+        rounding, i.e. unit average power per complex channel use: the dense
+        output is lifted to float64 before it is normalized, whatever the
+        net's dtype. A given dense-net tape is reused (see ``nn.forward``).
         """
-        prenorm, dense_tape = nn.forward(self.net, onehot, tape)
+        out, dense_tape = nn.forward(self.net, onehot, tape)
+        prenorm = out.astype(np.float64)
         norm_sq = np.einsum("ij,ij->i", prenorm, prenorm)
         if np.any(norm_sq / self.n < POWER_EPSILON):
             raise FloatingPointError(
@@ -101,13 +103,13 @@ class Transmitter:
         x, _ = self.encode(to_onehot(messages, self.m_count))
         return x
 
-    def backward(
-        self, tape: TxTape, upstream_grad: np.ndarray
-    ) -> tuple[nn.Gradients, np.ndarray]:
-        """Gradients of a scalar loss w.r.t. parameters and one-hot input.
+    def backward(self, tape: TxTape, upstream_grad: np.ndarray) -> nn.Gradients:
+        """Gradients of a scalar loss w.r.t. the parameters (the one-hot
+        input has no use for one, so none is computed).
 
         The normalization x = sqrt(n) * u / ||u|| has the row-wise Jacobian
-        action  du = s * (dx - u (u . dx) / ||u||^2)  with s = sqrt(n)/||u||.
+        action  du = s * (dx - u (u . dx) / ||u||^2)  with s = sqrt(n)/||u||,
+        taken in float64 and cast to the net's dtype by ``nn.backward``.
         """
         g = np.asarray(upstream_grad, dtype=np.float64)
         if g.shape != tape.prenorm.shape:
@@ -118,7 +120,8 @@ class Transmitter:
         g_prenorm = tape.scale[:, None] * (
             g - tape.prenorm * (dot / tape.norm_sq)[:, None]
         )
-        return nn.backward(self.net, tape.dense, g_prenorm)
+        grads, _ = nn.backward(self.net, tape.dense, g_prenorm, inputs=False)
+        return grads
 
 
 class Receiver:
@@ -164,7 +167,8 @@ class Receiver:
         return cls(net, m_count, n, n_pilot)
 
     def _stack_input(self, y: np.ndarray, y_pilot: np.ndarray | None) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
+        """The net input in the net's dtype: y, with the pilots appended."""
+        y = np.asarray(y)
         if y.ndim != 2 or y.shape[1] != 2 * self.n:
             raise nn.ShapeError(
                 f"received block must be (batch, {2 * self.n}), got {y.shape}"
@@ -174,16 +178,16 @@ class Receiver:
                 raise ConfigError(
                     "receiver was built with pilots but none were supplied"
                 )
-            y_pilot = np.asarray(y_pilot, dtype=np.float64)
+            y_pilot = np.asarray(y_pilot)
             if y_pilot.shape != (y.shape[0], 2 * self.n_pilot):
                 raise nn.ShapeError(
                     f"pilot block must be ({y.shape[0]}, {2 * self.n_pilot}), "
                     f"got {y_pilot.shape}"
                 )
-            return np.concatenate([y, y_pilot], axis=1)
+            return np.concatenate([y, y_pilot], axis=1, dtype=self.net.dtype)
         if y_pilot is not None:
             raise ConfigError("receiver was built without pilots but got some")
-        return y
+        return np.asarray(y, dtype=self.net.dtype)
 
     def forward_logits(
         self,

@@ -1,6 +1,6 @@
-"""Shared test utilities: finite-difference oracles for gradient checks,
-reference copies of the in-place optimizer updates, and helpers that only
-tests need."""
+"""Shared test utilities: finite-difference oracles for gradient checks
+(run on float64 copies of the nets), reference copies of the in-place
+optimizer updates, and helpers that only tests need."""
 
 import hashlib
 
@@ -58,6 +58,16 @@ def check_net_gradients(net, loss_fn, analytic, count=40, eps=1e-6):
     finally:
         net.set_flat_params(flat)
     return float(relative_error(analytic.flat()[idx], fd).max())
+
+
+def float64_copy(net):
+    """The net with float64 copies of its parameters. nn runs it through the
+    same functions in float64, where a 1e-6 finite-difference step resolves
+    the gradient; float32 rounding would swamp it."""
+    return nn.DenseNet(
+        [nn.Layer(l.w.astype(np.float64), l.b.astype(np.float64), l.activation)
+         for l in net.layers]
+    )
 
 
 def param_checksum(net):

@@ -29,18 +29,39 @@ class TestNetRoundTrip:
         ]
 
     def test_extreme_float_values_round_trip(self, tmp_path):
+        f32 = np.finfo(np.float32)
         net = nn.DenseNet.create((2, 2), np.random.default_rng(1))
-        net.layers[0].w[...] = [[1e-308, -0.0], [1.0 / 3.0, 1.7976931348623157e308]]
-        net.layers[0].b[...] = [5e-324, -1e16]
+        net.layers[0].w[...] = [[f32.tiny, -0.0], [1.0 / 3.0, f32.max]]
+        net.layers[0].b[...] = [f32.smallest_subnormal, -1e16]
         path = str(tmp_path / "net.json")
         checkpoint.save_net(net, path)
         again = checkpoint.load_net(path)
         w = again.layers[0].w
-        assert w[0, 0] == 1e-308
+        assert w.dtype == np.float32
+        assert w[0, 0] == f32.tiny
         assert w[0, 1] == 0.0 and np.signbit(w[0, 1])
-        assert w[1, 0] == 1.0 / 3.0
-        assert w[1, 1] == 1.7976931348623157e308
-        assert again.layers[0].b[0] == 5e-324
+        assert w[1, 0] == np.float32(1.0 / 3.0)
+        assert w[1, 1] == f32.max
+        assert again.layers[0].b[0] == f32.smallest_subnormal
+        assert again.flat_params().tobytes() == net.flat_params().tobytes()
+
+    def write_net(self, path, w, b):
+        path.write_text(json.dumps({"layers": [{"activation": "linear", "w": w, "b": b}]}))
+
+    def test_float64_checkpoint_loads_rounded_to_float32(self, tmp_path):
+        path = tmp_path / "net.json"
+        self.write_net(path, [[0.1, 1.0 / 3.0]], [-1e-3, 2.0])
+        again = checkpoint.load_net(str(path))
+        assert again.dtype == np.float32
+        assert np.array_equal(again.layers[0].w, np.float32([[0.1, 1.0 / 3.0]]))
+        assert np.array_equal(again.layers[0].b, np.float32([-1e-3, 2.0]))
+
+    def test_value_beyond_the_float32_range_refused(self, tmp_path):
+        # 1e308 is a finite float64 but rounds to Inf in float32
+        path = tmp_path / "net.json"
+        self.write_net(path, [[1e308, 0.5]], [0.0, 0.0])
+        with pytest.raises(ConfigError, match="net.json"):
+            checkpoint.load_net(str(path))
 
     def test_identical_nets_write_identical_bytes(self, tmp_path):
         net = nn.DenseNet.create((3, 4, 2), np.random.default_rng(2))

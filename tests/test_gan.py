@@ -5,15 +5,19 @@ import pytest
 
 from gancomm import gan, nn
 from gancomm.config import ConfigError
-from helpers import central_difference, relative_error
+from helpers import central_difference, float64_copy, relative_error
 
 LN2 = float(np.log(2.0))
 
 
-def small_gan(seed=0, n=2, cond_dim=4, z_dim=3):
+def small_gan(seed=0, n=2, cond_dim=4, z_dim=3, float64=False):
+    """A small generator and discriminator; with float64, their nets are
+    float64 copies, for checks finer than float32 rounding."""
     rng = np.random.default_rng(seed)
     g = gan.Generator.create(n, cond_dim, rng, z_dim=z_dim, hidden=(8, 8))
     d = gan.Discriminator.create(n, cond_dim, rng, hidden=(8,))
+    if float64:
+        g.net, d.net = float64_copy(g.net), float64_copy(d.net)
     return g, d
 
 
@@ -79,7 +83,7 @@ class TestDiscriminatorLoss:
     def test_zero_logits_give_two_ln_two(self):
         # all-zero weights force logit 0 on both batches, so each BCE term
         # is exactly ln 2 and the classifier is at chance
-        _, d = small_gan(seed=7)
+        _, d = small_gan(seed=7, float64=True)
         for layer in d.net.layers:
             layer.w[...] = 0.0
             layer.b[...] = 0.0
@@ -106,7 +110,7 @@ class TestDiscriminatorLoss:
         assert acc == 1.0
 
     def test_parameter_gradients_match_finite_differences(self):
-        g, d = small_gan(seed=11)
+        g, d = small_gan(seed=11, float64=True)
         rng = np.random.default_rng(12)
         m = rng.normal(size=(6, 4))
         real = rng.normal(size=(6, 4))
@@ -153,7 +157,7 @@ class TestGeneratorLoss:
     def test_parameter_gradients_match_finite_differences(self):
         # the path runs through the discriminator's input gradient, which
         # is exactly the bridge the transmitter update relies on
-        g, d = small_gan(seed=17)
+        g, d = small_gan(seed=17, float64=True)
         rng = np.random.default_rng(18)
         z = gan.sample_z(rng, 6, 3)
         m = rng.normal(size=(6, 4))
@@ -194,7 +198,7 @@ class TestGeneratorLoss:
         # perturbing the conditioning columns must match the slice of the
         # generator's input gradient behind z; this is how transmitter
         # gradients cross the surrogate
-        g, _ = small_gan(seed=23)
+        g, _ = small_gan(seed=23, float64=True)
         rng = np.random.default_rng(24)
         z = gan.sample_z(rng, 5, 3)
         m = rng.normal(size=(5, 4))

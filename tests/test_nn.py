@@ -9,6 +9,7 @@ from gancomm import nn
 from helpers import (
     central_difference,
     check_net_gradients,
+    float64_copy,
     param_checksum,
     reference_adam_step,
     reference_ema_update,
@@ -79,7 +80,9 @@ class TestBackward:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_parameter_gradients_match_finite_differences(self, activation):
         rng = np.random.default_rng(11)
-        net = nn.DenseNet.create((6, 9, 7, 3), rng, hidden_activation=activation)
+        net = float64_copy(
+            nn.DenseNet.create((6, 9, 7, 3), rng, hidden_activation=activation)
+        )
         x = rng.normal(size=(5, 6))
         target = rng.normal(size=(5, 3))
 
@@ -93,7 +96,7 @@ class TestBackward:
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
-        net = nn.DenseNet.create((4, 8, 2), rng)
+        net = float64_copy(nn.DenseNet.create((4, 8, 2), rng))
         x = rng.normal(size=(3, 4))
         target = rng.normal(size=(3, 2))
         out, tape = nn.forward(net, x)
@@ -120,6 +123,12 @@ class TestBackward:
         assert np.array_equal(grads.weights[0], [[0.0, 0.5], [0.0, -1.0]])
         assert np.array_equal(input_grad, [[1.0, -2.0]])
 
+    def test_backward_that_computes_nothing_is_refused(self):
+        net = tiny_net()
+        out, tape = nn.forward(net, np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="computes nothing"):
+            nn.backward(net, tape, np.ones_like(out), params=False, inputs=False)
+
     def test_upstream_shape_checked(self):
         rng = np.random.default_rng(13)
         net = nn.DenseNet.create((4, 5, 2), rng)
@@ -144,12 +153,16 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def fresh_pass(net, x, upstream, params=True):
+def fresh_pass(net, x, upstream, **flags):
     """Forward and backward with fresh arrays; copies of everything returned."""
     out, tape = nn.forward(net, x)
     out = out.copy()
-    grads, input_grad = nn.backward(net, tape, upstream, params=params)
+    grads, input_grad = nn.backward(net, tape, upstream, **flags)
     return out, grads, input_grad
+
+
+def same_gradients(a, b):
+    return all(same_bytes(x, y) for x, y in zip(a.weights + a.biases, b.weights + b.biases))
 
 
 net_shapes = st.lists(st.integers(1, 9), min_size=2, max_size=5)
@@ -176,10 +189,7 @@ class TestTapeReuse:
             assert same is tape and tape.reused
             assert same_bytes(out, want_out)
             grads, input_grad = nn.backward(net, tape, upstream)
-            assert grads is tape.grads
-            for got, want in zip(grads.weights + grads.biases,
-                                 want_grads.weights + want_grads.biases):
-                assert same_bytes(got, want)
+            assert grads is tape.grads and same_gradients(grads, want_grads)
             assert same_bytes(input_grad, want_input)
 
     @given(dims=net_shapes, batch=st.integers(1, 12),
@@ -199,6 +209,23 @@ class TestTapeReuse:
             grads, reused = nn.backward(net, tape, upstream, params=False)
             assert grads is None and tape.grads is None
             assert same_bytes(reused, want)
+
+    @given(dims=net_shapes, batch=st.integers(1, 12),
+           hidden=st.sampled_from(nn.ACTIVATIONS), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_inputs_false_gives_the_same_parameter_gradients(self, dims, batch, hidden, seed):
+        rng = np.random.default_rng(seed)
+        net = nn.DenseNet.create(dims, rng, hidden_activation=hidden)
+        x = rng.normal(size=(batch, dims[0]))
+        upstream = rng.normal(size=(batch, dims[-1]))
+        _, want, _ = fresh_pass(net, x, upstream)
+        _, fresh, no_input = fresh_pass(net, x, upstream, inputs=False)
+        assert no_input is None and same_gradients(fresh, want)
+        tape = nn.Tape()
+        for _ in range(2):
+            nn.forward(net, x, tape)
+            reused, no_input = nn.backward(net, tape, upstream, inputs=False)
+            assert no_input is None and same_gradients(reused, want)
 
     def test_a_tape_made_by_forward_can_be_handed_back(self):
         rng = np.random.default_rng(15)
@@ -370,14 +397,13 @@ class TestAdam:
         assert state.step_count == 0
         assert np.all(state.m_w[0] == 0.0) and np.all(state.v_b[0] == 0.0)
 
-    def test_non_finite_update_leaves_every_parameter_untouched(self):
+    @staticmethod
+    def assert_overflow_commits_nothing(net, big, lr):
         # layer 0 alone would step to finite values; layer 1 overflows, so
         # nothing may be committed
-        rng = np.random.default_rng(33)
-        net = nn.DenseNet.create((2, 3, 2), rng)
-        net.layers[1].w[0, 0] = 1.7e308
+        net.layers[1].w[0, 0] = big
         before = param_checksum(net)
-        state = nn.AdamState.for_net(net, 1e308)
+        state = nn.AdamState.for_net(net, lr)
         grads = nn.Gradients(
             weights=[np.full_like(l.w, -1.0) for l in net.layers],
             biases=[np.full_like(l.b, -1.0) for l in net.layers],
@@ -385,6 +411,15 @@ class TestAdam:
         with pytest.raises(nn.NonFiniteError, match="layer 1"), np.errstate(over="ignore"):
             nn.adam_step(net, grads, state)
         assert param_checksum(net) == before
+
+    def test_non_finite_update_leaves_every_parameter_untouched(self):
+        net = float64_copy(nn.DenseNet.create((2, 3, 2), np.random.default_rng(33)))
+        self.assert_overflow_commits_nothing(net, 1.7e308, 1e308)
+
+    def test_non_finite_float32_update_leaves_every_parameter_untouched(self):
+        net = nn.DenseNet.create((2, 3, 2), np.random.default_rng(33))
+        assert net.dtype == np.float32
+        self.assert_overflow_commits_nothing(net, 3.4e38, 3.4e38)
 
     @given(dims=net_shapes, lr=st.sampled_from([1e-4, 1e-3, 0.05]),
            beta1=st.sampled_from([0.5, 0.9]), seed=st.integers(0, 2**16))
@@ -396,9 +431,10 @@ class TestAdam:
         state = nn.AdamState.for_net(net, lr, beta1=beta1)
         ref_state = nn.AdamState.for_net(ref_net, lr, beta1=beta1)
         for _ in range(5):
+            # gradients come in the net's dtype, as backward returns them
             grads = nn.Gradients(
-                weights=[rng.normal(size=l.w.shape) for l in net.layers],
-                biases=[rng.normal(size=l.b.shape) for l in net.layers],
+                weights=[rng.normal(size=l.w.shape).astype(net.dtype) for l in net.layers],
+                biases=[rng.normal(size=l.b.shape).astype(net.dtype) for l in net.layers],
             )
             nn.adam_step(net, grads, state)
             reference_adam_step(ref_net, grads, ref_state)
@@ -506,3 +542,52 @@ class TestEmaTracker:
         net = nn.DenseNet.create((2, 2), np.random.default_rng(0))
         with pytest.raises(ValueError):
             nn.EmaTracker(net, 1.0)
+
+
+class TestDtype:
+    def test_create_stores_the_float64_draws_as_float32(self):
+        net = nn.DenseNet.create((4, 6, 3), np.random.default_rng(71))
+        rng = np.random.default_rng(71)
+        for layer, (fan_in, fan_out) in zip(net.layers, ((4, 6), (6, 3))):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            drawn = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            assert layer.w.dtype == layer.b.dtype == nn.PARAM_DTYPE == np.float32
+            assert same_bytes(layer.w, drawn.astype(np.float32))
+        assert net.dtype == np.float32
+
+    def test_a_net_holds_one_float_dtype(self):
+        with pytest.raises(TypeError):
+            nn.Layer(w=np.zeros((2, 2), np.float32), b=np.zeros(2), activation="relu")
+        with pytest.raises(TypeError):
+            nn.Layer(w=np.zeros((2, 2), int), b=np.zeros(2, int), activation="relu")
+        mixed = [
+            nn.Layer(w=np.zeros((2, 2), np.float32), b=np.zeros(2, np.float32),
+                     activation="relu"),
+            nn.Layer(w=np.zeros((2, 1)), b=np.zeros(1), activation="linear"),
+        ]
+        with pytest.raises(TypeError):
+            nn.DenseNet(mixed)
+
+    @pytest.mark.parametrize("hidden", ["relu", "tanh"])
+    def test_float32_net_keeps_every_array_float32(self, hidden):
+        # inputs, upstream gradients and targets arrive in float64, as the
+        # channel and the losses' callers give them; none may upcast the net
+        rng = np.random.default_rng(72)
+        net = nn.DenseNet.create((5, 7, 4), rng, hidden_activation=hidden)
+        state = nn.AdamState.for_net(net, 1e-3)
+        ema = nn.EmaTracker(net, 0.9)
+        tape = nn.Tape()
+        for _ in range(2):
+            out, _ = nn.forward(net, rng.normal(size=(3, 5)), tape)
+            _, upstream = nn.softmax_cross_entropy(out, np.eye(4)[[0, 2, 3]])
+            _, bce_grad = nn.sigmoid_bce(out, np.full((3, 4), 0.9))
+            grads, input_grad = nn.backward(net, tape, upstream.astype(np.float64))
+            nn.adam_step(net, grads, state)
+            ema.update(net)
+            arrays = [
+                out, upstream, bce_grad, input_grad, *tape.acts, *grads.weights,
+                *grads.biases, *state.m_w, *state.v_w, *state.m_b, *state.v_b,
+                *(a for pair in state.scratch for a in pair), *net._param_arrays(),
+                ema.averaged_net(net).flat_params(),
+            ]
+            assert {a.dtype for a in arrays} == {np.dtype(np.float32)}

@@ -10,6 +10,7 @@ from gancomm.config import TrainConfig
 from gancomm.rng import substream
 from helpers import (
     central_difference,
+    float64_copy,
     last_iteration_mean,
     phase_losses,
     relative_error,
@@ -85,6 +86,7 @@ class TestGradientPaths:
     def test_receiver_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         rx = transceiver.Receiver.create(4, 2, rng, hidden=(8,))
+        rx.net = float64_copy(rx.net)
         onehot = transceiver.to_onehot(rng.integers(0, 4, size=6), 4)
         y = rng.normal(size=(6, 4))
 
@@ -106,6 +108,8 @@ class TestGradientPaths:
         # path that replaces the unusable real-channel gradient
         cfg = tiny_cfg()
         tx, rx, g, _ = train.build_system(cfg)
+        for part in (tx, rx, g):
+            part.net = float64_copy(part.net)
         rng = np.random.default_rng(4)
         onehot = transceiver.to_onehot(rng.integers(0, 4, size=5), 4)
         z = gan.sample_z(rng, 5, cfg.z_dim)
@@ -138,6 +142,8 @@ class TestGradientPaths:
     def test_fading_composite_path_passes_finite_differences(self):
         cfg = tiny_cfg(channel="rayleigh")
         tx, rx, g, _ = train.build_system(cfg)
+        for part in (tx, rx, g):
+            part.net = float64_copy(part.net)
         rng = np.random.default_rng(6)
         onehot = transceiver.to_onehot(rng.integers(0, 4, size=5), 4)
         z = gan.sample_z(rng, 5, cfg.z_dim)
@@ -157,6 +163,65 @@ class TestGradientPaths:
         fd = central_difference(at, flat, idx)
         tx.net.set_flat_params(flat)
         assert relative_error(grads.flat()[idx], fd).max() < 1e-6
+
+
+def float32_representable(a):
+    return np.asarray(a).astype(np.float32).astype(np.float64)
+
+
+def norm_relative_error(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+class TestFloat32Gradients:
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_float32_gradients_match_their_float64_copies(self, kind):
+        # the float32 arithmetic itself: at the default widths, every
+        # training gradient of the product nets agrees with the same code
+        # run on float64 copies, fed the same float32-representable inputs
+        cfg = TrainConfig(channel=kind, seed=9)
+        system32 = train.build_system(cfg)
+        system64 = train.build_system(cfg)
+        for part in system64:
+            part.net = float64_copy(part.net)
+        rng = np.random.default_rng(10)
+        batch = 64
+        onehot = transceiver.to_onehot(rng.integers(0, cfg.M, size=batch), cfg.M)
+        z = float32_representable(gan.sample_z(rng, batch, cfg.z_dim))
+        y, real_y, fake_y = (
+            float32_representable(rng.normal(size=(batch, 2 * cfg.n))) for _ in range(3)
+        )
+        y_p = (float32_representable(rng.normal(size=(batch, 2 * cfg.n_pilot)))
+               if cfg.is_fading else None)
+        x = float32_representable(system64[0].encode(onehot)[0])
+        cond = train.conditioning(x, y_p)
+
+        def path_gradients(tx, rx, g, d):
+            grads = {
+                "rx": train.receiver_forward_backward(rx, onehot, y, y_p)[1],
+                "disc": gan.d_loss(d, real_y, fake_y, cond)[1],
+                "gen": gan.g_loss(g, d, z, cond)[1],
+                "tx": train.transmitter_forward_backward(tx, rx, g, onehot, z, y_p)[1],
+            }
+            return {path: v.flat().astype(np.float64) for path, v in grads.items()}
+
+        want = path_gradients(*system64)
+        for path, got in path_gradients(*system32).items():
+            assert norm_relative_error(got, want[path]) <= 1e-4, path
+
+        for part32, part64 in zip(system32, system64):
+            net32, net64 = part32.net, part64.net
+            x_in = float32_representable(rng.normal(size=(batch, net32.input_dim)))
+            upstream = float32_representable(rng.normal(size=(batch, net32.output_dim)))
+            results = []
+            for net in (net32, net64):
+                _, tape = nn.forward(net, x_in)
+                grads, input_grad = nn.backward(net, tape, upstream)
+                results.append((grads.flat().astype(np.float64),
+                                input_grad.astype(np.float64)))
+            (params32, inputs32), (params64, inputs64) = results
+            assert norm_relative_error(params32, params64) <= 1e-4
+            assert norm_relative_error(inputs32, inputs64) <= 1e-4
 
 
 class TestGanUpdate:
