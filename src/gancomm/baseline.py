@@ -37,15 +37,6 @@ def message_to_bits(messages: np.ndarray, k: int) -> np.ndarray:
     return (messages[:, None] >> shifts) & 1
 
 
-def bits_to_message(bits: np.ndarray) -> np.ndarray:
-    """(B, k) bits -> (B,) indices, most significant bit first."""
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 2:
-        raise nn.ShapeError(f"bits must be 2-D, got shape {bits.shape}")
-    weights = 1 << np.arange(bits.shape[1] - 1, -1, -1)
-    return bits @ weights
-
-
 def hamming74_encode(bits: np.ndarray) -> np.ndarray:
     """(B, 4) data bits -> (B, 7) codewords, systematic bits first."""
     bits = np.asarray(bits, dtype=np.int64)

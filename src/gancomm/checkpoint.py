@@ -61,7 +61,7 @@ def load_net(path: str) -> nn.DenseNet:
     was flushed on abort) is rejected rather than evaluated."""
     with open(path) as f:
         net = net_from_dict(json.load(f))
-    if not np.isfinite(net.flat_params()).all():
+    if not np.isfinite(net.params).all():
         raise ConfigError(f"checkpoint file {path} holds non-finite parameters")
     return net
 

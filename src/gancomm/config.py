@@ -192,8 +192,3 @@ def load_config(path: str) -> TrainConfig:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
     return TrainConfig.from_dict(data)
 
-
-def save_config(cfg: TrainConfig, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")

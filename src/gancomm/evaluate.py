@@ -84,7 +84,6 @@ def _run_point(trial_fn, ebn0_db, spec, seed, label, point_index, workers):
     shard_cap = math.ceil(spec.max_trials / SHARD_TRIALS)
     trials = errors = 0
     next_shard = 0
-    wave = max(1, int(workers))
 
     def shard_size(j: int) -> int:
         return min(SHARD_TRIALS, spec.max_trials - j * SHARD_TRIALS)
@@ -94,11 +93,11 @@ def _run_point(trial_fn, ebn0_db, spec, seed, label, point_index, workers):
         return trial_fn(shard_size(j), rng)
 
     while next_shard < shard_cap:
-        batch = list(range(next_shard, min(next_shard + wave, shard_cap)))
-        if wave == 1 or len(batch) == 1:
+        batch = list(range(next_shard, min(next_shard + workers, shard_cap)))
+        if workers == 1 or len(batch) == 1:
             results = [run_shard(j) for j in batch]
         else:
-            with ThreadPoolExecutor(max_workers=wave) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(run_shard, batch))
         stop = False
         for j, errs in zip(batch, results):
@@ -113,6 +112,11 @@ def _run_point(trial_fn, ebn0_db, spec, seed, label, point_index, workers):
     return BlerPoint.from_counts(ebn0_db, trials, errors)
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigError(f"workers: must be >= 1, got {workers}")
+
+
 def bler_sweep_learned(
     tx: transceiver.Transmitter,
     rx: transceiver.Receiver,
@@ -123,6 +127,7 @@ def bler_sweep_learned(
 ) -> list[BlerPoint]:
     """Monte-Carlo BLER of a trained transmitter/receiver pair on the real
     channel the config names."""
+    _check_workers(workers)
     if tx.n != cfg.n or tx.m_count != cfg.M:
         raise ConfigError("transmitter dimensions do not match the config")
     model = cfg.make_channel()
@@ -161,6 +166,7 @@ def bler_sweep_baseline(
         )
     if n_pilot < 1:
         raise ConfigError("n_pilot: must be >= 1")
+    _check_workers(workers)
     points = []
     for i, ebn0 in enumerate(spec.ebn0_db):
         trial_fn = _baseline_trial_fn(system, ebn0, n_pilot)

@@ -118,12 +118,6 @@ def generate_with_tape(
     return nn.forward(g.net, _stack(z, m, g.cond_dim, g.net), tape)
 
 
-def discriminate(d: Discriminator, y: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Real/fake logits, (batch, 1). Positive favors 'real'."""
-    out, _ = discriminate_with_tape(d, y, m)
-    return out
-
-
 def discriminate_with_tape(
     d: Discriminator, y: np.ndarray, m: np.ndarray, tape: nn.Tape | None = None
 ) -> tuple[np.ndarray, nn.Tape]:

@@ -14,6 +14,13 @@ propagating into the network that feeds it.
 Losses average over the batch, so the gradients they return already carry
 the 1/batch factor and learning rates stay batch-size independent.
 
+A net's parameters are one contiguous vector, ``DenseNet.params``: each
+layer's row-major weights, then its bias, layer by layer. Every layer's
+``w`` and ``b`` are views of it, and ``DenseNet.views`` is the one place
+that knows the layout. Gradients, Adam's moments and the EMA average are
+vectors of the same layout, so the optimizer, the EMA update and gradient
+sums each take one numpy call per operation for a whole net.
+
 A training loop can hand a tape back to ``forward`` to have the next pass
 written into the same arrays; ``backward`` on such a tape then overwrites
 the activations with gradients and keeps its results in buffers the tape
@@ -89,7 +96,7 @@ class Layer:
 
 
 class DenseNet:
-    """A fixed-topology stack of dense layers."""
+    """A fixed-topology stack of dense layers over copies of the given arrays."""
 
     def __init__(self, layers: list[Layer]):
         if not layers:
@@ -102,7 +109,15 @@ class DenseNet:
                 )
         if len({layer.w.dtype for layer in layers}) != 1:
             raise TypeError("all layers of a network must share one dtype")
-        self.layers = layers
+        self.layers = layers  # lends its shapes to views until replaced
+        self.params = np.empty(self.n_params, dtype=self.dtype)
+        self.layers = [
+            Layer(w, b, layer.activation)
+            for (w, b), layer in zip(self.views(self.params), layers)
+        ]
+        for mine, given in zip(self.layers, layers):
+            mine.w[...] = given.w
+            mine.b[...] = given.b
 
     @property
     def dtype(self) -> np.dtype:
@@ -120,6 +135,18 @@ class DenseNet:
     @property
     def n_params(self) -> int:
         return sum(layer.w.size + layer.b.size for layer in self.layers)
+
+    def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each layer's (w, b) as views of a flat vector laid out like
+        ``params``: row-major weights, then bias, layer by layer."""
+        out, pos = [], 0
+        for layer in self.layers:
+            fan_in, fan_out = layer.w.shape
+            w = flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
+            pos += w.size
+            out.append((w, flat[pos : pos + fan_out]))
+            pos += fan_out
+        return out
 
     @classmethod
     def create(
@@ -146,33 +173,25 @@ class DenseNet:
         return cls(layers)
 
     def copy(self) -> "DenseNet":
-        return DenseNet(
-            [Layer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers]
-        )
+        return DenseNet(self.layers)
 
     def flat_params(self) -> np.ndarray:
-        """All parameters concatenated (row-major weights, then bias) per layer."""
-        return np.concatenate([p.ravel() for p in self._param_arrays()])
+        """A copy of ``params``."""
+        return self.params.copy()
 
     def set_flat_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=self.dtype)
         if flat.shape != (self.n_params,):
             raise ShapeError(f"expected {self.n_params} parameters, got {flat.shape}")
-        for param, view in zip(self._param_arrays(), _unflatten(flat, self)):
-            param[...] = view
-
-    def _param_arrays(self) -> list[np.ndarray]:
-        """Weights then bias of each layer, in ``flat_params`` order."""
-        return [p for layer in self.layers for p in (layer.w, layer.b)]
+        self.params[...] = flat
 
 
-def _unflatten(flat: np.ndarray, net: DenseNet) -> list[np.ndarray]:
-    """Views of a flat parameter vector shaped like the net's arrays."""
-    views, pos = [], 0
-    for param in net._param_arrays():
-        views.append(flat[pos : pos + param.size].reshape(param.shape))
-        pos += param.size
-    return views
+def _non_finite_layer(net: DenseNet, flat: np.ndarray) -> int:
+    """The first layer whose part of a params-shaped vector is not all finite."""
+    return next(
+        i for i, (w, b) in enumerate(net.views(flat))
+        if not (np.isfinite(w).all() and np.isfinite(b).all())
+    )
 
 
 @dataclass
@@ -211,23 +230,20 @@ class Tape:
         return buf
 
 
-@dataclass
 class Gradients:
-    """Per-layer gradients mirroring a DenseNet's parameter shapes."""
+    """Parameter gradients laid out like a net's ``params``: one flat vector,
+    with per-layer views ``weights`` and ``biases``."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __init__(self, net: DenseNet):
+        self.flat = np.empty_like(net.params)
+        views = net.views(self.flat)
+        self.weights = [w for w, _ in views]
+        self.biases = [b for _, b in views]
 
     def accumulate(self, other: "Gradients") -> "Gradients":
         """Add other's gradients into these, in place; returns self."""
-        for mine, theirs in zip(self.weights + self.biases, other.weights + other.biases):
-            mine += theirs
+        self.flat += other.flat
         return self
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate(
-            [np.concatenate([w.ravel(), b]) for w, b in zip(self.weights, self.biases)]
-        )
 
 
 def forward(
@@ -299,21 +315,18 @@ def backward(
     grads = None
     if params and tape.reused:
         if tape.grads is None:
-            tape.grads = Gradients(
-                weights=[np.empty_like(l.w) for l in net.layers],
-                biases=[np.empty_like(l.b) for l in net.layers],
-            )
+            tape.grads = Gradients(net)
         grads = tape.grads
     elif params:
-        grads = Gradients(weights=[None] * n_layers, biases=[None] * n_layers)
+        grads = Gradients(net)
     for i in range(n_layers - 1, -1, -1):
         layer = net.layers[i]
         # a reused tape's activation is not read again: dz takes its array
         a = tape.acts[i + 1]
         dz = _preact_grad(g, a, layer.activation, a if tape.reused else None)
         if grads is not None:
-            grads.weights[i] = np.matmul(tape.acts[i].T, dz, out=grads.weights[i])
-            grads.biases[i] = np.sum(dz, axis=0, out=grads.biases[i])
+            np.matmul(tape.acts[i].T, dz, out=grads.weights[i])
+            np.sum(dz, axis=0, out=grads.biases[i])
         if i == 0 and not inputs:
             return grads, None
         g = np.matmul(dz, layer.w.T, out=tape._input_grad(layer.w.shape[0]))
@@ -383,39 +396,31 @@ def sigmoid_bce(
 
 @dataclass
 class AdamState:
-    """Adam moment buffers paired with one DenseNet."""
+    """Adam moment buffers paired with one DenseNet, laid out like its params."""
 
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
-    # two arrays per parameter array, in flat_params order: the step, and
-    # the candidate parameters checked before any is committed
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=list, repr=False
-    )
+    m: np.ndarray = field(kw_only=True, repr=False)
+    v: np.ndarray = field(kw_only=True, repr=False)
+    # scratch: the step, and the candidate parameters checked before commit
+    step: np.ndarray = field(kw_only=True, repr=False)
+    candidate: np.ndarray = field(kw_only=True, repr=False)
 
     @classmethod
     def for_net(cls, net: DenseNet, learning_rate: float, **kwargs) -> "AdamState":
-        state = cls(learning_rate=learning_rate, **kwargs)
-        state.m_w = [np.zeros_like(l.w) for l in net.layers]
-        state.v_w = [np.zeros_like(l.w) for l in net.layers]
-        state.m_b = [np.zeros_like(l.b) for l in net.layers]
-        state.v_b = [np.zeros_like(l.b) for l in net.layers]
-        state.scratch = [
-            (np.empty_like(p), np.empty_like(p)) for p in net._param_arrays()
-        ]
-        return state
+        return cls(
+            learning_rate=learning_rate, **kwargs,
+            m=np.zeros_like(net.params), v=np.zeros_like(net.params),
+            step=np.empty_like(net.params), candidate=np.empty_like(net.params),
+        )
 
     def reset_moments(self) -> None:
         """Zero the moment buffers (divergence recovery); keeps hyperparameters."""
-        for buf in (*self.m_w, *self.v_w, *self.m_b, *self.v_b):
-            buf[...] = 0.0
+        self.m[...] = 0.0
+        self.v[...] = 0.0
         self.step_count = 0
 
 
@@ -424,51 +429,43 @@ def adam_step(net: DenseNet, grads: Gradients, state: AdamState) -> None:
 
     All or nothing for the net: the new parameters are built in the state's
     scratch and committed only once every one of them is finite. A
-    ``NonFiniteError`` leaves the net as it was (the moments and the step
-    count have moved on).
+    ``NonFiniteError`` names the first offending layer and leaves the net as
+    it was (the moments and the step count have moved on).
     """
-    if len(grads.weights) != len(net.layers):
-        raise ShapeError("gradients do not mirror the network's layers")
-    for i, layer in enumerate(net.layers):
-        if grads.weights[i].shape != layer.w.shape or grads.biases[i].shape != layer.b.shape:
-            raise ShapeError(f"layer {i}: gradient shape mismatch")
-        if not (np.isfinite(grads.weights[i]).all() and np.isfinite(grads.biases[i]).all()):
-            raise NonFiniteError(f"layer {i}: non-finite gradient")
+    grad = grads.flat
+    if grad.shape != net.params.shape:
+        raise ShapeError("gradients do not mirror the network's parameters")
+    if not np.isfinite(grad).all():
+        raise NonFiniteError(
+            f"layer {_non_finite_layer(net, grad)}: non-finite gradient"
+        )
     state.step_count += 1
     t = state.step_count
     bias1 = 1.0 - state.beta1**t
     bias2 = 1.0 - state.beta2**t
-    rows = zip(
-        net._param_arrays(),
-        (g for pair in zip(grads.weights, grads.biases) for g in pair),
-        (m for pair in zip(state.m_w, state.m_b) for m in pair),
-        (v for pair in zip(state.v_w, state.v_b) for v in pair),
-        state.scratch,
-    )
-    candidates = []
-    for k, (param, grad, m, v, (step, candidate)) in enumerate(rows):
-        # the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-        # param - lr * (m / bias1) / (sqrt(v / bias2) + eps) in their
-        # evaluation order, so the result is that expression's to the bit
-        m *= state.beta1
-        np.multiply(1.0 - state.beta1, grad, out=step)
-        m += step
-        v *= state.beta2
-        np.multiply(1.0 - state.beta2, grad, out=step)
-        step *= grad
-        v += step
-        np.divide(m, bias1, out=step)
-        step *= state.learning_rate
-        np.divide(v, bias2, out=candidate)
-        np.sqrt(candidate, out=candidate)
-        candidate += state.epsilon
-        step /= candidate
-        np.subtract(param, step, out=candidate)
-        if not np.isfinite(candidate).all():
-            raise NonFiniteError(f"layer {k // 2}: parameters became non-finite")
-        candidates.append((param, candidate))
-    for param, candidate in candidates:
-        param[...] = candidate
+    m, v, step, candidate = state.m, state.v, state.step, state.candidate
+    # the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    # param - lr * (m / bias1) / (sqrt(v / bias2) + eps) in their
+    # evaluation order, so the result is that expression's to the bit
+    m *= state.beta1
+    np.multiply(1.0 - state.beta1, grad, out=step)
+    m += step
+    v *= state.beta2
+    np.multiply(1.0 - state.beta2, grad, out=step)
+    step *= grad
+    v += step
+    np.divide(m, bias1, out=step)
+    step *= state.learning_rate
+    np.divide(v, bias2, out=candidate)
+    np.sqrt(candidate, out=candidate)
+    candidate += state.epsilon
+    step /= candidate
+    np.subtract(net.params, step, out=candidate)
+    if not np.isfinite(candidate).all():
+        raise NonFiniteError(
+            f"layer {_non_finite_layer(net, candidate)}: parameters became non-finite"
+        )
+    net.params[...] = candidate
 
 
 class EmaTracker:
@@ -486,16 +483,12 @@ class EmaTracker:
         self.decay = decay
         self._avg = net.flat_params()
         self._diff = np.empty_like(self._avg)
-        # per parameter array: its views into the average and the scratch
-        self._views = list(zip(_unflatten(self._avg, net), _unflatten(self._diff, net)))
 
     def update(self, net: DenseNet) -> None:
         """avg += (1 - decay) * (params - avg), in place."""
-        keep = 1.0 - self.decay
-        for param, (avg, diff) in zip(net._param_arrays(), self._views):
-            np.subtract(param, avg, out=diff)
-            diff *= keep
-            avg += diff
+        np.subtract(net.params, self._avg, out=self._diff)
+        self._diff *= 1.0 - self.decay
+        self._avg += self._diff
 
     def averaged_net(self, net: DenseNet) -> DenseNet:
         """Copy of net carrying the averaged parameters."""

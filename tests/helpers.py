@@ -3,10 +3,11 @@
 optimizer updates, and helpers that only tests need."""
 
 import hashlib
+import json
 
 import numpy as np
 
-from gancomm import baseline, nn
+from gancomm import baseline, gan, nn
 
 
 def central_difference(loss_fn, params, indices, eps=1e-6):
@@ -57,7 +58,7 @@ def check_net_gradients(net, loss_fn, analytic, count=40, eps=1e-6):
         fd = central_difference(at, flat, idx, eps)
     finally:
         net.set_flat_params(flat)
-    return float(relative_error(analytic.flat()[idx], fd).max())
+    return float(relative_error(analytic.flat[idx], fd).max())
 
 
 def float64_copy(net):
@@ -68,6 +69,28 @@ def float64_copy(net):
         [nn.Layer(l.w.astype(np.float64), l.b.astype(np.float64), l.activation)
          for l in net.layers]
     )
+
+
+def gradients_for(net, weights, biases):
+    """An nn.Gradients for net holding copies of the given per-layer
+    weight and bias gradients."""
+    grads = nn.Gradients(net)
+    for mine, given in zip(grads.weights + grads.biases, [*weights, *biases], strict=True):
+        mine[...] = given
+    return grads
+
+
+def assert_params_layout(net):
+    """Every layer's w and b are contiguous views of net.params, at the
+    offsets of flat_params order: row-major w, then b, layer by layer."""
+    base, pos = net.params.ctypes.data, 0
+    for layer in net.layers:
+        for p in (layer.w, layer.b):
+            assert np.shares_memory(p, net.params)
+            assert p.flags.c_contiguous and p.dtype == net.params.dtype
+            assert p.ctypes.data == base + pos * net.params.itemsize
+            pos += p.size
+    assert pos == net.params.size == net.n_params
 
 
 def param_checksum(net):
@@ -111,11 +134,10 @@ def reference_adam_step(net, grads, state):
     t = state.step_count
     bias1 = 1.0 - state.beta1**t
     bias2 = 1.0 - state.beta2**t
-    for i, layer in enumerate(net.layers):
-        for param, grad, m, v in (
-            (layer.w, grads.weights[i], state.m_w[i], state.v_w[i]),
-            (layer.b, grads.biases[i], state.m_b[i], state.v_b[i]),
-        ):
+    for layer, g_w, g_b, (m_w, m_b), (v_w, v_b) in zip(
+        net.layers, grads.weights, grads.biases, net.views(state.m), net.views(state.v)
+    ):
+        for param, grad, m, v in ((layer.w, g_w, m_w, v_w), (layer.b, g_b, m_b, v_b)):
             m *= state.beta1
             m += (1.0 - state.beta1) * grad
             v *= state.beta2
@@ -126,3 +148,25 @@ def reference_adam_step(net, grads, state):
 def reference_ema_update(avg, net, decay):
     """The EMA update on a flat average, as one array expression."""
     avg += (1.0 - decay) * (net.flat_params() - avg)
+
+
+def bits_to_message(bits):
+    """(B, k) bits -> (B,) indices, most significant bit first."""
+    bits = np.asarray(bits, dtype=np.int64)
+    if bits.ndim != 2:
+        raise nn.ShapeError(f"bits must be 2-D, got shape {bits.shape}")
+    weights = 1 << np.arange(bits.shape[1] - 1, -1, -1)
+    return bits @ weights
+
+
+def discriminate(d, y, m):
+    """Real/fake logits, (batch, 1). Positive favors 'real'."""
+    out, _ = gan.discriminate_with_tape(d, y, m)
+    return out
+
+
+def save_config(cfg, path):
+    """Write a config as the JSON file load_config reads."""
+    with open(path, "w") as f:
+        json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
+        f.write("\n")

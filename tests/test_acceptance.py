@@ -54,7 +54,7 @@ def test_1_gradient_suite_full_size_nets():
 
         fd = central_difference(at, flat, idx)
         net.set_flat_params(flat)
-        worst = max(worst, float(relative_error(analytic.flat()[idx], fd).max()))
+        worst = max(worst, float(relative_error(analytic.flat[idx], fd).max()))
 
     for channel_kind in ("awgn", "rayleigh"):
         cfg = TrainConfig(channel=channel_kind, seed=17)

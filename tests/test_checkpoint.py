@@ -8,6 +8,7 @@ import pytest
 
 from gancomm import checkpoint, nn, train
 from gancomm.config import ConfigError, TrainConfig
+from helpers import assert_params_layout
 
 
 def tiny_cfg(**overrides):
@@ -92,6 +93,13 @@ class TestSystemRoundTrip:
             assert np.array_equal(before.flat_params(), after.flat_params())
         assert rx2.n_pilot == cfg.n_pilot
         assert g2.z_dim == cfg.z_dim
+
+    def test_loaded_nets_are_views_of_one_vector(self, tmp_path):
+        cfg = tiny_cfg()
+        checkpoint.save_system(str(tmp_path), cfg, *train.build_system(cfg))
+        _, *wrappers = checkpoint.load_system(str(tmp_path))
+        for wrapper in wrappers:
+            assert_params_layout(wrapper.net)
 
     def test_awgn_system_has_no_pilot_inputs(self, tmp_path):
         cfg = tiny_cfg()

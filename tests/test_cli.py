@@ -199,6 +199,16 @@ class TestBaselineCommand:
         assert rc_bad == 1
         assert "n_pilot" in captured.err
 
+    def test_workers_below_one_exit_1(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"ebn0_db": [4.0]}))
+        out = tmp_path / "b.csv"
+        rc = cli.main(["baseline", "--system", "hamming74-mld-awgn", "--sweep",
+                       str(sweep), "--out", str(out), "--workers", "-3"])
+        assert rc == 1
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDumpCommand:
     def test_constellation_csv(self, trained_dir, tmp_path, capsys):

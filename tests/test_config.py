@@ -6,6 +6,7 @@ import pytest
 
 from gancomm import config
 from gancomm.config import ConfigError, TrainConfig
+from helpers import save_config
 
 
 class TestDefaults:
@@ -119,12 +120,12 @@ class TestFiles:
     def test_save_load_round_trip(self, tmp_path):
         cfg = TrainConfig(channel="rayleigh", seed=9, gan_steps=5)
         path = tmp_path / "run.json"
-        config.save_config(cfg, str(path))
+        save_config(cfg, str(path))
         assert config.load_config(str(path)) == cfg
 
     def test_saved_file_is_plain_json(self, tmp_path):
         path = tmp_path / "run.json"
-        config.save_config(TrainConfig(), str(path))
+        save_config(TrainConfig(), str(path))
         data = json.loads(path.read_text())
         assert data["k"] == 4
         assert data["tx_hidden"] == [32, 32]

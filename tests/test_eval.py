@@ -183,6 +183,13 @@ class TestLearnedSweep:
         with pytest.raises(ConfigError):
             evaluate.bler_sweep_learned(tx, piloted, cfg, spec)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_are_rejected(self, workers):
+        cfg, tx, rx = small_system()
+        spec = evaluate.SweepSpec(ebn0_db=(4.0,))
+        with pytest.raises(ConfigError, match="workers"):
+            evaluate.bler_sweep_learned(tx, rx, cfg, spec, workers=workers)
+
     def test_untrained_system_reports_mostly_errors(self):
         cfg, tx, rx = small_system(seed=3)
         spec = evaluate.SweepSpec(ebn0_db=(30.0,), target_errors=200)
@@ -213,6 +220,13 @@ class TestBaselineSweeps:
     def test_unknown_system_rejected(self):
         with pytest.raises(ConfigError, match="unknown baseline"):
             evaluate.bler_sweep_baseline("turbo", evaluate.SweepSpec(ebn0_db=(0.0,)))
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_are_rejected(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            evaluate.bler_sweep_baseline(
+                "hamming74-mld-awgn", evaluate.SweepSpec(ebn0_db=(0.0,)), workers=workers
+            )
 
     def test_hamming_mld_tracks_union_bound_at_high_snr(self):
         # pairwise error Q(sqrt(w)/sigma) summed over the weight enumerator

@@ -5,7 +5,7 @@ import pytest
 
 from gancomm import gan, nn
 from gancomm.config import ConfigError
-from helpers import central_difference, float64_copy, relative_error
+from helpers import central_difference, discriminate, float64_copy, relative_error
 
 LN2 = float(np.log(2.0))
 
@@ -75,7 +75,7 @@ class TestSampling:
     def test_discriminate_shape(self):
         _, d = small_gan()
         rng = np.random.default_rng(6)
-        logits = gan.discriminate(d, rng.normal(size=(5, 4)), rng.normal(size=(5, 4)))
+        logits = discriminate(d, rng.normal(size=(5, 4)), rng.normal(size=(5, 4)))
         assert logits.shape == (5, 1)
 
 
@@ -105,7 +105,7 @@ class TestDiscriminatorLoss:
             _, grads, acc = gan.d_loss(d, real, fake, m)
             if acc == 1.0:
                 break
-            flat = d.net.flat_params() - 0.5 * grads.flat()
+            flat = d.net.flat_params() - 0.5 * grads.flat
             d.net.set_flat_params(flat)
         assert acc == 1.0
 
@@ -127,7 +127,7 @@ class TestDiscriminatorLoss:
 
         fd = central_difference(at, flat, idx)
         d.net.set_flat_params(flat)
-        assert relative_error(grads.flat()[idx], fd).max() < 1e-6
+        assert relative_error(grads.flat[idx], fd).max() < 1e-6
 
     def test_label_smoothing_penalizes_confident_real_logits(self):
         # positive weights make the logit follow the input sign, so the
@@ -173,7 +173,7 @@ class TestGeneratorLoss:
 
         fd = central_difference(at, flat, idx)
         g.net.set_flat_params(flat)
-        assert relative_error(grads.flat()[idx], fd).max() < 1e-6
+        assert relative_error(grads.flat[idx], fd).max() < 1e-6
 
     def test_discriminator_parameters_are_left_alone(self):
         g, d = small_gan(seed=19)
@@ -190,7 +190,7 @@ class TestGeneratorLoss:
         first, _ = gan.g_loss(g, d, z, m)
         for _ in range(100):
             _, grads = gan.g_loss(g, d, z, m)
-            g.net.set_flat_params(g.net.flat_params() - 0.1 * grads.flat())
+            g.net.set_flat_params(g.net.flat_params() - 0.1 * grads.flat)
         last, _ = gan.g_loss(g, d, z, m)
         assert last < first
 

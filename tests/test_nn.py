@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from gancomm import nn
 from helpers import (
+    assert_params_layout,
     central_difference,
     check_net_gradients,
     float64_copy,
+    gradients_for,
     param_checksum,
     reference_adam_step,
     reference_ema_update,
@@ -142,7 +144,7 @@ class TestBackward:
         x = rng.normal(size=(2, 3))
         out, tape = nn.forward(net, x)
         g1, _ = nn.backward(net, tape, np.ones_like(out))
-        once = nn.Gradients([w.copy() for w in g1.weights], [b.copy() for b in g1.biases])
+        once = gradients_for(net, g1.weights, g1.biases)
         total = g1.accumulate(once)
         assert total is g1
         assert np.array_equal(total.weights[0], 2.0 * once.weights[0])
@@ -246,7 +248,7 @@ class TestTapeReuse:
         g2, in2 = nn.backward(net, tape, np.ones_like(out))
         assert all(same_bytes(a, b) for a, b in zip(tape.acts, kept))
         assert g1.weights[0] is not g2.weights[0] and in1 is not in2
-        assert same_bytes(g1.flat(), g2.flat())
+        assert same_bytes(g1.flat, g2.flat)
 
     def test_another_batch_size_reallocates_the_tape(self):
         rng = np.random.default_rng(17)
@@ -368,8 +370,8 @@ class TestAdam:
             [nn.Layer(w=np.array([[1.0]]), b=np.array([0.0]), activation="linear")]
         )
         state = nn.AdamState.for_net(net, 0.1)
-        grads = nn.Gradients(
-            weights=[np.array([[0.5]])], biases=[np.array([0.0])]
+        grads = gradients_for(
+            net, weights=[np.array([[0.5]])], biases=[np.array([0.0])]
         )
         nn.adam_step(net, grads, state)
         assert net.layers[0].w[0, 0] == pytest.approx(0.900000002, rel=1e-12)
@@ -380,8 +382,8 @@ class TestAdam:
         rng = np.random.default_rng(31)
         net = nn.DenseNet.create((2, 3), rng)
         state = nn.AdamState.for_net(net, 0.01)
-        grads = nn.Gradients(
-            weights=[np.full((2, 3), np.nan)], biases=[np.zeros(3)]
+        grads = gradients_for(
+            net, weights=[np.full((2, 3), np.nan)], biases=[np.zeros(3)]
         )
         with pytest.raises(nn.NonFiniteError):
             nn.adam_step(net, grads, state)
@@ -390,12 +392,12 @@ class TestAdam:
         rng = np.random.default_rng(32)
         net = nn.DenseNet.create((2, 2), rng)
         state = nn.AdamState.for_net(net, 0.01)
-        grads = nn.Gradients(weights=[np.ones((2, 2))], biases=[np.ones(2)])
+        grads = gradients_for(net, weights=[np.ones((2, 2))], biases=[np.ones(2)])
         nn.adam_step(net, grads, state)
         assert state.step_count == 1
         state.reset_moments()
         assert state.step_count == 0
-        assert np.all(state.m_w[0] == 0.0) and np.all(state.v_b[0] == 0.0)
+        assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
 
     @staticmethod
     def assert_overflow_commits_nothing(net, big, lr):
@@ -404,12 +406,43 @@ class TestAdam:
         net.layers[1].w[0, 0] = big
         before = param_checksum(net)
         state = nn.AdamState.for_net(net, lr)
-        grads = nn.Gradients(
+        grads = gradients_for(
+            net,
             weights=[np.full_like(l.w, -1.0) for l in net.layers],
             biases=[np.full_like(l.b, -1.0) for l in net.layers],
         )
         with pytest.raises(nn.NonFiniteError, match="layer 1"), np.errstate(over="ignore"):
             nn.adam_step(net, grads, state)
+        assert param_checksum(net) == before
+
+    @staticmethod
+    def ones_for(net):
+        return gradients_for(net, [np.ones_like(l.w) for l in net.layers],
+                             [np.ones_like(l.b) for l in net.layers])
+
+    # a NaN as the first value of a later layer's w, and as the last bias of
+    # the last layer
+    nan_spots = pytest.mark.parametrize(
+        "layer, array, index", [(2, "w", (0, 0)), (3, "b", (-1,))]
+    )
+
+    @nan_spots
+    def test_non_finite_gradient_names_its_layer(self, layer, array, index):
+        net = nn.DenseNet.create((3, 4, 5, 2, 3), np.random.default_rng(34))
+        grads = self.ones_for(net)
+        (grads.weights if array == "w" else grads.biases)[layer][index] = np.nan
+        before = param_checksum(net)
+        with pytest.raises(nn.NonFiniteError, match=f"^layer {layer}: non-finite gradient"):
+            nn.adam_step(net, grads, nn.AdamState.for_net(net, 0.01))
+        assert param_checksum(net) == before
+
+    @nan_spots
+    def test_non_finite_parameter_names_its_layer(self, layer, array, index):
+        net = nn.DenseNet.create((3, 4, 5, 2, 3), np.random.default_rng(35))
+        getattr(net.layers[layer], array)[index] = np.nan
+        before = param_checksum(net)
+        with pytest.raises(nn.NonFiniteError, match=f"^layer {layer}: parameters became"):
+            nn.adam_step(net, self.ones_for(net), nn.AdamState.for_net(net, 0.01))
         assert param_checksum(net) == before
 
     def test_non_finite_update_leaves_every_parameter_untouched(self):
@@ -432,15 +465,15 @@ class TestAdam:
         ref_state = nn.AdamState.for_net(ref_net, lr, beta1=beta1)
         for _ in range(5):
             # gradients come in the net's dtype, as backward returns them
-            grads = nn.Gradients(
+            grads = gradients_for(
+                net,
                 weights=[rng.normal(size=l.w.shape).astype(net.dtype) for l in net.layers],
                 biases=[rng.normal(size=l.b.shape).astype(net.dtype) for l in net.layers],
             )
             nn.adam_step(net, grads, state)
             reference_adam_step(ref_net, grads, ref_state)
             assert same_bytes(net.flat_params(), ref_net.flat_params())
-            for mine, ref in ((state.m_w, ref_state.m_w), (state.v_b, ref_state.v_b)):
-                assert all(same_bytes(a, b) for a, b in zip(mine, ref))
+            assert same_bytes(state.m, ref_state.m) and same_bytes(state.v, ref_state.v)
 
     def test_descends_a_quadratic(self):
         net = nn.DenseNet(
@@ -449,8 +482,8 @@ class TestAdam:
         state = nn.AdamState.for_net(net, 0.05)
         for _ in range(400):
             w = net.layers[0].w[0, 0]
-            grads = nn.Gradients(
-                weights=[np.array([[2.0 * w]])], biases=[np.array([0.0])]
+            grads = gradients_for(
+                net, weights=[np.array([[2.0 * w]])], biases=[np.array([0.0])]
             )
             nn.adam_step(net, grads, state)
         assert abs(net.layers[0].w[0, 0]) < 1e-3
@@ -495,6 +528,27 @@ class TestFlatParams:
         other = nn.DenseNet.create((3, 5, 2), np.random.default_rng(52))
         other.set_flat_params(flat)
         assert param_checksum(other) == param_checksum(net)
+
+    def test_every_layer_array_is_a_view_of_params(self):
+        net = nn.DenseNet.create((3, 5, 4, 2), np.random.default_rng(54))
+        clone, wide = net.copy(), float64_copy(net)
+        for built in (net, clone, wide):
+            assert_params_layout(built)
+        assert not np.shares_memory(clone.params, net.params)
+        assert wide.params.dtype == np.float64
+
+    def test_a_net_copies_the_arrays_it_is_given(self):
+        layers = [
+            nn.Layer(w=np.ones((2, 3)), b=np.zeros(3), activation="relu"),
+            nn.Layer(w=np.ones((3, 1)), b=np.zeros(1), activation="linear"),
+        ]
+        net = nn.DenseNet(layers)
+        assert_params_layout(net)
+        for given in layers:
+            assert not np.shares_memory(given.w, net.params)
+            assert not np.shares_memory(given.b, net.params)
+        layers[0].w += 1.0
+        assert np.all(net.layers[0].w == 1.0)
 
     def test_copy_is_deep(self):
         rng = np.random.default_rng(53)
@@ -585,9 +639,8 @@ class TestDtype:
             nn.adam_step(net, grads, state)
             ema.update(net)
             arrays = [
-                out, upstream, bce_grad, input_grad, *tape.acts, *grads.weights,
-                *grads.biases, *state.m_w, *state.v_w, *state.m_b, *state.v_b,
-                *(a for pair in state.scratch for a in pair), *net._param_arrays(),
+                out, upstream, bce_grad, input_grad, *tape.acts, grads.flat,
+                state.m, state.v, state.step, state.candidate, net.params,
                 ema.averaged_net(net).flat_params(),
             ]
             assert {a.dtype for a in arrays} == {np.dtype(np.float32)}

@@ -101,7 +101,7 @@ class TestGradientPaths:
 
         fd = central_difference(at, flat, idx)
         rx.net.set_flat_params(flat)
-        assert relative_error(grads.flat()[idx], fd).max() < 1e-6
+        assert relative_error(grads.flat[idx], fd).max() < 1e-6
 
     def test_transmitter_gradients_cross_generator_and_receiver(self):
         # loss -> receiver -> generator -> power norm -> transmitter, the
@@ -125,7 +125,7 @@ class TestGradientPaths:
 
         fd = central_difference(at, flat, idx)
         tx.net.set_flat_params(flat)
-        assert relative_error(grads.flat()[idx], fd).max() < 1e-6
+        assert relative_error(grads.flat[idx], fd).max() < 1e-6
 
     def test_transmitter_update_reads_but_never_writes_the_others(self):
         cfg = tiny_cfg()
@@ -162,7 +162,7 @@ class TestGradientPaths:
 
         fd = central_difference(at, flat, idx)
         tx.net.set_flat_params(flat)
-        assert relative_error(grads.flat()[idx], fd).max() < 1e-6
+        assert relative_error(grads.flat[idx], fd).max() < 1e-6
 
 
 def float32_representable(a):
@@ -203,7 +203,7 @@ class TestFloat32Gradients:
                 "gen": gan.g_loss(g, d, z, cond)[1],
                 "tx": train.transmitter_forward_backward(tx, rx, g, onehot, z, y_p)[1],
             }
-            return {path: v.flat().astype(np.float64) for path, v in grads.items()}
+            return {path: v.flat.astype(np.float64) for path, v in grads.items()}
 
         want = path_gradients(*system64)
         for path, got in path_gradients(*system32).items():
@@ -217,7 +217,7 @@ class TestFloat32Gradients:
             for net in (net32, net64):
                 _, tape = nn.forward(net, x_in)
                 grads, input_grad = nn.backward(net, tape, upstream)
-                results.append((grads.flat().astype(np.float64),
+                results.append((grads.flat.astype(np.float64),
                                 input_grad.astype(np.float64)))
             (params32, inputs32), (params64, inputs64) = results
             assert norm_relative_error(params32, params64) <= 1e-4

@@ -108,7 +108,7 @@ class TestTransmitter:
 
         fd = central_difference(at, flat, idx)
         tx.net.set_flat_params(flat)
-        assert relative_error(grads.flat()[idx], fd).max() < 1e-6
+        assert relative_error(grads.flat[idx], fd).max() < 1e-6
 
     def test_collapsed_output_raises(self):
         tx = make_tx(seed=6)
