@@ -57,18 +57,19 @@ def hamming74_codebook() -> np.ndarray:
     return cb
 
 
-@functools.lru_cache(maxsize=1)
-def _bpsk_codebook() -> np.ndarray:
-    # bit b -> 1 - 2b on the real axis, i.e. 0 -> +1, 1 -> -1
-    cb = (1.0 - 2.0 * hamming74_codebook()).astype(np.float64)
-    cb.setflags(write=False)
-    return cb
-
-
 def bpsk_modulate(bits: np.ndarray) -> np.ndarray:
     """Bits -> unit-power real symbols, 0 -> +1 and 1 -> -1."""
     bits = np.asarray(bits)
     return 1.0 - 2.0 * bits.astype(np.float64)
+
+
+@functools.lru_cache(maxsize=1)
+def hamming74_bpsk_codebook() -> np.ndarray:
+    """All 16 codewords as BPSK symbols, (16, 7), row i for message i.
+    Read-only."""
+    cb = bpsk_modulate(hamming74_codebook())
+    cb.setflags(write=False)
+    return cb
 
 
 def hamming74_mld_decode(y: np.ndarray) -> np.ndarray:
@@ -82,7 +83,7 @@ def hamming74_mld_decode(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != 7:
         raise nn.ShapeError(f"observations must be (batch, 7), got {y.shape}")
-    scores = y @ _bpsk_codebook().T
+    scores = y @ hamming74_bpsk_codebook().T
     return np.argmax(scores, axis=1)
 
 

@@ -61,18 +61,6 @@ def noise_std_from_snr(spec: SnrSpec) -> float:
     return float(np.sqrt(n0 / 2.0))
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One block's fading coefficient and noise level.
-
-    ``h`` is a scalar for a single block or a (batch,) array for a batch of
-    independently faded blocks; ``noise_std`` is per real dimension.
-    """
-
-    h: complex | np.ndarray
-    noise_std: float
-
-
 def awgn_apply(x: np.ndarray, std: float, rng: np.random.Generator) -> np.ndarray:
     """y = x + w with w i.i.d. Gaussian(0, std^2) per real dimension."""
     x = np.asarray(x, dtype=np.float64)
@@ -93,12 +81,17 @@ def rayleigh_sample(rng: np.random.Generator, size: int | None = None):
 
 
 def fading_apply(
-    x: np.ndarray, realization: ChannelRealization, rng: np.random.Generator
+    x: np.ndarray, h: complex | np.ndarray, noise_std: float,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """y_i = h * x_i + w_i; one h multiplies every complex use of a block."""
+    """y_i = h * x_i + w_i; one h multiplies every complex use of a block.
+
+    ``h`` is a scalar for a single block or a (batch,) array for a batch of
+    independently faded blocks; ``noise_std`` is per real dimension.
+    """
     x = np.asarray(x, dtype=np.float64)
     symbols = iq_to_complex(x)
-    h = np.asarray(realization.h, dtype=np.complex128)
+    h = np.asarray(h, dtype=np.complex128)
     if h.ndim == 1:
         if x.ndim != 2 or h.shape[0] != x.shape[0]:
             raise ValueError(f"h batch {h.shape} does not match blocks {x.shape}")
@@ -106,13 +99,14 @@ def fading_apply(
     else:
         faded = symbols * h
     out = complex_to_iq(faded)
-    if realization.noise_std > 0:
-        out = out + rng.normal(0.0, realization.noise_std, size=out.shape)
+    if noise_std > 0:
+        out = out + rng.normal(0.0, noise_std, size=out.shape)
     return out
 
 
 def pilot_receive(
-    realization: ChannelRealization, n_pilot: int, rng: np.random.Generator
+    h: complex | np.ndarray, noise_std: float, n_pilot: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Receive the known all-ones pilot: y_p = h * 1 + w, per pilot use.
 
@@ -120,9 +114,9 @@ def pilot_receive(
     """
     if n_pilot < 1:
         raise ValueError("n_pilot must be >= 1")
-    h = np.asarray(realization.h, dtype=np.complex128)
+    h = np.asarray(h, dtype=np.complex128)
     x = complex_to_iq(np.ones(h.shape + (n_pilot,), dtype=np.complex128))
-    return fading_apply(x, realization, rng)
+    return fading_apply(x, h, noise_std, rng)
 
 
 class Channel:
@@ -188,12 +182,10 @@ class RayleighChannel(Channel):
         return rayleigh_sample(rng, batch)
 
     def apply(self, x, state, noise_std, rng):
-        return fading_apply(x, ChannelRealization(h=state, noise_std=noise_std), rng)
+        return fading_apply(x, state, noise_std, rng)
 
     def pilots(self, state, noise_std, rng):
-        return pilot_receive(
-            ChannelRealization(h=state, noise_std=noise_std), self.n_pilot, rng
-        )
+        return pilot_receive(state, noise_std, self.n_pilot, rng)
 
 
 def make_channel(kind: str, n_pilot: int = 1) -> Channel:

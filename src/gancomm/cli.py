@@ -40,9 +40,12 @@ def load_sweep(path: str) -> SweepSpec:
         raise ConfigError(f"unknown sweep keys: {', '.join(unknown)}")
     if "ebn0_db" not in data:
         raise ConfigError("sweep spec needs an 'ebn0_db' list")
-    if not isinstance(data["ebn0_db"], list):
+    ebn0_db = data["ebn0_db"]
+    if not isinstance(ebn0_db, list) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in ebn0_db
+    ):
         raise ConfigError("ebn0_db: must be a list of numbers")
-    kwargs = {"ebn0_db": tuple(data["ebn0_db"])}
+    kwargs = {"ebn0_db": tuple(ebn0_db)}
     for key in ("min_trials", "max_trials", "target_errors"):
         if key in data:
             if isinstance(data[key], bool) or not isinstance(data[key], int):

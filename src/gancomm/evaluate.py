@@ -179,7 +179,7 @@ def _baseline_trial_fn(system: str, ebn0_db: float, n_pilot: int):
         # 4 bits over 7 BPSK uses; the quadrature noise never enters the
         # decision metric, so only the in-phase component is drawn
         std = channel.noise_std_from_snr(channel.SnrSpec(ebn0_db, k=4, n=7))
-        bpsk = baseline.bpsk_modulate(baseline.hamming74_codebook())
+        bpsk = baseline.hamming74_bpsk_codebook()
 
         def trial_fn(n_trials: int, rng: np.random.Generator) -> int:
             messages = rng.integers(0, 16, size=n_trials)
@@ -339,7 +339,7 @@ def gan_fidelity(
         else:
             z = gan.sample_z(rng, n_samples, g.z_dim)
             # the statistics run in float64, whatever the net's dtype
-            fake = gan.generate(g, z, m).astype(np.float64)
+            fake = gan.generate(g, z, m)[0].astype(np.float64)
         reports.append(
             ConditionReport(
                 label=label,
@@ -385,6 +385,8 @@ def gan_scatter_dump(
     Rows carry source='condition' (the conditioning block itself, one row
     per use), then 'real' and 'fake' sample rows.
     """
+    if n_samples < 1:
+        raise ConfigError(f"samples: must be >= 1, got {n_samples}")
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[1] // 2
     with open(path, "w", newline="") as f:
@@ -405,7 +407,7 @@ def gan_scatter_dump(
             rng = substream(seed, "scatter", c)
             sample, m, _, _ = _fixed_condition(x, c, h, noise_std, n_samples, n_pilot)
             real = sample(rng)
-            fake = gan.generate(g, gan.sample_z(rng, n_samples, g.z_dim), m)
+            fake, _ = gan.generate(g, gan.sample_z(rng, n_samples, g.z_dim), m)
             emit(c, "condition", x[c][None, :])
             emit(c, "real", real)
             emit(c, "fake", fake)

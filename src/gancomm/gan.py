@@ -102,25 +102,20 @@ def _stack(a: np.ndarray, m: np.ndarray, cond_dim: int, net: nn.DenseNet) -> np.
 
 def generate(
     g: Generator, z: np.ndarray, m: np.ndarray, tape: nn.Tape | None = None
-) -> np.ndarray:
-    """Fake received blocks for noise z under conditioning m; with a tape,
-    written into it (see ``nn.forward``)."""
-    out, _ = generate_with_tape(g, z, m, tape)
-    return out
-
-
-def generate_with_tape(
-    g: Generator, z: np.ndarray, m: np.ndarray, tape: nn.Tape | None = None
 ) -> tuple[np.ndarray, nn.Tape]:
+    """Fake received blocks for noise z under conditioning m, and the
+    generator's tape (see ``nn.forward``)."""
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[1] != g.z_dim:
         raise nn.ShapeError(f"z must be (batch, {g.z_dim}), got {z.shape}")
     return nn.forward(g.net, _stack(z, m, g.cond_dim, g.net), tape)
 
 
-def discriminate_with_tape(
+def discriminate(
     d: Discriminator, y: np.ndarray, m: np.ndarray, tape: nn.Tape | None = None
 ) -> tuple[np.ndarray, nn.Tape]:
+    """Real/fake logits, (batch, 1), positive favoring 'real', and the
+    discriminator's tape (see ``nn.forward``)."""
     y = np.asarray(y)
     if y.ndim != 2 or y.shape[1] != 2 * d.n:
         raise nn.ShapeError(f"y must be (batch, {2 * d.n}), got {y.shape}")
@@ -140,18 +135,18 @@ def d_loss(
     Returns (loss, parameter gradients, classification accuracy). The fake
     batch is treated as a constant: no gradient flows to the generator
     here. real_target below 1.0 applies one-sided label smoothing.
-    ``tapes`` are the real and the fake pass's tapes to reuse, if any.
+    ``tapes`` are the real and the fake pass's tapes; None makes a new one.
     """
     if not 0.5 < real_target <= 1.0:
         raise ValueError("real_target must lie in (0.5, 1.0]")
-    logits_r, tape_r = discriminate_with_tape(d, real_y, m, tapes[0])
-    logits_f, tape_f = discriminate_with_tape(d, fake_y, m, tapes[1])
+    logits_r, tape_r = discriminate(d, real_y, m, tapes[0])
+    logits_f, tape_f = discriminate(d, fake_y, m, tapes[1])
     loss_r, grad_r = nn.sigmoid_bce(logits_r, np.full_like(logits_r, real_target))
     loss_f, grad_f = nn.sigmoid_bce(logits_f, np.zeros_like(logits_f))
     loss = float(loss_r + loss_f)
     if not np.isfinite(loss):
         raise nn.NonFiniteError("discriminator loss is not finite")
-    # before backward, which may overwrite the logits of a reused tape
+    # before backward, which overwrites the logits
     accuracy = float(0.5 * (np.mean(logits_r > 0.0) + np.mean(logits_f <= 0.0)))
     grads_r, _ = nn.backward(d.net, tape_r, grad_r, inputs=False)
     grads_f, _ = nn.backward(d.net, tape_f, grad_f, inputs=False)
@@ -169,10 +164,10 @@ def g_loss(
 
     The discriminator is read but not updated; only its input gradient is
     used to reach the generator parameters. ``tapes`` are the generator's
-    and the discriminator's tapes to reuse, if any.
+    and the discriminator's tapes; None makes a new one.
     """
-    fake_y, g_tape = generate_with_tape(g, z, m, tapes[0])
-    logits, d_tape = discriminate_with_tape(d, fake_y, m, tapes[1])
+    fake_y, g_tape = generate(g, z, m, tapes[0])
+    logits, d_tape = discriminate(d, fake_y, m, tapes[1])
     loss, grad_logits = nn.sigmoid_bce(logits, np.ones_like(logits))
     if not np.isfinite(loss):
         raise nn.NonFiniteError("generator loss is not finite")

@@ -21,10 +21,12 @@ that knows the layout. Gradients, Adam's moments and the EMA average are
 vectors of the same layout, so the optimizer, the EMA update and gradient
 sums each take one numpy call per operation for a whole net.
 
-A training loop can hand a tape back to ``forward`` to have the next pass
-written into the same arrays; ``backward`` on such a tape then overwrites
-the activations with gradients and keeps its results in buffers the tape
-owns, so a steady-state step allocates almost nothing.
+Every pass writes into a ``Tape``: a new one unless the caller hands one
+back. ``forward`` allocates a tape's arrays when the pass does not fit them
+(first use, another batch size, another net) and otherwise writes over
+them; ``backward`` overwrites the activations with gradients and returns
+buffers the tape owns. So a training loop that keeps one tape per net
+allocates almost nothing per step.
 """
 
 from __future__ import annotations
@@ -55,22 +57,17 @@ def _activate_in_place(z: np.ndarray, name: str) -> None:
         np.tanh(z, out=z)
 
 
-def _preact_grad(
-    g: np.ndarray, a: np.ndarray, name: str, out: np.ndarray | None
-) -> np.ndarray:
-    # dLoss/dz from dLoss/da and the layer output a: relu's mask a > 0
-    # equals z > 0, tanh' = 1 - a^2. Written into out when given, else into
-    # a new array (or, for a linear layer, g itself).
+def _preact_grad(g: np.ndarray, a: np.ndarray, name: str) -> np.ndarray:
+    # dLoss/dz from dLoss/da and the layer output a, written over a: relu's
+    # mask a > 0 equals z > 0, tanh' = 1 - a^2
     if name == "relu":
-        return np.multiply(g, a > 0.0, out=out)
+        return np.multiply(g, a > 0.0, out=a)
     if name == "tanh":
-        d = np.multiply(a, a, out=out)
-        np.subtract(1.0, d, out=d)
-        return np.multiply(g, d, out=d)
-    if out is None:
-        return g
-    out[...] = g
-    return out
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)
+        return np.multiply(g, a, out=a)
+    a[...] = g
+    return a
 
 
 @dataclass
@@ -196,22 +193,20 @@ def _non_finite_layer(net: DenseNet, flat: np.ndarray) -> int:
 
 @dataclass
 class Tape:
-    """Cached activations from one forward pass, consumed by ``backward``.
+    """The arrays of one forward pass, consumed by ``backward``.
 
-    A tape passed to ``forward`` is reused: the pass is written into its
-    arrays (allocated on first use, or when the batch size changes), and
-    ``backward`` on it overwrites each activation with its pre-activation
-    gradient and returns arrays the tape owns, valid until the tape's next
-    forward. A tape made by ``forward`` itself is fresh and ``backward``
-    returns new arrays, leaving the tape as it was.
+    ``forward`` writes each pass into its tape's arrays, allocated again
+    whenever the pass does not fit them: on first use, for another batch
+    size, or for a net of other shapes or dtype. ``backward`` overwrites each
+    activation with its pre-activation gradient and returns arrays the tape
+    owns, valid until the tape's next forward. So a tape serves one backward
+    per forward.
     """
 
     # the net input, then each layer's output: acts[i] feeds layer i and
     # acts[i + 1] is what it emitted, (batch, width)
     acts: list[np.ndarray] = field(default_factory=list)
-    reused: bool = False
-    # owned by a reused tape: parameter gradients, and one input-gradient
-    # array per layer input width
+    # parameter gradients, and one input-gradient array per layer input width
     grads: Gradients | None = None
     input_grads: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -219,9 +214,7 @@ class Tape:
     def batch_size(self) -> int:
         return self.acts[0].shape[0]
 
-    def _input_grad(self, width: int) -> np.ndarray | None:
-        if not self.reused:
-            return None
+    def _input_grad(self, width: int) -> np.ndarray:
         buf = self.input_grads.get(width)
         if buf is None:
             buf = self.input_grads[width] = np.empty(
@@ -249,12 +242,13 @@ class Gradients:
 def forward(
     net: DenseNet, x: np.ndarray, tape: Tape | None = None
 ) -> tuple[np.ndarray, Tape]:
-    """Run a batch through the net; the tape holds everything backward needs.
+    """Run a batch through the net, writing the pass into ``tape`` (a new
+    one if none is given); returns the output and the tape.
 
-    The returned output is also the tape's last activation, so it must not
-    be modified in place before ``backward`` runs on the tape. Given a tape,
-    the pass is written into that tape's arrays and the tape is returned.
-    The input is cast to the net's dtype, and so is everything the pass makes.
+    The output is the tape's last activation, so it must not be modified in
+    place before ``backward`` runs on the tape, and the tape's next forward
+    writes over it. The input is cast to the net's dtype, and so is
+    everything the pass makes.
     """
     x = np.asarray(x, dtype=net.dtype)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -264,21 +258,19 @@ def forward(
             f"layer 0 expects input dim {net.input_dim}, got {x.shape[1]}"
         )
     if tape is None:
-        tape = Tape(acts=[x] + [None] * len(net.layers))
-    else:
-        shapes = [(x.shape[0], layer.w.shape[1]) for layer in net.layers]
-        if [a.shape for a in tape.acts[1:]] != shapes:
-            # first use, or another batch size: start the tape afresh
-            tape.acts = [x] + [np.empty(shape, dtype=x.dtype) for shape in shapes]
-            tape.grads = None
-            tape.input_grads = {}
-        tape.reused = True
-        tape.acts[0] = x
-    # one array per layer (new, or the tape's): the activation overwrites
-    # its pre-activation
+        tape = Tape()
+    shapes = [x.shape] + [(x.shape[0], layer.w.shape[1]) for layer in net.layers]
+    if [a.shape for a in tape.acts] != shapes or tape.acts[0].dtype != x.dtype:
+        # first use, another batch size, or a net of other shapes or dtype:
+        # start the tape afresh
+        tape.acts = [x] + [np.empty(shape, dtype=x.dtype) for shape in shapes[1:]]
+        tape.grads = None
+        tape.input_grads = {}
+    tape.acts[0] = x
+    # the activation overwrites its pre-activation
     acts = tape.acts
     for i, layer in enumerate(net.layers):
-        z = acts[i + 1] = np.matmul(acts[i], layer.w, out=acts[i + 1])
+        z = np.matmul(acts[i], layer.w, out=acts[i + 1])
         z += layer.b
         _activate_in_place(z, layer.activation)
     return acts[-1], tape
@@ -296,10 +288,13 @@ def backward(
 
     Returns the parameter gradients and the gradient with respect to the
     network input, in the net's dtype (the upstream gradient is cast to it).
-    Parameters are left untouched. With ``params=False`` the net is only
-    read: just the input gradient is computed, and None comes back in place
-    of the parameter gradients. With ``inputs=False`` the input gradient is
-    skipped and None comes back in its place.
+    Both are arrays the tape owns (``tape.grads`` and one of
+    ``tape.input_grads``), valid until the tape's next forward; the
+    activations on the tape are overwritten. Parameters are left untouched.
+    With ``params=False`` the net is only read: just the input gradient is
+    computed, and None comes back in place of the parameter gradients. With
+    ``inputs=False`` the input gradient is skipped and None comes back in
+    its place.
     """
     if not (params or inputs):
         raise ValueError("backward with params=False and inputs=False computes nothing")
@@ -313,17 +308,14 @@ def backward(
             f"{tape.acts[-1].shape}"
         )
     grads = None
-    if params and tape.reused:
+    if params:
         if tape.grads is None:
             tape.grads = Gradients(net)
         grads = tape.grads
-    elif params:
-        grads = Gradients(net)
     for i in range(n_layers - 1, -1, -1):
         layer = net.layers[i]
-        # a reused tape's activation is not read again: dz takes its array
-        a = tape.acts[i + 1]
-        dz = _preact_grad(g, a, layer.activation, a if tape.reused else None)
+        # the activation is not read again: dz takes its array
+        dz = _preact_grad(g, tape.acts[i + 1], layer.activation)
         if grads is not None:
             np.matmul(tape.acts[i].T, dz, out=grads.weights[i])
             np.sum(dz, axis=0, out=grads.biases[i])

@@ -72,7 +72,7 @@ def conditioning(x: np.ndarray, y_pilot: np.ndarray | None) -> np.ndarray:
 
 
 def _tape(tapes: Mapping[str, nn.Tape] | None, key: str) -> nn.Tape | None:
-    """The reusable tape kept under this key, or None for fresh arrays."""
+    """The tape kept under this key, or None for a new one."""
     return None if tapes is None else tapes[key]
 
 
@@ -111,7 +111,7 @@ def transmitter_forward_backward(
     """
     x, tx_tape = tx.encode(onehot, _tape(tapes, "tx"))
     m = conditioning(x, y_pilot)
-    fake_y, g_tape = gan.generate_with_tape(g, z, m, _tape(tapes, "gen"))
+    fake_y, g_tape = gan.generate(g, z, m, _tape(tapes, "gen"))
     logits, rx_tape = rx.forward_logits(fake_y, y_pilot, _tape(tapes, "rx"))
     loss, grad_logits = nn.softmax_cross_entropy(logits, onehot)
     _, rx_input_grad = nn.backward(rx.net, rx_tape, grad_logits, params=False)
@@ -143,7 +143,7 @@ def gan_update(
     d_loss_val = d_acc = 0.0
     for _ in range(d_updates):
         z = gan.sample_z(rng_z, batch, g.z_dim)
-        fake_y = gan.generate(g, z, m, _tape(tapes, "gen"))
+        fake_y, _ = gan.generate(g, z, m, _tape(tapes, "gen"))
         d_loss_val, d_grads, d_acc = gan.d_loss(
             d, real_y, fake_y, m, real_target=1.0 - label_smoothing,
             tapes=(_tape(tapes, "disc"), _tape(tapes, "disc.fake")),

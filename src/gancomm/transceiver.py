@@ -84,7 +84,8 @@ class Transmitter:
         Every output row x satisfies sum(x**2) == n exactly up to float64
         rounding, i.e. unit average power per complex channel use: the dense
         output is lifted to float64 before it is normalized, whatever the
-        net's dtype. A given dense-net tape is reused (see ``nn.forward``).
+        net's dtype. The dense net's pass is written into ``tape``, a new
+        one if none is given (see ``nn.forward``).
         """
         out, dense_tape = nn.forward(self.net, onehot, tape)
         prenorm = out.astype(np.float64)

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from gancomm import baseline, gan, nn
+from gancomm import baseline, nn
 
 
 def central_difference(loss_fn, params, indices, eps=1e-6):
@@ -145,6 +145,34 @@ def reference_adam_step(net, grads, state):
             param -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
 
 
+def reference_forward_backward(net, x, upstream):
+    """A forward and a backward pass as plain array expressions, each making
+    new arrays, in the net's dtype: (output, weight gradients, bias
+    gradients, input gradient). nn.forward and nn.backward, which write into
+    a tape, must match it bit for bit."""
+    acts = [np.asarray(x, dtype=net.dtype)]
+    for layer in net.layers:
+        z = acts[-1] @ layer.w + layer.b
+        if layer.activation == "relu":
+            z = np.maximum(z, 0.0)
+        elif layer.activation == "tanh":
+            z = np.tanh(z)
+        acts.append(z)
+    g = np.asarray(upstream, dtype=net.dtype)
+    weights, biases = [], []
+    for layer, a_in, a in reversed(list(zip(net.layers, acts[:-1], acts[1:]))):
+        if layer.activation == "relu":
+            dz = g * (a > 0.0)
+        elif layer.activation == "tanh":
+            dz = g * (1.0 - a * a)
+        else:
+            dz = g
+        weights.insert(0, a_in.T @ dz)
+        biases.insert(0, dz.sum(axis=0))
+        g = dz @ layer.w.T
+    return acts[-1], weights, biases, g
+
+
 def reference_ema_update(avg, net, decay):
     """The EMA update on a flat average, as one array expression."""
     avg += (1.0 - decay) * (net.flat_params() - avg)
@@ -157,12 +185,6 @@ def bits_to_message(bits):
         raise nn.ShapeError(f"bits must be 2-D, got shape {bits.shape}")
     weights = 1 << np.arange(bits.shape[1] - 1, -1, -1)
     return bits @ weights
-
-
-def discriminate(d, y, m):
-    """Real/fake logits, (batch, 1). Positive favors 'real'."""
-    out, _ = gan.discriminate_with_tape(d, y, m)
-    return out
 
 
 def save_config(cfg, path):

@@ -77,7 +77,7 @@ def test_1_gradient_suite_full_size_nets():
         )
 
         real_y = rng.normal(size=(batch, 2 * cfg.n))
-        fake_y = gan.generate(g, z, cond)
+        fake_y, _ = gan.generate(g, z, cond)
         _, d_grads, _ = gan.d_loss(d, real_y, fake_y, cond)
         fd_check(
             d.net, lambda: gan.d_loss(d, real_y, fake_y, cond)[0], d_grads
@@ -227,12 +227,10 @@ def test_7_channel_monte_carlo_invariants():
     awgn_var = float(channel.awgn_apply(x, std, rng).var())
 
     ones = np.ones((50_000, 14))
-    realization = channel.ChannelRealization(
-        h=channel.rayleigh_sample(rng, 50_000), noise_std=std
-    )
-    y = channel.fading_apply(ones, realization, rng)
+    h_batch = channel.rayleigh_sample(rng, 50_000)
+    y = channel.fading_apply(ones, h_batch, std, rng)
     hx = channel.complex_to_iq(
-        np.asarray(realization.h)[:, None] * channel.iq_to_complex(ones)
+        np.asarray(h_batch)[:, None] * channel.iq_to_complex(ones)
     )
     fading_noise_var = float((y - hx).var())
 

@@ -59,6 +59,11 @@ class TestCodebook:
             bits = baseline.message_to_bits(np.array([msg]), 4)
             assert np.array_equal(cb[msg], baseline.hamming74_encode(bits)[0])
 
+    def test_bpsk_codebook_is_the_modulated_codebook(self):
+        cb = baseline.hamming74_bpsk_codebook()
+        assert np.array_equal(cb, baseline.bpsk_modulate(baseline.hamming74_codebook()))
+        assert cb.dtype == np.float64 and not cb.flags.writeable
+
 
 class TestMldDecode:
     def test_noiseless_round_trip(self):

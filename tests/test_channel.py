@@ -111,8 +111,7 @@ class TestRayleigh:
 class TestFading:
     def test_noiseless_is_exact_complex_multiplication(self):
         x = np.array([[1.0, 0.0, 0.0, 1.0]])  # 1, j
-        real = channel.ChannelRealization(h=2.0 - 1.0j, noise_std=0.0)
-        y = channel.fading_apply(x, real, np.random.default_rng(0))
+        y = channel.fading_apply(x, 2.0 - 1.0j, 0.0, np.random.default_rng(0))
         sym = channel.iq_to_complex(y)
         assert sym[0, 0] == pytest.approx(2.0 - 1.0j)
         assert sym[0, 1] == pytest.approx(1.0 + 2.0j)  # (2-j)*j
@@ -121,53 +120,46 @@ class TestFading:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(6, 10))
         h = channel.rayleigh_sample(rng, 6)
-        real = channel.ChannelRealization(h=h, noise_std=0.0)
-        y = channel.fading_apply(x, real, rng)
+        y = channel.fading_apply(x, h, 0.0, rng)
         ratio = channel.iq_to_complex(y) / channel.iq_to_complex(x)
         # every use of block b sees the same coefficient
         assert np.allclose(ratio, h[:, None])
 
     def test_batch_h_must_match_batch(self):
-        real = channel.ChannelRealization(h=np.ones(3, dtype=complex), noise_std=0.0)
         with pytest.raises(ValueError):
-            channel.fading_apply(np.zeros((4, 2)), real, np.random.default_rng(0))
+            channel.fading_apply(np.zeros((4, 2)), np.ones(3, dtype=complex), 0.0,
+                                 np.random.default_rng(0))
 
     def test_noise_variance_on_top_of_fading(self):
         rng = np.random.default_rng(5)
         x = np.zeros((100_000, 2))
-        real = channel.ChannelRealization(h=1.0 + 0.0j, noise_std=0.7)
-        y = channel.fading_apply(x, real, rng)
+        y = channel.fading_apply(x, 1.0 + 0.0j, 0.7, rng)
         assert y.var() == pytest.approx(0.49, rel=0.02)
 
 
 class TestPilots:
     def test_noiseless_pilot_reveals_h(self):
-        real = channel.ChannelRealization(h=0.3 + 1.2j, noise_std=0.0)
-        y_p = channel.pilot_receive(real, 2, np.random.default_rng(0))
+        y_p = channel.pilot_receive(0.3 + 1.2j, 0.0, 2, np.random.default_rng(0))
         assert y_p.shape == (4,)
         assert np.allclose(y_p, [0.3, 1.2, 0.3, 1.2])
 
     def test_batched_shape(self):
         h = channel.rayleigh_sample(np.random.default_rng(1), 5)
-        real = channel.ChannelRealization(h=h, noise_std=0.1)
-        y_p = channel.pilot_receive(real, 3, np.random.default_rng(2))
+        y_p = channel.pilot_receive(h, 0.1, 3, np.random.default_rng(2))
         assert y_p.shape == (5, 6)
 
     def test_noisy_pilot_centers_on_h(self):
-        real = channel.ChannelRealization(h=-0.5 + 0.25j, noise_std=0.5)
-        y_p = channel.pilot_receive(real, 1, np.random.default_rng(3))
+        y_p = channel.pilot_receive(-0.5 + 0.25j, 0.5, 1, np.random.default_rng(3))
         # single draw says little; average many through the same h
         h_arr = np.full(50_000, -0.5 + 0.25j)
-        real_b = channel.ChannelRealization(h=h_arr, noise_std=0.5)
-        y_b = channel.pilot_receive(real_b, 1, np.random.default_rng(4))
+        y_b = channel.pilot_receive(h_arr, 0.5, 1, np.random.default_rng(4))
         est = channel.iq_to_complex(y_b).mean()
         assert abs(est - (-0.5 + 0.25j)) < 0.01
         assert y_p.shape == (2,)
 
     def test_rejects_zero_pilots(self):
-        real = channel.ChannelRealization(h=1.0 + 0.0j, noise_std=0.1)
         with pytest.raises(ValueError):
-            channel.pilot_receive(real, 0, np.random.default_rng(0))
+            channel.pilot_receive(1.0 + 0.0j, 0.1, 0, np.random.default_rng(0))
 
 
 class TestNoGradient:
@@ -228,12 +220,11 @@ class TestChannelObject:
 
         ref = np.random.default_rng(4)
         h_ref = channel.rayleigh_sample(ref, 6)
-        real = channel.ChannelRealization(h=h_ref, noise_std=0.3)
         assert np.shape(h) == (6,)
         assert self.same(h, h_ref)
-        assert self.same(y, channel.fading_apply(x, real, ref))
-        assert self.same(y_p, channel.pilot_receive(real, 2, ref))
-        assert self.same(y_p2, channel.pilot_receive(real, 2, ref))
+        assert self.same(y, channel.fading_apply(x, h_ref, 0.3, ref))
+        assert self.same(y_p, channel.pilot_receive(h_ref, 0.3, 2, ref))
+        assert self.same(y_p2, channel.pilot_receive(h_ref, 0.3, 2, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_noiseless_pilot_draws_nothing(self):

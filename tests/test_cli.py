@@ -59,6 +59,14 @@ class TestSweepFile:
             cli.load_sweep(str(path))
 
 
+    @pytest.mark.parametrize("grid", [[True, 4], [4, "6"], [None], [[1.0]]])
+    def test_grid_values_must_be_numbers(self, tmp_path, grid):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"ebn0_db": grid}))
+        with pytest.raises(ConfigError, match="ebn0_db"):
+            cli.load_sweep(str(path))
+
+
 class TestParsing:
     def test_version_exits_cleanly(self, capsys):
         assert cli.main(["--version"]) == 0
@@ -210,6 +218,17 @@ class TestBaselineCommand:
         assert not out.exists()
 
 
+    def test_boolean_grid_point_exit_1(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"ebn0_db": [True, 4]}))
+        out = tmp_path / "c.csv"
+        rc = cli.main(["baseline", "--system", "hamming74-mld-awgn", "--sweep",
+                       str(sweep), "--out", str(out)])
+        assert rc == 1
+        assert "ebn0_db" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDumpCommand:
     def test_constellation_csv(self, trained_dir, tmp_path, capsys):
         out = tmp_path / "points.csv"
@@ -230,3 +249,13 @@ class TestDumpCommand:
             rows = list(csv.reader(f))
         sources = {row[1] for row in rows[1:]}
         assert sources == {"condition", "real", "fake"}
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_gan_scatter_samples_below_one_exit_1(self, trained_dir, tmp_path,
+                                                  capsys, samples):
+        out = tmp_path / "scatter.csv"
+        rc = cli.main(["dump", "--checkpoint", str(trained_dir), "--what",
+                       "gan-scatter", "--out", str(out), "--samples", samples])
+        assert rc == 1
+        assert "samples" in capsys.readouterr().err
+        assert not out.exists()

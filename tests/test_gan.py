@@ -5,7 +5,7 @@ import pytest
 
 from gancomm import gan, nn
 from gancomm.config import ConfigError
-from helpers import central_difference, discriminate, float64_copy, relative_error
+from helpers import central_difference, float64_copy, relative_error
 
 LN2 = float(np.log(2.0))
 
@@ -55,7 +55,7 @@ class TestSampling:
     def test_generate_shape(self):
         g, _ = small_gan()
         rng = np.random.default_rng(2)
-        fake = gan.generate(g, gan.sample_z(rng, 5, 3), rng.normal(size=(5, 4)))
+        fake, _ = gan.generate(g, gan.sample_z(rng, 5, 3), rng.normal(size=(5, 4)))
         assert fake.shape == (5, 4)
 
     def test_generate_checks_conditioning_shape(self):
@@ -68,14 +68,15 @@ class TestSampling:
         g, _ = small_gan(seed=4)
         rng = np.random.default_rng(5)
         m = rng.normal(size=(6, 4))
-        a = gan.generate(g, gan.sample_z(rng, 6, 3), m)
-        b = gan.generate(g, gan.sample_z(rng, 6, 3), m)
+        a, _ = gan.generate(g, gan.sample_z(rng, 6, 3), m)
+        b, _ = gan.generate(g, gan.sample_z(rng, 6, 3), m)
         assert np.abs(a - b).max() > 1e-4
 
     def test_discriminate_shape(self):
         _, d = small_gan()
         rng = np.random.default_rng(6)
-        logits = discriminate(d, rng.normal(size=(5, 4)), rng.normal(size=(5, 4)))
+        logits, _ = gan.discriminate(d, rng.normal(size=(5, 4)),
+                                     rng.normal(size=(5, 4)))
         assert logits.shape == (5, 1)
 
 
@@ -114,7 +115,7 @@ class TestDiscriminatorLoss:
         rng = np.random.default_rng(12)
         m = rng.normal(size=(6, 4))
         real = rng.normal(size=(6, 4))
-        fake = gan.generate(g, gan.sample_z(rng, 6, 3), m)
+        fake, _ = gan.generate(g, gan.sample_z(rng, 6, 3), m)
 
         _, grads, _ = gan.d_loss(d, real, fake, m, real_target=0.9)
         flat = d.net.flat_params()
@@ -203,12 +204,12 @@ class TestGeneratorLoss:
         z = gan.sample_z(rng, 5, 3)
         m = rng.normal(size=(5, 4))
 
-        fake, tape = gan.generate_with_tape(g, z, m)
+        fake, tape = gan.generate(g, z, m)
         _, input_grad = nn.backward(g.net, tape, fake)
         analytic = input_grad[:, g.z_dim :]
 
         def at(m_flat):
-            out = gan.generate(g, z, m_flat.reshape(5, 4))
+            out, _ = gan.generate(g, z, m_flat.reshape(5, 4))
             return 0.5 * float((out**2).sum())
 
         idx = np.arange(20)

@@ -15,6 +15,7 @@ from helpers import (
     param_checksum,
     reference_adam_step,
     reference_ema_update,
+    reference_forward_backward,
     relative_error,
 )
 
@@ -155,43 +156,44 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def fresh_pass(net, x, upstream, **flags):
-    """Forward and backward with fresh arrays; copies of everything returned."""
-    out, tape = nn.forward(net, x)
-    out = out.copy()
-    grads, input_grad = nn.backward(net, tape, upstream, **flags)
-    return out, grads, input_grad
-
-
-def same_gradients(a, b):
-    return all(same_bytes(x, y) for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+def same_gradients(grads, weights, biases):
+    return all(same_bytes(x, y) for x, y in
+               zip(grads.weights + grads.biases, [*weights, *biases], strict=True))
 
 
 net_shapes = st.lists(st.integers(1, 9), min_size=2, max_size=5)
 
 
 class TestTapeReuse:
-    @given(dims=net_shapes, batch=st.integers(1, 12),
+    @given(dims=st.lists(net_shapes, min_size=2, max_size=2),
+           passes=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 12)),
+                           min_size=2, max_size=4),
            hidden=st.sampled_from(nn.ACTIVATIONS), output=st.sampled_from(nn.ACTIVATIONS),
            seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_reused_tape_matches_fresh_arrays_bit_for_bit(
-        self, dims, batch, hidden, output, seed
+        self, dims, passes, hidden, output, seed
     ):
+        # one tape through a run of passes, each on either of two nets (one
+        # float32, one float64) at its own batch size: every pass writes
+        # over, or replaces, the last one's arrays
         rng = np.random.default_rng(seed)
-        net = nn.DenseNet.create(dims, rng, hidden_activation=hidden,
-                                 output_activation=output)
+        nets = [nn.DenseNet.create(d, rng, hidden_activation=hidden,
+                                   output_activation=output) for d in dims]
+        nets[1] = float64_copy(nets[1])
         tape = nn.Tape()
-        # the second pass writes new input over the first pass's arrays
-        for _ in range(2):
-            x = rng.normal(size=(batch, dims[0]))
-            upstream = rng.normal(size=(batch, dims[-1]))
-            want_out, want_grads, want_input = fresh_pass(net, x, upstream)
+        for which, batch in passes:
+            net = nets[which]
+            x = rng.normal(size=(batch, net.input_dim))
+            upstream = rng.normal(size=(batch, net.output_dim))
+            want_out, want_w, want_b, want_input = reference_forward_backward(
+                net, x, upstream)
             out, same = nn.forward(net, x, tape)
-            assert same is tape and tape.reused
+            assert same is tape and tape.batch_size == batch
             assert same_bytes(out, want_out)
             grads, input_grad = nn.backward(net, tape, upstream)
-            assert grads is tape.grads and same_gradients(grads, want_grads)
+            assert grads is tape.grads and same_gradients(grads, want_w, want_b)
+            assert input_grad is tape.input_grads[net.input_dim]
             assert same_bytes(input_grad, want_input)
 
     @given(dims=net_shapes, batch=st.integers(1, 12),
@@ -202,15 +204,13 @@ class TestTapeReuse:
         net = nn.DenseNet.create(dims, rng, hidden_activation=hidden)
         x = rng.normal(size=(batch, dims[0]))
         upstream = rng.normal(size=(batch, dims[-1]))
-        _, _, want = fresh_pass(net, x, upstream)
-        _, grads, fresh = fresh_pass(net, x, upstream, params=False)
-        assert grads is None and same_bytes(fresh, want)
+        *_, want = reference_forward_backward(net, x, upstream)
         tape = nn.Tape()
         for _ in range(2):
             nn.forward(net, x, tape)
-            grads, reused = nn.backward(net, tape, upstream, params=False)
+            grads, input_grad = nn.backward(net, tape, upstream, params=False)
             assert grads is None and tape.grads is None
-            assert same_bytes(reused, want)
+            assert same_bytes(input_grad, want)
 
     @given(dims=net_shapes, batch=st.integers(1, 12),
            hidden=st.sampled_from(nn.ACTIVATIONS), seed=st.integers(0, 2**16))
@@ -220,35 +220,23 @@ class TestTapeReuse:
         net = nn.DenseNet.create(dims, rng, hidden_activation=hidden)
         x = rng.normal(size=(batch, dims[0]))
         upstream = rng.normal(size=(batch, dims[-1]))
-        _, want, _ = fresh_pass(net, x, upstream)
-        _, fresh, no_input = fresh_pass(net, x, upstream, inputs=False)
-        assert no_input is None and same_gradients(fresh, want)
+        _, want_w, want_b, _ = reference_forward_backward(net, x, upstream)
         tape = nn.Tape()
         for _ in range(2):
             nn.forward(net, x, tape)
-            reused, no_input = nn.backward(net, tape, upstream, inputs=False)
-            assert no_input is None and same_gradients(reused, want)
+            grads, no_input = nn.backward(net, tape, upstream, inputs=False)
+            assert no_input is None and same_gradients(grads, want_w, want_b)
 
     def test_a_tape_made_by_forward_can_be_handed_back(self):
         rng = np.random.default_rng(15)
         net = nn.DenseNet.create((3, 5, 2), rng)
         x1, x2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         first, tape = nn.forward(net, x1)
-        assert not tape.reused
-        want, _ = nn.forward(net, x2)
+        want, other = nn.forward(net, x2)
+        # a pass given no tape shares no array with another pass
+        assert other is not tape and not np.shares_memory(want, first)
         out, same = nn.forward(net, x2, tape)
         assert same is tape and out is first and same_bytes(out, want)
-
-    def test_fresh_tape_backward_leaves_the_tape_alone(self):
-        rng = np.random.default_rng(16)
-        net = nn.DenseNet.create((3, 5, 2), rng)
-        out, tape = nn.forward(net, rng.normal(size=(4, 3)))
-        kept = [a.copy() for a in tape.acts]
-        g1, in1 = nn.backward(net, tape, np.ones_like(out))
-        g2, in2 = nn.backward(net, tape, np.ones_like(out))
-        assert all(same_bytes(a, b) for a, b in zip(tape.acts, kept))
-        assert g1.weights[0] is not g2.weights[0] and in1 is not in2
-        assert same_bytes(g1.flat, g2.flat)
 
     def test_another_batch_size_reallocates_the_tape(self):
         rng = np.random.default_rng(17)
