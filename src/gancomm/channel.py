@@ -34,6 +34,13 @@ def complex_to_iq(symbols: np.ndarray) -> np.ndarray:
     return out
 
 
+# The widest Eb/N0, in dB either side of 0, that configs and sweeps accept.
+# 10^(300/10) = 1e30 keeps N0 and the noise std far inside the float64
+# range for any rate k/n; a few thousand dB overflows 10^(ebn0/10) or
+# rounds it to 0.
+EBN0_DB_LIMIT = 300.0
+
+
 @dataclass(frozen=True)
 class SnrSpec:
     """An Eb/N0 operating point for a rate k/n block code."""
@@ -45,8 +52,8 @@ class SnrSpec:
     def __post_init__(self) -> None:
         if self.k < 1 or self.n < 1:
             raise ValueError("k and n must be >= 1")
-        if not np.isfinite(self.ebn0_db):
-            raise ValueError("ebn0_db must be finite")
+        if not abs(self.ebn0_db) <= EBN0_DB_LIMIT:
+            raise ValueError(f"ebn0_db must lie within +-{EBN0_DB_LIMIT:g} dB")
 
 
 def noise_std_from_snr(spec: SnrSpec) -> float:
@@ -146,7 +153,9 @@ class Channel:
     def pilots(self, state, noise_std: float,
                rng: np.random.Generator) -> np.ndarray | None:
         """Received pilots under state, or None without pilots."""
-        raise NotImplementedError
+        if self.n_pilot == 0:
+            return None
+        return pilot_receive(state, noise_std, self.n_pilot, rng)
 
     def observe(self, x: np.ndarray, state, noise_std: float,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
@@ -166,14 +175,11 @@ class AwgnChannel(Channel):
     def apply(self, x, state, noise_std, rng):
         return awgn_apply(x, noise_std, rng)
 
-    def pilots(self, state, noise_std, rng):
-        return None
-
 
 class RayleighChannel(Channel):
     """Rayleigh block fading: one h ~ CN(0, 1) per block, shared by the
-    block and its n_pilot all-ones pilot uses. The state is h, a scalar or
-    one coefficient per block."""
+    block and its n_pilot all-ones pilot uses (none when n_pilot is 0).
+    The state is h, a scalar or one coefficient per block."""
 
     def __init__(self, n_pilot: int = 1):
         self.n_pilot = n_pilot
@@ -183,9 +189,6 @@ class RayleighChannel(Channel):
 
     def apply(self, x, state, noise_std, rng):
         return fading_apply(x, state, noise_std, rng)
-
-    def pilots(self, state, noise_std, rng):
-        return pilot_receive(state, noise_std, self.n_pilot, rng)
 
 
 def make_channel(kind: str, n_pilot: int = 1) -> Channel:

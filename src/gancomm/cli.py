@@ -102,15 +102,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _maybe_svg(points, svg_path: str | None, label: str) -> None:
-    if svg_path is None:
-        return
-    xs = [p.ebn0_db for p in points]
-    ys = [p.bler for p in points]
-    line_chart(
-        svg_path, [(label, xs, ys)],
-        title="Block error rate", xlabel="Eb/N0 (dB)", ylabel="BLER", log_y=True,
-    )
+def _write_sweep(points, args: argparse.Namespace, label: str) -> int:
+    """The sweep's CSV, its optional chart, and one stdout line per point."""
+    evaluate.bler_to_csv(points, args.out)
+    if args.svg is not None:
+        line_chart(
+            args.svg, [(label, [p.ebn0_db for p in points], [p.bler for p in points])],
+            title="Block error rate", xlabel="Eb/N0 (dB)", ylabel="BLER", log_y=True,
+        )
+    for p in points:
+        print(f"ebn0_db={p.ebn0_db:g} bler={p.bler:.3e} trials={p.trials} "
+              f"errors={p.errors}")
+    return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -119,12 +122,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     points = evaluate.bler_sweep_learned(
         tx, rx, cfg, spec, seed=args.seed, workers=args.workers
     )
-    evaluate.bler_to_csv(points, args.out)
-    _maybe_svg(points, args.svg, f"learned ({cfg.channel})")
-    for p in points:
-        print(f"ebn0_db={p.ebn0_db:g} bler={p.bler:.3e} trials={p.trials} "
-              f"errors={p.errors}")
-    return 0
+    return _write_sweep(points, args, f"learned ({cfg.channel})")
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
@@ -133,12 +131,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         args.system, spec, seed=args.seed, workers=args.workers,
         n_pilot=args.n_pilot,
     )
-    evaluate.bler_to_csv(points, args.out)
-    _maybe_svg(points, args.svg, args.system)
-    for p in points:
-        print(f"ebn0_db={p.ebn0_db:g} bler={p.bler:.3e} trials={p.trials} "
-              f"errors={p.errors}")
-    return 0
+    return _write_sweep(points, args, args.system)
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:

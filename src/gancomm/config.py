@@ -10,11 +10,12 @@ a default.
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import asdict, dataclass, fields
 
-from .channel import Channel, SnrSpec, make_channel
+from .channel import EBN0_DB_LIMIT, Channel, SnrSpec, make_channel
 
 CHANNELS = ("awgn", "rayleigh")
 
@@ -106,10 +107,9 @@ class TrainConfig:
         )
         require(self.d_updates >= 1, "d_updates", "must be >= 1")
         require(
-            float(self.train_ebn0_db) == float(self.train_ebn0_db)
-            and abs(float(self.train_ebn0_db)) < 1e6,
+            abs(float(self.train_ebn0_db)) <= EBN0_DB_LIMIT,
             "train_ebn0_db",
-            "must be a finite dB value",
+            f"must lie within +-{EBN0_DB_LIMIT:g} dB",
         )
 
     @property
@@ -147,7 +147,7 @@ class TrainConfig:
             value = data[f.name]
             try:
                 kwargs[f.name] = _coerce(_FIELD_TYPES[f.name], value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{f.name}: {exc}") from None
         return cls(**kwargs)
 
@@ -167,6 +167,8 @@ def _coerce(hint, value):
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"expected a number, got {value!r}")
+        if not math.isfinite(float(value)):
+            raise ValueError(f"expected a finite number, got {value!r}")
         return float(value)
     if hint is str:
         if not isinstance(value, str):

@@ -1,5 +1,12 @@
 """Block-error-rate sweeps and GAN fidelity measurement.
 
+Every BLER system, learned or classical, is a codebook, a channel object
+and a decision rule, and one trial loop drives them all: draw messages,
+the channel state, then what the receiver observes of the codebook rows,
+and count the decisions that miss. The Hamming(7,4) baseline runs on the
+AWGN channel object, and the 16-QAM baselines on the Rayleigh one: with
+n_pilot pilots for LS estimation, and with no pilots for perfect CSI.
+
 Sweeps draw trials in fixed-size shards, each with its own named RNG
 substream keyed by (seed, system label, point index, shard index). Shards
 are merged in index order and the early-stop rule is applied shard by
@@ -43,11 +50,13 @@ class SweepSpec:
     target_errors: int = 200
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ebn0_db", tuple(float(v) for v in self.ebn0_db))
         if len(self.ebn0_db) == 0:
             raise ConfigError("ebn0_db: must list at least one point")
-        if not all(math.isfinite(v) for v in self.ebn0_db):
-            raise ConfigError("ebn0_db: values must be finite")
+        # bounded before the float conversion, which overflows on huge ints
+        if not all(abs(v) <= channel.EBN0_DB_LIMIT for v in self.ebn0_db):
+            raise ConfigError(
+                f"ebn0_db: values must lie within +-{channel.EBN0_DB_LIMIT:g} dB")
+        object.__setattr__(self, "ebn0_db", tuple(float(v) for v in self.ebn0_db))
         if self.min_trials < 1:
             raise ConfigError("min_trials: must be >= 1")
         if self.max_trials < self.min_trials:
@@ -112,9 +121,29 @@ def _run_point(trial_fn, ebn0_db, spec, seed, label, point_index, workers):
     return BlerPoint.from_counts(ebn0_db, trials, errors)
 
 
-def _check_workers(workers: int) -> None:
+def _sweep(codebook, model, decide, k, n, spec, seed, label, workers):
+    """BLER points of one system. Each trial draws a message, the channel
+    state, then what the receiver observes of the message's codebook row;
+    decide(y, y_pilot, state) returns the decided message indices. Eb/N0
+    counts k information bits over n complex channel uses."""
     if workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
+    points = []
+    for i, ebn0 in enumerate(spec.ebn0_db):
+        std = channel.noise_std_from_snr(channel.SnrSpec(ebn0, k, n))
+
+        def trial_fn(n_trials: int, rng: np.random.Generator) -> int:
+            messages = rng.integers(0, len(codebook), size=n_trials)
+            state = model.draw_state(rng, n_trials)
+            # np.take gathers rows of a narrow 2-D array several times
+            # faster than fancy indexing; no name holds the blocks, so they
+            # are freed before decide allocates
+            y, y_pilot = model.observe(np.take(codebook, messages, axis=0), state,
+                                       std, rng)
+            return int(np.sum(decide(y, y_pilot, state) != messages))
+
+        points.append(_run_point(trial_fn, ebn0, spec, seed, label, i, workers))
+    return points
 
 
 def bler_sweep_learned(
@@ -127,7 +156,6 @@ def bler_sweep_learned(
 ) -> list[BlerPoint]:
     """Monte-Carlo BLER of a trained transmitter/receiver pair on the real
     channel the config names."""
-    _check_workers(workers)
     if tx.n != cfg.n or tx.m_count != cfg.M:
         raise ConfigError("transmitter dimensions do not match the config")
     model = cfg.make_channel()
@@ -135,21 +163,10 @@ def bler_sweep_learned(
         raise ConfigError("receiver dimensions do not match the config")
     if seed is None:
         seed = cfg.seed
-    label = f"learned-{cfg.channel}"
     # the transmitter is deterministic, so its M blocks serve every trial
     codebook = tx.encode_messages(np.arange(cfg.M))
-    points = []
-    for i, ebn0 in enumerate(spec.ebn0_db):
-        std = channel.noise_std_from_snr(channel.SnrSpec(ebn0, cfg.k, cfg.n))
-
-        def trial_fn(n_trials: int, rng: np.random.Generator) -> int:
-            messages = rng.integers(0, cfg.M, size=n_trials)
-            state = model.draw_state(rng, n_trials)
-            y, y_pilot = model.observe(codebook[messages], state, std, rng)
-            return int(np.sum(rx.decode(y, y_pilot) != messages))
-
-        points.append(_run_point(trial_fn, ebn0, spec, seed, label, i, workers))
-    return points
+    return _sweep(codebook, model, lambda y, y_pilot, state: rx.decode(y, y_pilot),
+                  cfg.k, cfg.n, spec, seed, f"learned-{cfg.channel}", workers)
 
 
 def bler_sweep_baseline(
@@ -166,59 +183,31 @@ def bler_sweep_baseline(
         )
     if n_pilot < 1:
         raise ConfigError("n_pilot: must be >= 1")
-    _check_workers(workers)
-    points = []
-    for i, ebn0 in enumerate(spec.ebn0_db):
-        trial_fn = _baseline_trial_fn(system, ebn0, n_pilot)
-        points.append(_run_point(trial_fn, ebn0, spec, seed, system, i, workers))
-    return points
-
-
-def _baseline_trial_fn(system: str, ebn0_db: float, n_pilot: int):
     if system == "hamming74-mld-awgn":
-        # 4 bits over 7 BPSK uses; the quadrature noise never enters the
-        # decision metric, so only the in-phase component is drawn
-        std = channel.noise_std_from_snr(channel.SnrSpec(ebn0_db, k=4, n=7))
-        bpsk = baseline.hamming74_bpsk_codebook()
+        # 4 bits over 7 BPSK uses; a BPSK use carries one real, so the
+        # codebook is 7 reals wide and only in-phase noise is drawn
+        return _sweep(baseline.hamming74_bpsk_codebook(), channel.make_channel("awgn"),
+                      lambda y, y_pilot, state: baseline.hamming74_mld_decode(y),
+                      4, 7, spec, seed, system, workers)
+    # uncoded 16-QAM, one complex use carrying 4 bits; perfect CSI is
+    # fading without pilots
+    model = channel.make_channel(
+        "rayleigh", 0 if system == "qam16-rayleigh-perfect-csi" else n_pilot)
+    codebook = channel.complex_to_iq(baseline.qam16_constellation()[:, None])
+    return _sweep(codebook, model, _qam16_decide, 4, 1, spec, seed, system, workers)
 
-        def trial_fn(n_trials: int, rng: np.random.Generator) -> int:
-            messages = rng.integers(0, 16, size=n_trials)
-            y = bpsk[messages] + rng.normal(0.0, std, size=(n_trials, 7))
-            decided = baseline.hamming74_mld_decode(y)
-            return int(np.sum(decided != messages))
 
-        return trial_fn
-
-    # uncoded 16-QAM, one complex use carrying 4 bits
-    std = channel.noise_std_from_snr(channel.SnrSpec(ebn0_db, k=4, n=1))
-    perfect = system == "qam16-rayleigh-perfect-csi"
-
-    def trial_fn(n_trials: int, rng: np.random.Generator) -> int:
-        messages = rng.integers(0, 16, size=n_trials)
-        x = baseline.qam16_modulate(messages)
-        h = channel.rayleigh_sample(rng, n_trials)
-        noise = std * (
-            rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials)
-        )
-        y = h * x + noise
-        if perfect:
-            h_est = h
-        else:
-            pilot_noise = std * (
-                rng.standard_normal((n_trials, n_pilot))
-                + 1j * rng.standard_normal((n_trials, n_pilot))
-            )
-            h_est = baseline.ls_estimate(h[:, None] + pilot_noise)
-        errors = 0
-        usable = h_est != 0
-        if not np.all(usable):
-            # an exactly-zero estimate cannot be equalized; count the block
-            errors += int(np.sum(~usable))
-        decided = baseline.qam16_demod_coherent(y[usable], h_est[usable])
-        errors += int(np.sum(decided != messages[usable]))
-        return errors
-
-    return trial_fn
+def _qam16_decide(y, y_pilot, h):
+    """Equalize by the LS estimate of the received pilots, or by the true h
+    on a channel without pilots, then take the nearest 16-QAM point. An
+    exactly-zero estimate cannot be equalized; its block decides -1, an
+    error."""
+    h_est = h if y_pilot is None else baseline.ls_estimate(channel.iq_to_complex(y_pilot))
+    usable = h_est != 0
+    decided = np.full(h_est.shape, -1)
+    decided[usable] = baseline.qam16_demod_coherent(
+        channel.iq_to_complex(y)[:, 0][usable], h_est[usable])
+    return decided
 
 
 def bler_to_csv(points: list[BlerPoint], path: str) -> None:

@@ -227,6 +227,21 @@ class TestChannelObject:
         assert self.same(y_p2, channel.pilot_receive(h_ref, 0.3, 2, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    def test_fading_without_pilots_draws_h_and_block_noise_only(self):
+        x = np.random.default_rng(5).normal(size=(6, 4))
+        model = channel.make_channel("rayleigh", n_pilot=0)
+        rng = np.random.default_rng(6)
+        h = model.draw_state(rng, 6)
+        y, y_p = model.observe(x, h, 0.3, rng)
+
+        ref = np.random.default_rng(6)
+        h_ref = channel.rayleigh_sample(ref, 6)
+        assert y_p is None
+        assert self.same(h, h_ref)
+        assert self.same(y, channel.fading_apply(x, h_ref, 0.3, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert model.cond_dim(2) == 4
+
     def test_noiseless_pilot_draws_nothing(self):
         model = channel.make_channel("rayleigh", n_pilot=2)
         pilot = model.pilots(0.6 - 0.8j, 0.0, None)

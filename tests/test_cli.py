@@ -8,6 +8,7 @@ import pytest
 
 from gancomm import cli
 from gancomm.config import ConfigError
+from gancomm.evaluate import BASELINE_SYSTEMS
 
 TINY = {
     "k": 2, "n": 2, "batch_size": 16, "outer_iterations": 2, "rx_steps": 2,
@@ -135,6 +136,23 @@ class TestTrainCommand:
         assert rc == 1
         assert captured.err.startswith("error: k:")
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"train_ebn0_db": 5000}', "train_ebn0_db"),
+        ('{"train_ebn0_db": -4000}', "train_ebn0_db"),
+        ('{"lr_gan": Infinity}', "lr_gan"),
+        ('{"lr_disc": 1' + '0' * 400 + '}', "lr_disc"),
+    ], ids=["5000dB", "-4000dB", "infinity", "huge-int"])
+    def test_unrepresentable_number_fails_before_the_run_starts(
+            self, tmp_path, capsys, text, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", str(cfg_path), "--out", str(out),
+                       "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_sweep_csv_and_stdout(self, trained_dir, tmp_path, capsys):
@@ -226,6 +244,19 @@ class TestBaselineCommand:
                        str(sweep), "--out", str(out)])
         assert rc == 1
         assert "ebn0_db" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["[4000]", "[-4000]", "[2, 1" + "0" * 400 + "]"],
+                             ids=["4000dB", "-4000dB", "huge-int"])
+    @pytest.mark.parametrize("system", BASELINE_SYSTEMS)
+    def test_unrepresentable_grid_point_exit_1(self, tmp_path, capsys, grid, system):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text('{"ebn0_db": %s}' % grid)
+        out = tmp_path / "d.csv"
+        rc = cli.main(["baseline", "--system", system, "--sweep", str(sweep),
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ebn0_db:")
         assert not out.exists()
 
 

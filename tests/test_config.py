@@ -69,6 +69,8 @@ class TestValidation:
             {"label_smoothing": 0.5},
             {"d_updates": 0},
             {"train_ebn0_db": float("nan")},
+            {"train_ebn0_db": 5000.0},
+            {"train_ebn0_db": -300.5},
         ],
     )
     def test_out_of_range_values_rejected(self, kwargs):
@@ -106,6 +108,10 @@ class TestDictRoundTrip:
     def test_string_where_number_expected(self):
         with pytest.raises(ConfigError, match="lr_gan"):
             TrainConfig.from_dict({"lr_gan": "fast"})
+
+    def test_infinite_float_names_the_key(self):
+        with pytest.raises(ConfigError, match="lr_gan"):
+            TrainConfig.from_dict({"lr_gan": float("inf")})
 
     def test_hidden_must_be_integer_list(self):
         with pytest.raises(ConfigError, match="rx_hidden"):

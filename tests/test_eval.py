@@ -32,6 +32,16 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             evaluate.SweepSpec(ebn0_db=(0.0, float("inf")))
 
+    @pytest.mark.parametrize("point", [float("nan"), 300.5, -4000, 10**400],
+                             ids=["nan", "300.5", "-4000", "huge-int"])
+    def test_rejects_points_the_noise_model_cannot_represent(self, point):
+        with pytest.raises(ConfigError, match="ebn0_db"):
+            evaluate.SweepSpec(ebn0_db=(0.0, point))
+
+    @pytest.mark.parametrize("point", [300, -300.0])
+    def test_accepts_points_at_the_bound(self, point):
+        assert evaluate.SweepSpec(ebn0_db=(point,)).ebn0_db == (float(point),)
+
 
 class TestBlerPoint:
     def test_frozen_ci_halfwidth(self):
@@ -122,32 +132,79 @@ def small_system(seed=0):
     return cfg, tx, rx
 
 
-def reference_sweep(tx, rx, cfg, spec, seed):
-    """The learned sweep trial by trial: one-hot encode each message, take
-    the receiver's logits, softmax, argmax. Shards, substreams, the draw
-    order (messages, h, block noise, pilot noise) and the stop rule are
-    those of evaluate.bler_sweep_learned."""
-    model = cfg.make_channel()
+def reference_sweep(label, shard_errors, spec, seed):
+    """A sweep point by point: the shards, substreams and stop rule of
+    evaluate's sweeps, with shard_errors(ebn0_db, n_trials, rng) counting
+    the errors of one shard trial by trial."""
     points = []
     for i, ebn0 in enumerate(spec.ebn0_db):
-        std = channel.noise_std_from_snr(channel.SnrSpec(ebn0, cfg.k, cfg.n))
         trials = errors = 0
         for j in range(math.ceil(spec.max_trials / evaluate.SHARD_TRIALS)):
             size = min(evaluate.SHARD_TRIALS, spec.max_trials - j * evaluate.SHARD_TRIALS)
-            rng = substream(seed, "eval", f"learned-{cfg.channel}", i, j)
-            messages = rng.integers(0, cfg.M, size=size)
-            onehots = [transceiver.to_onehot(messages[t:t + 1], cfg.M) for t in range(size)]
-            x = np.concatenate([tx.encode(onehot)[0] for onehot in onehots])
-            y, y_pilot = model.observe(x, model.draw_state(rng, size), std, rng)
-            for t in range(size):
-                pilot = None if y_pilot is None else y_pilot[t:t + 1]
-                logits, _ = rx.forward_logits(y[t:t + 1], pilot)
-                errors += int(np.argmax(nn.softmax(logits)[0]) != messages[t])
+            errors += shard_errors(ebn0, size, substream(seed, "eval", label, i, j))
             trials += size
             if trials >= spec.min_trials and errors >= spec.target_errors:
                 break
         points.append(evaluate.BlerPoint.from_counts(ebn0, trials, errors))
     return points
+
+
+def learned_shard(tx, rx, cfg):
+    """One-hot encode each message, take the receiver's logits, softmax,
+    argmax. Draw order: messages, h, block noise, pilot noise."""
+    model = cfg.make_channel()
+
+    def shard_errors(ebn0, size, rng):
+        std = channel.noise_std_from_snr(channel.SnrSpec(ebn0, cfg.k, cfg.n))
+        messages = rng.integers(0, cfg.M, size=size)
+        onehots = [transceiver.to_onehot(messages[t:t + 1], cfg.M) for t in range(size)]
+        x = np.concatenate([tx.encode(onehot)[0] for onehot in onehots])
+        y, y_pilot = model.observe(x, model.draw_state(rng, size), std, rng)
+        errors = 0
+        for t in range(size):
+            pilot = None if y_pilot is None else y_pilot[t:t + 1]
+            logits, _ = rx.forward_logits(y[t:t + 1], pilot)
+            errors += int(np.argmax(nn.softmax(logits)[0]) != messages[t])
+        return errors
+
+    return shard_errors
+
+
+def hamming_shard(ebn0, size, rng):
+    """Encode each message's bits, BPSK over AWGN (in-phase noise only, 4
+    bits over 7 uses), MLD one block at a time."""
+    std = channel.noise_std_from_snr(channel.SnrSpec(ebn0, 4, 7))
+    messages = rng.integers(0, 16, size=size)
+    bits = baseline.message_to_bits(messages, 4)
+    y = channel.awgn_apply(baseline.bpsk_modulate(baseline.hamming74_encode(bits)),
+                           std, rng)
+    return sum(int(baseline.hamming74_mld_decode(y[t:t + 1])[0] != messages[t])
+               for t in range(size))
+
+
+def qam16_shard(n_pilot):
+    """16-QAM over Rayleigh fading, one complex use carrying 4 bits. Draw
+    order: messages, h, block noise, pilot noise. With n_pilot 0 the
+    receiver equalizes by the true h, otherwise by the LS estimate of the
+    received pilots; an exactly-zero estimate is an error."""
+
+    def shard_errors(ebn0, size, rng):
+        std = channel.noise_std_from_snr(channel.SnrSpec(ebn0, 4, 1))
+        messages = rng.integers(0, 16, size=size)
+        x = channel.complex_to_iq(baseline.qam16_modulate(messages)[:, None])
+        h = channel.rayleigh_sample(rng, size)
+        y = channel.iq_to_complex(channel.fading_apply(x, h, std, rng))[:, 0]
+        h_est = h
+        if n_pilot:
+            pilots = channel.pilot_receive(h, std, n_pilot, rng)
+            h_est = baseline.ls_estimate(channel.iq_to_complex(pilots))
+        return sum(
+            int(h_est[t] == 0
+                or baseline.qam16_demod_coherent(y[t], h_est[t]) != messages[t])
+            for t in range(size)
+        )
+
+    return shard_errors
 
 
 class TestLearnedSweep:
@@ -162,7 +219,8 @@ class TestLearnedSweep:
                                          n_pilot=cfg.make_channel().n_pilot)
         spec = evaluate.SweepSpec(ebn0_db=(0.0, 8.0), min_trials=250, max_trials=950,
                                   target_errors=300)
-        expected = reference_sweep(tx, rx, cfg, spec, seed=13)
+        expected = reference_sweep(f"learned-{kind}", learned_shard(tx, rx, cfg),
+                                   spec, seed=13)
         for workers in (1, 3):
             assert evaluate.bler_sweep_learned(
                 tx, rx, cfg, spec, seed=13, workers=workers) == expected
@@ -217,6 +275,35 @@ class TestLearnedSweep:
 
 
 class TestBaselineSweeps:
+    @pytest.mark.parametrize("system, shard_errors", [
+        ("hamming74-mld-awgn", hamming_shard),
+        ("qam16-rayleigh-perfect-csi", qam16_shard(0)),
+        ("qam16-rayleigh-ls", qam16_shard(2)),
+    ])
+    def test_matches_the_trial_by_trial_reference(self, system, shard_errors,
+                                                  monkeypatch):
+        # short shards, so a point spans several and three workers run waves
+        monkeypatch.setattr(evaluate, "SHARD_TRIALS", 100)
+        spec = evaluate.SweepSpec(ebn0_db=(0.0, 8.0), min_trials=250, max_trials=950,
+                                  target_errors=60)
+        expected = reference_sweep(system, shard_errors, spec, seed=13)
+        for workers in (1, 3):
+            assert evaluate.bler_sweep_baseline(
+                system, spec, seed=13, workers=workers, n_pilot=2) == expected
+
+    @pytest.mark.parametrize("system", ["qam16-rayleigh-perfect-csi",
+                                        "qam16-rayleigh-ls"])
+    def test_zero_channel_estimate_counts_as_an_error(self, system, monkeypatch):
+        # h = 0 for perfect CSI, a zero LS estimate for LS: no block can be
+        # equalized, so every one is an error and nothing raises
+        monkeypatch.setattr(channel, "rayleigh_sample",
+                            lambda rng, size: np.zeros(size, dtype=np.complex128))
+        monkeypatch.setattr(baseline, "ls_estimate",
+                            lambda y_pilot: np.zeros(len(y_pilot), dtype=np.complex128))
+        spec = evaluate.SweepSpec(ebn0_db=(10.0,), min_trials=100, max_trials=500)
+        (pt,) = evaluate.bler_sweep_baseline(system, spec, seed=3)
+        assert (pt.trials, pt.errors) == (500, 500)
+
     def test_unknown_system_rejected(self):
         with pytest.raises(ConfigError, match="unknown baseline"):
             evaluate.bler_sweep_baseline("turbo", evaluate.SweepSpec(ebn0_db=(0.0,)))
