@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from . import gan, nn, transceiver
-from .config import ConfigError, TrainConfig
+from .config import ConfigError, TrainConfig, load_config, read_json
 
 CHECKPOINT_FILES = ("transmitter.json", "receiver.json", "generator.json",
                     "discriminator.json")
@@ -53,20 +53,21 @@ def net_from_dict(data: dict) -> nn.DenseNet:
 
 
 def save_net(net: nn.DenseNet, path: str) -> None:
-    _atomic_json(net_to_dict(net), path)
+    write_json(net_to_dict(net), path)
 
 
 def load_net(path: str) -> nn.DenseNet:
     """Read a net; a NaN or Inf parameter (the JSON of a diverged run that
     was flushed on abort) is rejected rather than evaluated."""
-    with open(path) as f:
-        net = net_from_dict(json.load(f))
+    net = net_from_dict(read_json(path, "checkpoint file"))
     if not np.isfinite(net.params).all():
         raise ConfigError(f"checkpoint file {path} holds non-finite parameters")
     return net
 
 
-def _atomic_json(data: dict, path: str) -> None:
+def write_json(data: dict, path: str) -> None:
+    """Write data as compact, key-sorted JSON; a reader never sees a
+    partly written file, because it is renamed into place when complete."""
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(data, f, sort_keys=True, separators=(",", ":"))
@@ -84,7 +85,7 @@ def save_system(
 ) -> None:
     """Write the four nets plus the config into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_json(cfg.to_dict(), os.path.join(out_dir, "config.json"))
+    write_json(cfg.to_dict(), os.path.join(out_dir, "config.json"))
     for name, net in (
         ("transmitter.json", tx.net),
         ("receiver.json", rx.net),
@@ -100,24 +101,8 @@ def load_system(
            gan.Generator, gan.Discriminator]:
     """Load config plus the four nets, checking dimensions against the
     config so a checkpoint cannot be silently run with the wrong k/n."""
-    cfg_path = os.path.join(ckpt_dir, "config.json")
-    try:
-        with open(cfg_path) as f:
-            cfg = TrainConfig.from_dict(json.load(f))
-    except OSError as exc:
-        raise ConfigError(f"cannot read checkpoint config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed checkpoint config: {exc}") from None
-
-    nets = {}
-    for name in CHECKPOINT_FILES:
-        path = os.path.join(ckpt_dir, name)
-        try:
-            nets[name] = load_net(path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read checkpoint file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed checkpoint file {name}: {exc}") from None
+    cfg = load_config(os.path.join(ckpt_dir, "config.json"))
+    nets = {name: load_net(os.path.join(ckpt_dir, name)) for name in CHECKPOINT_FILES}
 
     model = cfg.make_channel()
     cond_dim = model.cond_dim(cfg.n)

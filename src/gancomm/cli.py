@@ -9,49 +9,23 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import __version__, channel, checkpoint, evaluate, nn, train
-from .config import ConfigError, TrainConfig, load_config
+from .config import ConfigError, TrainConfig, from_dict, load_config, read_json
 from .evaluate import BASELINE_SYSTEMS, SweepSpec
 from .rng import substream
 from .svg import line_chart
 
-_SWEEP_KEYS = {"ebn0_db", "min_trials", "max_trials", "target_errors"}
-
 
 def load_sweep(path: str) -> SweepSpec:
-    """Parse a sweep spec JSON file; unknown keys are rejected."""
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read sweep spec {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("sweep spec must be a JSON object")
-    unknown = sorted(set(data) - _SWEEP_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown sweep keys: {', '.join(unknown)}")
-    if "ebn0_db" not in data:
-        raise ConfigError("sweep spec needs an 'ebn0_db' list")
-    ebn0_db = data["ebn0_db"]
-    if not isinstance(ebn0_db, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in ebn0_db
-    ):
-        raise ConfigError("ebn0_db: must be a list of numbers")
-    kwargs = {"ebn0_db": tuple(ebn0_db)}
-    for key in ("min_trials", "max_trials", "target_errors"):
-        if key in data:
-            if isinstance(data[key], bool) or not isinstance(data[key], int):
-                raise ConfigError(f"{key}: must be an integer")
-            kwargs[key] = data[key]
-    return SweepSpec(**kwargs)
+    """Parse a sweep spec JSON file by the config rules: unknown keys are
+    rejected, a null or absent key takes its default, and ebn0_db is
+    required."""
+    return from_dict(SweepSpec, read_json(path, "sweep spec"))
 
 
 def _use_color() -> bool:
@@ -84,11 +58,7 @@ def _write_manifest(out_dir: str, cfg: TrainConfig, outputs: list[str]) -> None:
         "config": cfg.to_dict(),
         "outputs": outputs,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
+    checkpoint.write_json(manifest, path)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:

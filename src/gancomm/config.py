@@ -1,10 +1,14 @@
-"""Run configuration with strict parsing and reproducible defaults.
+"""Run configuration, and the one strict reader of every JSON input.
 
 Defaults follow the reference operating point: {32, 32} transmitter and
 receiver hidden layers, {128, 128, 128} generator, {32, 32, 32}
 discriminator, learning rates 0.001 (transceiver) / 0.0001 (GAN), batch
-size 320. Unknown keys are rejected so a typo cannot silently fall back to
-a default.
+size 320.
+
+Configs, sweep specs and checkpoint nets are all read by ``read_json``, and
+configs and sweep specs parsed by ``from_dict``: unknown keys are rejected
+so a typo cannot silently fall back to a default, and a null key takes the
+default. Ranges are checked by the dataclasses, for Python callers too.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 import math
 import types
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .channel import EBN0_DB_LIMIT, Channel, SnrSpec, make_channel
 
@@ -78,9 +82,8 @@ class TrainConfig:
         require(self.n >= 1, "n", "must be >= 1")
         require(self.n_pilot >= 1, "n_pilot", "must be >= 1")
         require(self.batch_size >= 1, "batch_size", "must be >= 1")
-        require(self.lr_transceiver > 0, "lr_transceiver", "must be > 0")
-        require(self.lr_gan > 0, "lr_gan", "must be > 0")
-        require(self.lr_disc > 0, "lr_disc", "must be > 0")
+        for key in ("lr_transceiver", "lr_gan", "lr_disc"):
+            require(0 < getattr(self, key) < math.inf, key, "must be finite and > 0")
         require(0.0 <= self.gan_beta1 < 1.0, "gan_beta1", "must lie in [0, 1)")
         require(0.0 <= self.ema_decay < 1.0, "ema_decay", "must lie in [0, 1)")
         require(self.outer_iterations >= 1, "outer_iterations", "must be >= 1")
@@ -134,25 +137,45 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in data or data[f.name] is None:
-                continue
-            value = data[f.name]
-            try:
-                kwargs[f.name] = _coerce(_FIELD_TYPES[f.name], value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{f.name}: {exc}") from None
-        return cls(**kwargs)
+        return from_dict(cls, data)
 
 
-_FIELD_TYPES = typing.get_type_hints(TrainConfig)
+def read_json(path: str, what: str):
+    """The parsed JSON file at path; a file that cannot be read or parsed
+    raises a ConfigError naming it as ``what`` and its path."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed {what} {path}: {exc}") from None
+
+
+def from_dict(cls, data):
+    """Build the config dataclass cls from a parsed JSON object.
+
+    Unknown keys are rejected; a null or absent key takes the field's
+    default, and a field without one raises "<key>: required". Each value
+    must match the field's annotation; cls checks the ranges."""
+    if not isinstance(data, dict):
+        raise ConfigError(
+            f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if data.get(f.name) is None:
+            if f.default is MISSING:
+                raise ConfigError(f"{f.name}: required")
+            continue
+        try:
+            kwargs[f.name] = _coerce(hints[f.name], data[f.name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{f.name}: {exc}") from None
+    return cls(**kwargs)
 
 
 def _coerce(hint, value):
@@ -167,30 +190,18 @@ def _coerce(hint, value):
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"expected a number, got {value!r}")
-        if not math.isfinite(float(value)):
-            raise ValueError(f"expected a finite number, got {value!r}")
         return float(value)
     if hint is str:
         if not isinstance(value, str):
             raise ValueError(f"expected a string, got {value!r}")
         return value
     if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value
-        ):
-            raise ValueError(f"expected a list of integers, got {value!r}")
-        return tuple(value)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected a list, got {value!r}")
+        return tuple(_coerce(typing.get_args(hint)[0], v) for v in value)
     raise ValueError(f"unhandled type {hint!r}")
 
 
 def load_config(path: str) -> TrainConfig:
     """Parse a JSON config file; unspecified fields take the defaults."""
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from None
-    return TrainConfig.from_dict(data)
-
+    return TrainConfig.from_dict(read_json(path, "config"))

@@ -76,6 +76,15 @@ class TestNetRoundTrip:
         checkpoint.save_net(net, str(tmp_path / "net.json"))
         assert sorted(os.listdir(tmp_path)) == ["net.json"]
 
+    @pytest.mark.parametrize("content", [None, b'{"layers": [', b"\xff{}"],
+                             ids=["missing", "truncated", "not-utf8"])
+    def test_unreadable_file_names_the_path(self, tmp_path, content):
+        path = tmp_path / "net.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match=str(path)):
+            checkpoint.load_net(str(path))
+
     def test_malformed_layer_entry_rejected(self):
         with pytest.raises(ConfigError, match="malformed network"):
             checkpoint.net_from_dict({"layers": [{"activation": "relu", "b": [0.0]}]})

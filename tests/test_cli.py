@@ -1,7 +1,9 @@
 """Command-line interface: wiring, exit codes, file outputs."""
 
 import csv
+import importlib.metadata
 import json
+import pathlib
 import re
 
 import pytest
@@ -53,6 +55,11 @@ class TestSweepFile:
         with pytest.raises(ConfigError, match="ebn0_db"):
             cli.load_sweep(str(path))
 
+    def test_null_takes_the_default(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"ebn0_db": [1], "min_trials": None}))
+        assert cli.load_sweep(str(path)).min_trials == 2000
+
     def test_trial_counts_must_be_integers(self, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"ebn0_db": [0], "min_trials": True}))
@@ -60,7 +67,7 @@ class TestSweepFile:
             cli.load_sweep(str(path))
 
 
-    @pytest.mark.parametrize("grid", [[True, 4], [4, "6"], [None], [[1.0]]])
+    @pytest.mark.parametrize("grid", [[True, 4], [4, "6"], [None], [[1.0]], 4])
     def test_grid_values_must_be_numbers(self, tmp_path, grid):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"ebn0_db": grid}))
@@ -72,6 +79,15 @@ class TestParsing:
     def test_version_exits_cleanly(self, capsys):
         assert cli.main(["--version"]) == 0
         assert re.match(r"\d+\.\d+\.\d+", capsys.readouterr().out)
+
+    def test_console_script_resolves_to_main(self, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        entry = importlib.metadata.EntryPoint(
+            name="gancomm", value=scripts["gancomm"], group="console_scripts")
+        assert entry.load()(["--version"]) == 0
+        assert capsys.readouterr().out.strip() == cli.__version__
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert cli.main([]) == 2

@@ -1,11 +1,16 @@
 """Config parsing, defaults resolution, and strictness."""
 
 import json
+from dataclasses import asdict, fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gancomm import config
+from gancomm.channel import EBN0_DB_LIMIT
 from gancomm.config import ConfigError, TrainConfig
+from gancomm.evaluate import SweepSpec
 from helpers import save_config
 
 
@@ -57,6 +62,9 @@ class TestValidation:
             {"batch_size": 0},
             {"lr_transceiver": 0.0},
             {"lr_gan": -1e-4},
+            {"lr_gan": float("inf")},
+            {"lr_transceiver": float("inf")},
+            {"lr_disc": float("inf")},
             {"gan_beta1": 1.0},
             {"ema_decay": 1.0},
             {"outer_iterations": 0},
@@ -145,3 +153,58 @@ class TestFiles:
         path.write_text("{k: 4")
         with pytest.raises(ConfigError, match="malformed"):
             config.load_config(str(path))
+
+
+ebn0 = st.floats(-EBN0_DB_LIMIT, EBN0_DB_LIMIT)
+learning_rate = st.floats(0.0, 1.0, exclude_min=True)
+unit_interval = st.floats(0.0, 1.0, exclude_max=True)
+widths = st.lists(st.integers(1, 512), min_size=1, max_size=4).map(tuple)
+
+train_configs = st.builds(
+    TrainConfig,
+    k=st.integers(1, 16), n=st.integers(1, 64), n_pilot=st.integers(1, 8),
+    channel=st.sampled_from(config.CHANNELS),
+    train_ebn0_db=st.none() | ebn0,
+    batch_size=st.integers(min_value=1),
+    lr_transceiver=learning_rate, lr_gan=learning_rate,
+    lr_disc=st.none() | learning_rate,
+    gan_beta1=unit_interval, ema_decay=unit_interval,
+    outer_iterations=st.integers(min_value=1),
+    rx_steps=st.integers(min_value=0), tx_steps=st.integers(min_value=0),
+    gan_steps=st.integers(min_value=0),
+    warmup_gan_steps=st.none() | st.integers(min_value=0),
+    final_rx_steps=st.integers(min_value=0), seed=st.integers(min_value=0),
+    z_dim=st.integers(1, 64),
+    tx_hidden=widths, rx_hidden=widths, gen_hidden=widths, disc_hidden=widths,
+    hidden_activation=st.sampled_from(("relu", "tanh")),
+    label_smoothing=st.floats(0.0, 0.5, exclude_max=True),
+    d_updates=st.integers(1, 8),
+)
+
+sweep_specs = st.builds(
+    lambda grid, low, extra, errors: SweepSpec(grid, low, low + extra, errors),
+    st.lists(ebn0, min_size=1, max_size=8).map(tuple),
+    st.integers(1, 10**9), st.integers(0, 10**9), st.integers(min_value=1),
+)
+
+# one JSON value of the wrong type per field annotation: a bool for an
+# integer, a string for a number, a number for a string, strings in a list
+WRONG_TYPE = {
+    "int": True, "int | None": True, "float": "4", "float | None": "4",
+    "str": 4, "tuple[int, ...]": ["8"], "tuple[float, ...]": ["4"],
+}
+
+
+class TestSharedParser:
+    @given(x=st.one_of(train_configs, sweep_specs))
+    def test_json_round_trip_is_the_identity(self, x):
+        data = json.loads(json.dumps(asdict(x)))
+        assert config.from_dict(type(x), data) == x
+
+    @given(x=st.one_of(train_configs, sweep_specs), data=st.data())
+    def test_wrong_typed_value_names_its_field(self, x, data):
+        field = data.draw(st.sampled_from(fields(x)))
+        doc = json.loads(json.dumps(asdict(x)))
+        doc[field.name] = WRONG_TYPE[field.type]
+        with pytest.raises(ConfigError, match=f"^{field.name}: "):
+            config.from_dict(type(x), doc)
