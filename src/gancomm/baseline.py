@@ -93,6 +93,7 @@ def hamming74_mld_decode(y: np.ndarray) -> np.ndarray:
 # then the grid is scaled by 1/sqrt(10) for unit average power.
 _GRAY_TO_LEVEL = {(0, 0): -3.0, (0, 1): -1.0, (1, 1): 1.0, (1, 0): 3.0}
 QAM16_SCALE = 1.0 / np.sqrt(10.0)
+QAM16_DEMOD_CHUNK = 4096
 
 
 @functools.lru_cache(maxsize=1)
@@ -126,8 +127,15 @@ def qam16_demod_coherent(y: np.ndarray, h_est: np.ndarray) -> np.ndarray:
     if np.any(h_est == 0):
         raise FloatingPointError("channel estimate is exactly zero; cannot equalize")
     eq = y / h_est
-    dist = np.abs(eq[..., None] - qam16_constellation())
-    return np.argmin(dist, axis=-1)
+    decided = np.empty(eq.shape, dtype=np.intp)
+    # the distances to the 16 points, QAM16_DEMOD_CHUNK symbols at a time,
+    # so the (symbols, 16) scratch stays small whatever the batch
+    flat_eq, flat_decided = eq.reshape(-1), decided.reshape(-1)
+    for start in range(0, flat_eq.size, QAM16_DEMOD_CHUNK):
+        part = slice(start, start + QAM16_DEMOD_CHUNK)
+        dist = np.abs(flat_eq[part, None] - qam16_constellation())
+        np.argmin(dist, axis=1, out=flat_decided[part])
+    return decided[()]  # a scalar for a scalar y, as argmin gives
 
 
 def ls_estimate(y_pilot: np.ndarray) -> np.ndarray:

@@ -10,6 +10,16 @@ final evaluation traffic. They are observation-only: there is deliberately
 no gradient path through this module (see ``backward``). ``make_channel``
 wraps them in one object per channel kind, which is where the rest of the
 package learns whether there is a fading state and a pilot.
+
+Each simulator, and each channel object method that observes, takes an
+optional ``out`` array for what it receives. It allocates one when none is
+given and then takes its one path: it writes the noiseless block into
+``out`` (fading multiplies h onto zero-copy complex views of the
+interleaved blocks) and adds the noise, drawn through a scratch of at most
+``NOISE_CHUNK`` values and scaled by its std. So no draw allocates a
+block-sized temporary, and a caller that hands the same arrays back, as
+the BLER sweep does, draws the same values as one that does not, from the
+same stream positions.
 """
 
 from __future__ import annotations
@@ -68,14 +78,47 @@ def noise_std_from_snr(spec: SnrSpec) -> float:
     return float(np.sqrt(n0 / 2.0))
 
 
-def awgn_apply(x: np.ndarray, std: float, rng: np.random.Generator) -> np.ndarray:
-    """y = x + w with w i.i.d. Gaussian(0, std^2) per real dimension."""
-    x = np.asarray(x, dtype=np.float64)
+# Noise values per draw: the noise reaches a block through a scratch of at
+# most this many float64 values, whatever the block's size.
+NOISE_CHUNK = 1 << 15
+
+
+def _output(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """out, checked against the shape the simulator writes, or a new array."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    return out
+
+
+def _receive(noiseless: np.ndarray, noise_std: float, rng: np.random.Generator,
+             out: np.ndarray) -> np.ndarray:
+    """Write noiseless + w into out (noiseless may be out itself): w is
+    i.i.d. Gaussian(0, noise_std^2) per real dimension, drawn in row-major
+    order NOISE_CHUNK values at a time and scaled in a scratch of that
+    size. A noise_std of 0 draws nothing."""
+    if noise_std > 0:
+        src, dst = noiseless.reshape(-1), out.reshape(-1)
+        scratch = np.empty(min(dst.size, NOISE_CHUNK))
+        for start in range(0, dst.size, NOISE_CHUNK):
+            stop = min(start + NOISE_CHUNK, dst.size)
+            noise = rng.standard_normal(out=scratch[: stop - start])
+            noise *= noise_std
+            np.add(src[start:stop], noise, out=dst[start:stop])
+    else:
+        np.copyto(out, noiseless)
+    return out
+
+
+def awgn_apply(x: np.ndarray, std: float, rng: np.random.Generator,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """y = x + w with w i.i.d. Gaussian(0, std^2) per real dimension,
+    written into ``out`` if given."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if std < 0:
         raise ValueError("std must be >= 0")
-    if std == 0:
-        return x.copy()
-    return x + rng.normal(0.0, std, size=x.shape)
+    return _receive(x, std, rng, _output(out, x.shape))
 
 
 def rayleigh_sample(rng: np.random.Generator, size: int | None = None):
@@ -89,41 +132,46 @@ def rayleigh_sample(rng: np.random.Generator, size: int | None = None):
 
 def fading_apply(
     x: np.ndarray, h: complex | np.ndarray, noise_std: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """y_i = h * x_i + w_i; one h multiplies every complex use of a block.
 
     ``h`` is a scalar for a single block or a (batch,) array for a batch of
-    independently faded blocks; ``noise_std`` is per real dimension.
+    independently faded blocks; ``noise_std`` is per real dimension. y is
+    written into ``out`` if given, which must not overlap x: numpy's complex
+    multiply rounds differently in place for some shapes.
     """
-    x = np.asarray(x, dtype=np.float64)
-    symbols = iq_to_complex(x)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim == 1:
         if x.ndim != 2 or h.shape[0] != x.shape[0]:
             raise ValueError(f"h batch {h.shape} does not match blocks {x.shape}")
-        faded = symbols * h[:, None]
-    else:
-        faded = symbols * h
-    out = complex_to_iq(faded)
-    if noise_std > 0:
-        out = out + rng.normal(0.0, noise_std, size=out.shape)
-    return out
+        h = h[:, None]
+    out = _output(out, x.shape)
+    if np.may_share_memory(x, out):
+        raise ValueError("out must not overlap x")
+    # the interleaved (re, im) pairs of a C-contiguous float64 block are a
+    # complex128 array in memory, so h multiplies views, not copies
+    np.multiply(x.view(np.complex128), h, out=out.view(np.complex128))
+    return _receive(out, noise_std, rng, out)
 
 
 def pilot_receive(
     h: complex | np.ndarray, noise_std: float, n_pilot: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Receive the known all-ones pilot: y_p = h * 1 + w, per pilot use.
 
-    Shape (2*n_pilot,) for a scalar h, (batch, 2*n_pilot) for a batched one.
+    Shape (2*n_pilot,) for a scalar h, (batch, 2*n_pilot) for a batched one;
+    written into ``out`` if given.
     """
     if n_pilot < 1:
         raise ValueError("n_pilot must be >= 1")
     h = np.asarray(h, dtype=np.complex128)
-    x = complex_to_iq(np.ones(h.shape + (n_pilot,), dtype=np.complex128))
-    return fading_apply(x, h, noise_std, rng)
+    out = _output(out, h.shape + (2 * n_pilot,))
+    # h * 1 is h exactly, so every pilot use receives h before the noise
+    out.view(np.complex128)[...] = h[..., None]
+    return _receive(out, noise_std, rng, out)
 
 
 class Channel:
@@ -146,22 +194,29 @@ class Channel:
         raise NotImplementedError
 
     def apply(self, x: np.ndarray, state, noise_std: float,
-              rng: np.random.Generator) -> np.ndarray:
-        """Received blocks for transmitted blocks x under state."""
+              rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+        """Received blocks for transmitted blocks x under state, written
+        into ``out`` if given."""
         raise NotImplementedError
 
-    def pilots(self, state, noise_std: float,
-               rng: np.random.Generator) -> np.ndarray | None:
-        """Received pilots under state, or None without pilots."""
+    def pilots(self, state, noise_std: float, rng: np.random.Generator,
+               out: np.ndarray | None = None) -> np.ndarray | None:
+        """Received pilots under state, written into ``out`` if given, or
+        None without pilots (``out`` is then left alone)."""
         if self.n_pilot == 0:
             return None
-        return pilot_receive(state, noise_std, self.n_pilot, rng)
+        return pilot_receive(state, noise_std, self.n_pilot, rng, out)
 
     def observe(self, x: np.ndarray, state, noise_std: float,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+                rng: np.random.Generator,
+                out: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
+                ) -> tuple[np.ndarray, np.ndarray | None]:
         """What the receiver sees: the received blocks, then the received
-        pilots (or None). Block noise is drawn before pilot noise."""
-        return self.apply(x, state, noise_std, rng), self.pilots(state, noise_std, rng)
+        pilots (or None), written into the arrays of ``out`` that are given.
+        Block noise is drawn before pilot noise."""
+        y_out, pilot_out = out
+        return (self.apply(x, state, noise_std, rng, y_out),
+                self.pilots(state, noise_std, rng, pilot_out))
 
 
 class AwgnChannel(Channel):
@@ -172,8 +227,8 @@ class AwgnChannel(Channel):
     def draw_state(self, rng, batch):
         return None
 
-    def apply(self, x, state, noise_std, rng):
-        return awgn_apply(x, noise_std, rng)
+    def apply(self, x, state, noise_std, rng, out=None):
+        return awgn_apply(x, noise_std, rng, out)
 
 
 class RayleighChannel(Channel):
@@ -187,8 +242,8 @@ class RayleighChannel(Channel):
     def draw_state(self, rng, batch):
         return rayleigh_sample(rng, batch)
 
-    def apply(self, x, state, noise_std, rng):
-        return fading_apply(x, state, noise_std, rng)
+    def apply(self, x, state, noise_std, rng, out=None):
+        return fading_apply(x, state, noise_std, rng, out)
 
 
 def make_channel(kind: str, n_pilot: int = 1) -> Channel:

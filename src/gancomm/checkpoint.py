@@ -36,6 +36,9 @@ def net_to_dict(net: nn.DenseNet) -> dict:
 
 
 def net_from_dict(data: dict) -> nn.DenseNet:
+    """The net a parsed checkpoint describes; any malformed content (a
+    missing key, a ragged or mismatched array, an unknown activation, no
+    layers) raises a ConfigError."""
     try:
         # out-of-range values become Inf, which load_net refuses
         with np.errstate(over="ignore"):
@@ -47,9 +50,9 @@ def net_from_dict(data: dict) -> nn.DenseNet:
                 )
                 for entry in data["layers"]
             ]
-    except (KeyError, TypeError) as exc:
+        return nn.DenseNet(layers)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed network checkpoint: {exc}") from None
-    return nn.DenseNet(layers)
 
 
 def save_net(net: nn.DenseNet, path: str) -> None:
@@ -57,9 +60,14 @@ def save_net(net: nn.DenseNet, path: str) -> None:
 
 
 def load_net(path: str) -> nn.DenseNet:
-    """Read a net; a NaN or Inf parameter (the JSON of a diverged run that
-    was flushed on abort) is rejected rather than evaluated."""
-    net = net_from_dict(read_json(path, "checkpoint file"))
+    """Read a net; malformed content, or a NaN or Inf parameter (the JSON
+    of a diverged run that was flushed on abort), is rejected with a
+    ConfigError naming the file rather than evaluated."""
+    data = read_json(path, "checkpoint file")
+    try:
+        net = net_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint file {path}: {exc}") from None
     if not np.isfinite(net.params).all():
         raise ConfigError(f"checkpoint file {path} holds non-finite parameters")
     return net

@@ -11,19 +11,26 @@ Sweeps draw trials in fixed-size shards, each with its own named RNG
 substream keyed by (seed, system label, point index, shard index). Shards
 are merged in index order and the early-stop rule is applied shard by
 shard, so the result is byte-identical no matter how many workers ran the
-shards.
+shards. Each thread that runs shards keeps one workspace for the whole
+sweep: the codebook rows are gathered into one of its arrays and the
+received blocks and pilots drawn into two more, and the decision rule
+writes its net's pass into its tape. After a thread's first shard, a
+learned shard allocates only its messages, h, the noise scratch, the
+receiver's float32 input and the decisions.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import baseline, channel, gan, transceiver
+from . import baseline, channel, gan, nn, transceiver
 from .config import ConfigError, TrainConfig
 from .rng import substream
 
@@ -88,7 +95,8 @@ def _run_point(trial_fn, ebn0_db, spec, seed, label, point_index, workers):
     trial_fn(n_trials, rng) -> error count. Shard j always covers the same
     trial budget and substream regardless of worker count; a stop decision
     mid-wave discards the later shards of that wave, so parallel runs
-    reproduce the sequential result exactly.
+    reproduce the sequential result exactly. With workers > 1 one thread
+    pool serves every wave of the point.
     """
     shard_cap = math.ceil(spec.max_trials / SHARD_TRIALS)
     trials = errors = 0
@@ -101,33 +109,54 @@ def _run_point(trial_fn, ebn0_db, spec, seed, label, point_index, workers):
         rng = substream(seed, "eval", label, point_index, j)
         return trial_fn(shard_size(j), rng)
 
-    while next_shard < shard_cap:
-        batch = list(range(next_shard, min(next_shard + workers, shard_cap)))
-        if workers == 1 or len(batch) == 1:
-            results = [run_shard(j) for j in batch]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        while next_shard < shard_cap:
+            batch = list(range(next_shard, min(next_shard + workers, shard_cap)))
+            if pool is None or len(batch) == 1:
+                results = [run_shard(j) for j in batch]
+            else:
                 results = list(pool.map(run_shard, batch))
-        stop = False
-        for j, errs in zip(batch, results):
-            trials += shard_size(j)
-            errors += int(errs)
-            if trials >= spec.min_trials and errors >= spec.target_errors:
-                stop = True
+            stop = False
+            for j, errs in zip(batch, results):
+                trials += shard_size(j)
+                errors += int(errs)
+                if trials >= spec.min_trials and errors >= spec.target_errors:
+                    stop = True
+                    break
+            if stop:
                 break
-        if stop:
-            break
-        next_shard += len(batch)
+            next_shard += len(batch)
     return BlerPoint.from_counts(ebn0_db, trials, errors)
+
+
+class _Workspace(threading.local):
+    """One thread's arrays for the shards of a sweep, reused from shard to
+    shard: named (trials, width) float64 arrays, grown to the largest shard
+    the thread has drawn (a shorter shard takes their leading rows), and
+    the tape the decision rule writes its pass into."""
+
+    def __init__(self):
+        self.tape = nn.Tape()
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, n: int, width: int) -> np.ndarray:
+        buf = self._arrays.get(name)
+        if buf is None or buf.shape[0] < n:
+            buf = self._arrays[name] = np.empty((n, width))
+        return buf[:n]
 
 
 def _sweep(codebook, model, decide, k, n, spec, seed, label, workers):
     """BLER points of one system. Each trial draws a message, the channel
     state, then what the receiver observes of the message's codebook row;
-    decide(y, y_pilot, state) returns the decided message indices. Eb/N0
-    counts k information bits over n complex channel uses."""
+    decide(y, y_pilot, state, tape) returns the decided message indices and
+    may write a net's pass into tape, the workspace's. Eb/N0 counts k
+    information bits over n complex channel uses."""
     if workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
+    width, pilot_width = codebook.shape[1], 2 * model.n_pilot
+    workspace = _Workspace()
     points = []
     for i, ebn0 in enumerate(spec.ebn0_db):
         std = channel.noise_std_from_snr(channel.SnrSpec(ebn0, k, n))
@@ -136,11 +165,15 @@ def _sweep(codebook, model, decide, k, n, spec, seed, label, workers):
             messages = rng.integers(0, len(codebook), size=n_trials)
             state = model.draw_state(rng, n_trials)
             # np.take gathers rows of a narrow 2-D array several times
-            # faster than fancy indexing; no name holds the blocks, so they
-            # are freed before decide allocates
-            y, y_pilot = model.observe(np.take(codebook, messages, axis=0), state,
-                                       std, rng)
-            return int(np.sum(decide(y, y_pilot, state) != messages))
+            # faster than fancy indexing; the messages are in range, and
+            # mode="clip" writes straight into out where "raise" buffers
+            blocks = np.take(codebook, messages, axis=0, mode="clip",
+                             out=workspace.array("blocks", n_trials, width))
+            y, y_pilot = model.observe(
+                blocks, state, std, rng,
+                out=(workspace.array("y", n_trials, width),
+                     workspace.array("pilots", n_trials, pilot_width)))
+            return int(np.sum(decide(y, y_pilot, state, workspace.tape) != messages))
 
         points.append(_run_point(trial_fn, ebn0, spec, seed, label, i, workers))
     return points
@@ -165,7 +198,8 @@ def bler_sweep_learned(
         seed = cfg.seed
     # the transmitter is deterministic, so its M blocks serve every trial
     codebook = tx.encode_messages(np.arange(cfg.M))
-    return _sweep(codebook, model, lambda y, y_pilot, state: rx.decode(y, y_pilot),
+    return _sweep(codebook, model,
+                  lambda y, y_pilot, state, tape: rx.decode(y, y_pilot, tape),
                   cfg.k, cfg.n, spec, seed, f"learned-{cfg.channel}", workers)
 
 
@@ -187,14 +221,16 @@ def bler_sweep_baseline(
         # 4 bits over 7 BPSK uses; a BPSK use carries one real, so the
         # codebook is 7 reals wide and only in-phase noise is drawn
         return _sweep(baseline.hamming74_bpsk_codebook(), channel.make_channel("awgn"),
-                      lambda y, y_pilot, state: baseline.hamming74_mld_decode(y),
+                      lambda y, y_pilot, state, tape: baseline.hamming74_mld_decode(y),
                       4, 7, spec, seed, system, workers)
     # uncoded 16-QAM, one complex use carrying 4 bits; perfect CSI is
     # fading without pilots
     model = channel.make_channel(
         "rayleigh", 0 if system == "qam16-rayleigh-perfect-csi" else n_pilot)
     codebook = channel.complex_to_iq(baseline.qam16_constellation()[:, None])
-    return _sweep(codebook, model, _qam16_decide, 4, 1, spec, seed, system, workers)
+    return _sweep(codebook, model,
+                  lambda y, y_pilot, h, tape: _qam16_decide(y, y_pilot, h),
+                  4, 1, spec, seed, system, workers)
 
 
 def _qam16_decide(y, y_pilot, h):

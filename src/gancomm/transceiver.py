@@ -199,9 +199,13 @@ class Receiver:
         return nn.forward(self.net, self._stack_input(y, y_pilot), tape)
 
     def decode(
-        self, y: np.ndarray, y_pilot: np.ndarray | None = None
+        self,
+        y: np.ndarray,
+        y_pilot: np.ndarray | None = None,
+        tape: nn.Tape | None = None,
     ) -> np.ndarray:
         """Received blocks -> (B,) decided messages: the largest logit, i.e.
-        the most likely message under the softmax; ties go to the lowest index."""
-        logits, _ = self.forward_logits(y, y_pilot)
+        the most likely message under the softmax; ties go to the lowest index.
+        The net's pass is written into ``tape``, a new one if none is given."""
+        logits, _ = self.forward_logits(y, y_pilot, tape)
         return np.argmax(logits, axis=1)

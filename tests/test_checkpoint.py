@@ -89,6 +89,21 @@ class TestNetRoundTrip:
         with pytest.raises(ConfigError, match="malformed network"):
             checkpoint.net_from_dict({"layers": [{"activation": "relu", "b": [0.0]}]})
 
+    @pytest.mark.parametrize("data", [
+        {"layers": [{"activation": "relu", "w": [[0.0, 1.0], [0.0]], "b": [0.0, 0.0]}]},
+        {"layers": [{"activation": "swish", "w": [[0.0]], "b": [0.0]}]},
+        {"layers": []},
+        {"layers": [{"activation": "relu", "w": [[0.0, 1.0]], "b": [0.0]}]},
+        {"layers": 5},
+    ], ids=["ragged-w", "unknown-activation", "no-layers", "w-b-mismatch",
+            "layers-not-a-list"])
+    def test_malformed_content_names_the_path(self, tmp_path, data):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="malformed network") as info:
+            checkpoint.load_net(str(path))
+        assert str(path) in str(info.value)
+
 
 class TestSystemRoundTrip:
     def test_all_four_nets_and_config_survive(self, tmp_path):

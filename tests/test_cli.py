@@ -5,6 +5,7 @@ import importlib.metadata
 import json
 import pathlib
 import re
+import shutil
 
 import pytest
 
@@ -196,6 +197,20 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error:")
+
+    def test_malformed_net_file_exits_1_naming_it(self, trained_dir, tmp_path,
+                                                  capsys):
+        ckpt = tmp_path / "run"
+        shutil.copytree(trained_dir, ckpt)
+        bad = ckpt / "receiver.json"
+        bad.write_text(json.dumps({"layers": [{"activation": "relu", "w": [[0.0], []],
+                                               "b": [0.0]}]}))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"ebn0_db": [0.0]}))
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--sweep", str(sweep),
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert str(bad) in capsys.readouterr().err
 
     def test_svg_chart_written_on_request(self, trained_dir, tmp_path, capsys):
         sweep = tmp_path / "sweep.json"

@@ -225,6 +225,25 @@ class TestLearnedSweep:
             assert evaluate.bler_sweep_learned(
                 tx, rx, cfg, spec, seed=13, workers=workers) == expected
 
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_a_shorter_last_shard_matches_the_reference(self, kind, monkeypatch):
+        # every point runs all 11 shards, the last one of 50 trials; the
+        # workspaces are then sliced for it and for the next point's shards
+        monkeypatch.setattr(evaluate, "SHARD_TRIALS", 100)
+        cfg = TrainConfig(k=2, n=2, channel=kind, tx_hidden=(8,), rx_hidden=(8,))
+        rng = np.random.default_rng(10)
+        tx = transceiver.Transmitter.create(cfg.M, cfg.n, rng, hidden=cfg.tx_hidden)
+        rx = transceiver.Receiver.create(cfg.M, cfg.n, rng, hidden=cfg.rx_hidden,
+                                         n_pilot=cfg.make_channel().n_pilot)
+        spec = evaluate.SweepSpec(ebn0_db=(2.0, 6.0), min_trials=1050,
+                                  max_trials=1050, target_errors=10**6)
+        expected = reference_sweep(f"learned-{kind}", learned_shard(tx, rx, cfg),
+                                   spec, seed=14)
+        assert [p.trials for p in expected] == [1050, 1050]
+        for workers in (1, 3):
+            assert evaluate.bler_sweep_learned(
+                tx, rx, cfg, spec, seed=14, workers=workers) == expected
+
     def test_dimension_mismatch_is_rejected(self):
         cfg, tx, rx = small_system()
         other = transceiver.Transmitter.create(8, 2, np.random.default_rng(1))

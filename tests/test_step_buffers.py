@@ -1,12 +1,13 @@
-"""Training steps reuse their buffers: what one step allocates, and that
-reuse changes nothing a run writes."""
+"""Training steps and BLER sweep shards reuse their buffers: what one step
+or shard allocates, and that reuse changes nothing a run writes."""
 
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from gancomm import checkpoint, train
+from gancomm import checkpoint, evaluate, train, transceiver
 from gancomm.config import TrainConfig
 
 MIB = 1 << 20
@@ -62,3 +63,30 @@ def test_a_trainer_still_steps_after_run_released_its_tapes():
               trainer.train_transmitter_step(9)]
     assert all(math.isfinite(loss) for loss in losses)
     assert [r.phase for r in trainer.log.records[-3:]] == ["gan", "rx", "tx"]
+
+
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+def test_a_steady_state_sweep_shard_allocates_under_four_mib(kind, monkeypatch):
+    # default nets, one full shard: the gathered rows, the received blocks
+    # and the noise are each 2.1 MiB at 7 uses, so a shard that drew into
+    # new arrays would peak near 10 MiB; what is left are the messages, h,
+    # the fading product, the float32 receiver input and the decisions
+    cfg = TrainConfig(channel=kind)
+    rng = np.random.default_rng(0)
+    tx = transceiver.Transmitter.create(cfg.M, cfg.n, rng, hidden=cfg.tx_hidden)
+    rx = transceiver.Receiver.create(cfg.M, cfg.n, rng, hidden=cfg.rx_hidden,
+                                     n_pilot=cfg.make_channel().n_pilot)
+    trial_fns = []
+    run_point = evaluate._run_point
+
+    def capture(trial_fn, *args):
+        trial_fns.append(trial_fn)
+        return run_point(trial_fn, *args)
+
+    monkeypatch.setattr(evaluate, "_run_point", capture)
+    shard = evaluate.SHARD_TRIALS
+    # the sweep's one shard is the warm-up
+    evaluate.bler_sweep_learned(tx, rx, cfg, evaluate.SweepSpec((8.0,), shard, shard))
+    (trial_fn,) = trial_fns
+    peak = transient_peak(lambda: trial_fn(shard, np.random.default_rng(1)))
+    assert peak < 4 * MIB, peak / MIB
