@@ -121,13 +121,12 @@ def awgn_apply(x: np.ndarray, std: float, rng: np.random.Generator,
     return _receive(x, std, rng, _output(out, x.shape))
 
 
-def rayleigh_sample(rng: np.random.Generator, size: int | None = None):
-    """Draw h ~ CN(0, 1): independent Gaussian re/im, E[|h|^2] = 1."""
-    shape = () if size is None else (size,)
-    re = rng.normal(0.0, np.sqrt(0.5), size=shape)
-    im = rng.normal(0.0, np.sqrt(0.5), size=shape)
-    h = re + 1j * im
-    return complex(h) if size is None else h
+def rayleigh_sample(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw size coefficients h ~ CN(0, 1): independent Gaussian re/im,
+    E[|h|^2] = 1."""
+    re = rng.normal(0.0, np.sqrt(0.5), size=size)
+    im = rng.normal(0.0, np.sqrt(0.5), size=size)
+    return re + 1j * im
 
 
 def fading_apply(

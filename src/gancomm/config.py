@@ -26,6 +26,10 @@ CHANNELS = ("awgn", "rayleigh")
 # Training Eb/N0 when the config does not name one.
 DEFAULT_TRAIN_EBN0_DB = {"awgn": 4.0, "rayleigh": 10.0}
 
+# Keys of removed TrainConfig fields, with the one value every run used.
+# Older run directories still load; any other value is refused.
+RETIRED_KEYS = {"hidden_activation": "relu", "label_smoothing": 0.0}
+
 
 class ConfigError(ValueError):
     """A configuration value is missing, unknown, or out of range."""
@@ -56,8 +60,6 @@ class TrainConfig:
     rx_hidden: tuple[int, ...] = (32, 32)
     gen_hidden: tuple[int, ...] = (128, 128, 128)
     disc_hidden: tuple[int, ...] = (32, 32, 32)
-    hidden_activation: str = "relu"
-    label_smoothing: float = 0.0
     d_updates: int = 2
 
     def __post_init__(self) -> None:
@@ -98,16 +100,6 @@ class TrainConfig:
                 key,
                 "must list positive layer widths",
             )
-        require(
-            self.hidden_activation in ("relu", "tanh"),
-            "hidden_activation",
-            "must be 'relu' or 'tanh'",
-        )
-        require(
-            0.0 <= self.label_smoothing < 0.5,
-            "label_smoothing",
-            "must lie in [0, 0.5)",
-        )
         require(self.d_updates >= 1, "d_updates", "must be >= 1")
         require(
             abs(float(self.train_ebn0_db)) <= EBN0_DB_LIMIT,
@@ -137,6 +129,14 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        """Parse a config object; a retired key loads only at its one value."""
+        if isinstance(data, dict):
+            data = dict(data)
+            for key, only in RETIRED_KEYS.items():
+                value = data.pop(key, None)
+                if value is not None and (isinstance(value, bool) or value != only):
+                    raise ConfigError(
+                        f"{key}: retired; only {only!r} still loads, got {value!r}")
         return from_dict(cls, data)
 
 

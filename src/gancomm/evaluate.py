@@ -337,7 +337,6 @@ def gan_fidelity(
     seed: int,
     h: np.ndarray | None = None,
     n_pilot: int = 1,
-    energy_subsample: int = 1024,
 ) -> list[ConditionReport]:
     """Compare generator output against the real channel, per condition.
 
@@ -373,7 +372,7 @@ def gan_fidelity(
                 fake_mean=fake.mean(axis=0),
                 real_var=real.var(axis=0),
                 fake_var=fake.var(axis=0),
-                energy_distance=energy_distance(real, fake, energy_subsample),
+                energy_distance=energy_distance(real, fake),
                 n_samples=n_samples,
             )
         )

@@ -44,11 +44,8 @@ class Generator:
         rng: np.random.Generator,
         z_dim: int = 16,
         hidden: tuple[int, ...] = (128, 128, 128),
-        hidden_activation: str = "relu",
     ) -> "Generator":
-        net = nn.DenseNet.create(
-            (z_dim + cond_dim, *hidden, 2 * n), rng, hidden_activation=hidden_activation
-        )
+        net = nn.DenseNet.create((z_dim + cond_dim, *hidden, 2 * n), rng)
         return cls(net, n, z_dim, cond_dim)
 
 
@@ -76,11 +73,8 @@ class Discriminator:
         cond_dim: int,
         rng: np.random.Generator,
         hidden: tuple[int, ...] = (32, 32, 32),
-        hidden_activation: str = "relu",
     ) -> "Discriminator":
-        net = nn.DenseNet.create(
-            (2 * n + cond_dim, *hidden, 1), rng, hidden_activation=hidden_activation
-        )
+        net = nn.DenseNet.create((2 * n + cond_dim, *hidden, 1), rng)
         return cls(net, n, cond_dim)
 
 
@@ -127,21 +121,17 @@ def d_loss(
     real_y: np.ndarray,
     fake_y: np.ndarray,
     m: np.ndarray,
-    real_target: float = 1.0,
     tapes: tuple[nn.Tape | None, nn.Tape | None] = (None, None),
 ) -> tuple[float, nn.Gradients, float]:
     """Discriminator BCE on a real and a fake batch under conditioning m.
 
     Returns (loss, parameter gradients, classification accuracy). The fake
     batch is treated as a constant: no gradient flows to the generator
-    here. real_target below 1.0 applies one-sided label smoothing.
-    ``tapes`` are the real and the fake pass's tapes; None makes a new one.
+    here. ``tapes`` are the real and the fake pass's tapes; None makes a new one.
     """
-    if not 0.5 < real_target <= 1.0:
-        raise ValueError("real_target must lie in (0.5, 1.0]")
     logits_r, tape_r = discriminate(d, real_y, m, tapes[0])
     logits_f, tape_f = discriminate(d, fake_y, m, tapes[1])
-    loss_r, grad_r = nn.sigmoid_bce(logits_r, np.full_like(logits_r, real_target))
+    loss_r, grad_r = nn.sigmoid_bce(logits_r, np.ones_like(logits_r))
     loss_f, grad_f = nn.sigmoid_bce(logits_f, np.zeros_like(logits_f))
     loss = float(loss_r + loss_f)
     if not np.isfinite(loss):

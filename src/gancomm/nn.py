@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "tanh", "linear")
+ACTIVATIONS = ("relu", "linear")
 
 # The dtype nets are created and loaded in. Everything else follows a net's
 # own dtype, so this is the one place the precision is decided.
@@ -50,22 +50,11 @@ class NonFiniteError(FloatingPointError):
     """A loss, gradient, or parameter came out NaN or Inf."""
 
 
-def _activate_in_place(z: np.ndarray, name: str) -> None:
-    if name == "relu":
-        np.maximum(z, 0.0, out=z)
-    elif name == "tanh":
-        np.tanh(z, out=z)
-
-
 def _preact_grad(g: np.ndarray, a: np.ndarray, name: str) -> np.ndarray:
     # dLoss/dz from dLoss/da and the layer output a, written over a: relu's
-    # mask a > 0 equals z > 0, tanh' = 1 - a^2
+    # mask a > 0 equals z > 0
     if name == "relu":
         return np.multiply(g, a > 0.0, out=a)
-    if name == "tanh":
-        np.multiply(a, a, out=a)
-        np.subtract(1.0, a, out=a)
-        return np.multiply(g, a, out=a)
     a[...] = g
     return a
 
@@ -146,14 +135,9 @@ class DenseNet:
         return out
 
     @classmethod
-    def create(
-        cls,
-        dims: list[int],
-        rng: np.random.Generator,
-        hidden_activation: str = "relu",
-        output_activation: str = "linear",
-    ) -> "DenseNet":
-        """Build a net with Glorot-uniform weights and zero biases.
+    def create(cls, dims: list[int], rng: np.random.Generator) -> "DenseNet":
+        """Build a net with Glorot-uniform weights and zero biases: relu
+        hidden layers and a linear output layer.
 
         ``dims`` lists layer widths input-first, e.g. [16, 32, 32, 14]. The
         weights are drawn in float64, then stored as ``PARAM_DTYPE``.
@@ -165,7 +149,7 @@ class DenseNet:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(PARAM_DTYPE)
             b = np.zeros(fan_out, dtype=PARAM_DTYPE)
-            act = output_activation if i == len(dims) - 2 else hidden_activation
+            act = "linear" if i == len(dims) - 2 else "relu"
             layers.append(Layer(w=w, b=b, activation=act))
         return cls(layers)
 
@@ -272,7 +256,8 @@ def forward(
     for i, layer in enumerate(net.layers):
         z = np.matmul(acts[i], layer.w, out=acts[i + 1])
         z += layer.b
-        _activate_in_place(z, layer.activation)
+        if layer.activation == "relu":
+            np.maximum(z, 0.0, out=z)
     return acts[-1], tape
 
 
@@ -408,12 +393,6 @@ class AdamState:
             m=np.zeros_like(net.params), v=np.zeros_like(net.params),
             step=np.empty_like(net.params), candidate=np.empty_like(net.params),
         )
-
-    def reset_moments(self) -> None:
-        """Zero the moment buffers (divergence recovery); keeps hyperparameters."""
-        self.m[...] = 0.0
-        self.v[...] = 0.0
-        self.step_count = 0
 
 
 def adam_step(net: DenseNet, grads: Gradients, state: AdamState) -> None:

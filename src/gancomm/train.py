@@ -22,12 +22,6 @@ from . import baseline, channel, checkpoint, gan, nn, transceiver
 from .config import TrainConfig
 from .rng import substream
 
-# After this many consecutive GAN steps with discriminator accuracy pinned
-# at 1.0 the discriminator's Adam moments are reset to let the generator
-# regain footing.
-PINNED_ACCURACY_RESET_STEPS = 200
-
-
 @dataclass
 class StepRecord:
     step: int
@@ -131,8 +125,7 @@ def gan_update(
     real_y: np.ndarray,
     m: np.ndarray,
     rng_z: np.random.Generator,
-    label_smoothing: float = 0.0,
-    d_updates: int = 1,
+    d_updates: int,
     tapes: Mapping[str, nn.Tape] | None = None,
 ) -> tuple[float, float, float]:
     """One adversarial step: d_updates discriminator updates, then one
@@ -145,7 +138,7 @@ def gan_update(
         z = gan.sample_z(rng_z, batch, g.z_dim)
         fake_y, _ = gan.generate(g, z, m, _tape(tapes, "gen"))
         d_loss_val, d_grads, d_acc = gan.d_loss(
-            d, real_y, fake_y, m, real_target=1.0 - label_smoothing,
+            d, real_y, fake_y, m,
             tapes=(_tape(tapes, "disc"), _tape(tapes, "disc.fake")),
         )
         nn.adam_step(d.net, d_grads, d_opt)
@@ -165,20 +158,18 @@ def build_system(
     model = cfg.make_channel()
     cond_dim = model.cond_dim(cfg.n)
     tx = transceiver.Transmitter.create(
-        cfg.M, cfg.n, substream(cfg.seed, "init", "tx"),
-        hidden=cfg.tx_hidden, hidden_activation=cfg.hidden_activation,
+        cfg.M, cfg.n, substream(cfg.seed, "init", "tx"), hidden=cfg.tx_hidden
     )
     rx = transceiver.Receiver.create(
         cfg.M, cfg.n, substream(cfg.seed, "init", "rx"), n_pilot=model.n_pilot,
-        hidden=cfg.rx_hidden, hidden_activation=cfg.hidden_activation,
+        hidden=cfg.rx_hidden,
     )
     g = gan.Generator.create(
         cfg.n, cond_dim, substream(cfg.seed, "init", "gen"), z_dim=cfg.z_dim,
-        hidden=cfg.gen_hidden, hidden_activation=cfg.hidden_activation,
+        hidden=cfg.gen_hidden,
     )
     d = gan.Discriminator.create(
-        cfg.n, cond_dim, substream(cfg.seed, "init", "disc"),
-        hidden=cfg.disc_hidden, hidden_activation=cfg.hidden_activation,
+        cfg.n, cond_dim, substream(cfg.seed, "init", "disc"), hidden=cfg.disc_hidden
     )
     return tx, rx, g, d
 
@@ -215,7 +206,6 @@ class Trainer:
         self._tapes: dict[str, nn.Tape] = collections.defaultdict(nn.Tape)
         self.log = TrainLog()
         self.step = 0
-        self._pinned = 0
 
     def _draw_batch(self) -> tuple[np.ndarray, object]:
         """Uniform message indices, then the channel state of each block,
@@ -233,14 +223,9 @@ class Trainer:
         d_loss_val, g_loss_val, d_acc = gan_update(
             self.generator, self.discriminator, self.g_opt, self.d_opt,
             real_y, conditioning(x, y_p), self._rng_z,
-            label_smoothing=self.cfg.label_smoothing,
             d_updates=self.cfg.d_updates, tapes=self._tapes,
         )
         self._g_ema.update(self.generator.net)
-        self._pinned = self._pinned + 1 if d_acc >= 1.0 else 0
-        if self._pinned >= PINNED_ACCURACY_RESET_STEPS:
-            self.d_opt.reset_moments()
-            self._pinned = 0
         self.step += 1
         self.log.append(StepRecord(self.step, iteration, "gan", d_loss_val,
                                    g_loss=g_loss_val, d_accuracy=d_acc))

@@ -69,11 +69,8 @@ class Transmitter:
         n: int,
         rng: np.random.Generator,
         hidden: tuple[int, ...] = (32, 32),
-        hidden_activation: str = "relu",
     ) -> "Transmitter":
-        net = nn.DenseNet.create(
-            (m_count, *hidden, 2 * n), rng, hidden_activation=hidden_activation
-        )
+        net = nn.DenseNet.create((m_count, *hidden, 2 * n), rng)
         return cls(net, n)
 
     def encode(
@@ -158,13 +155,8 @@ class Receiver:
         rng: np.random.Generator,
         n_pilot: int = 0,
         hidden: tuple[int, ...] = (32, 32),
-        hidden_activation: str = "relu",
     ) -> "Receiver":
-        net = nn.DenseNet.create(
-            (2 * n + 2 * n_pilot, *hidden, m_count),
-            rng,
-            hidden_activation=hidden_activation,
-        )
+        net = nn.DenseNet.create((2 * n + 2 * n_pilot, *hidden, m_count), rng)
         return cls(net, m_count, n, n_pilot)
 
     def _stack_input(self, y: np.ndarray, y_pilot: np.ndarray | None) -> np.ndarray:

@@ -155,16 +155,12 @@ def reference_forward_backward(net, x, upstream):
         z = acts[-1] @ layer.w + layer.b
         if layer.activation == "relu":
             z = np.maximum(z, 0.0)
-        elif layer.activation == "tanh":
-            z = np.tanh(z)
         acts.append(z)
     g = np.asarray(upstream, dtype=net.dtype)
     weights, biases = [], []
     for layer, a_in, a in reversed(list(zip(net.layers, acts[:-1], acts[1:]))):
         if layer.activation == "relu":
             dz = g * (a > 0.0)
-        elif layer.activation == "tanh":
-            dz = g * (1.0 - a * a)
         else:
             dz = g
         weights.insert(0, a_in.T @ dz)

@@ -184,3 +184,29 @@ class TestSystemRoundTrip:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="receiver.json"):
             checkpoint.load_system(str(tmp_path))
+
+
+class TestOlderRunDirectory:
+    # config.json of a run written while hidden_activation and
+    # label_smoothing were still TrainConfig fields, at their one value
+    def write_older_run(self, path, **retired):
+        cfg = tiny_cfg()
+        checkpoint.save_system(str(path), cfg, *train.build_system(cfg))
+        older = {**cfg.to_dict(), "hidden_activation": "relu", "label_smoothing": 0.0}
+        checkpoint.write_json({**older, **retired}, str(path / "config.json"))
+        return cfg
+
+    # null takes the default, as for any key; an integer 0 is the float 0.0
+    @pytest.mark.parametrize("retired", [{}, {"hidden_activation": None},
+                                         {"label_smoothing": 0}])
+    def test_loads_to_the_same_config(self, tmp_path, retired):
+        cfg = self.write_older_run(tmp_path, **retired)
+        assert checkpoint.load_system(str(tmp_path))[0] == cfg
+
+    @pytest.mark.parametrize("key, value", [("hidden_activation", "tanh"),
+                                            ("label_smoothing", 0.1),
+                                            ("label_smoothing", False)])
+    def test_other_value_is_refused_by_key(self, tmp_path, key, value):
+        self.write_older_run(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            checkpoint.load_system(str(tmp_path))

@@ -73,8 +73,8 @@ class TestValidation:
             {"z_dim": 0},
             {"tx_hidden": ()},
             {"gen_hidden": (128, 0)},
-            {"hidden_activation": "gelu"},
-            {"label_smoothing": 0.5},
+            {"warmup_gan_steps": -1},
+            {"final_rx_steps": -1},
             {"d_updates": 0},
             {"train_ebn0_db": float("nan")},
             {"train_ebn0_db": 5000.0},
@@ -176,8 +176,6 @@ train_configs = st.builds(
     final_rx_steps=st.integers(min_value=0), seed=st.integers(min_value=0),
     z_dim=st.integers(1, 64),
     tx_hidden=widths, rx_hidden=widths, gen_hidden=widths, disc_hidden=widths,
-    hidden_activation=st.sampled_from(("relu", "tanh")),
-    label_smoothing=st.floats(0.0, 0.5, exclude_max=True),
     d_updates=st.integers(1, 8),
 )
 

@@ -117,41 +117,18 @@ class TestDiscriminatorLoss:
         real = rng.normal(size=(6, 4))
         fake, _ = gan.generate(g, gan.sample_z(rng, 6, 3), m)
 
-        _, grads, _ = gan.d_loss(d, real, fake, m, real_target=0.9)
+        _, grads, _ = gan.d_loss(d, real, fake, m)
         flat = d.net.flat_params()
         idx = np.linspace(0, flat.size - 1, 30).astype(int)
 
         def at(params):
             d.net.set_flat_params(params)
-            loss, _, _ = gan.d_loss(d, real, fake, m, real_target=0.9)
+            loss, _, _ = gan.d_loss(d, real, fake, m)
             return loss
 
         fd = central_difference(at, flat, idx)
         d.net.set_flat_params(flat)
         assert relative_error(grads.flat[idx], fd).max() < 1e-6
-
-    def test_label_smoothing_penalizes_confident_real_logits(self):
-        # positive weights make the logit follow the input sign, so the
-        # real batch lands at a large positive logit; the smoothed target
-        # then adds exactly 0.1 * logit per row
-        _, d = small_gan(seed=13)
-        for layer in d.net.layers:
-            layer.w[...] = 0.1
-            layer.b[...] = 0.0
-        m = np.zeros((4, 4))
-        real = np.full((4, 4), 50.0)
-        fake = np.full((4, 4), -50.0)
-        full, _, _ = gan.d_loss(d, real, fake, m, real_target=1.0)
-        smoothed, _, _ = gan.d_loss(d, real, fake, m, real_target=0.9)
-        assert smoothed > full
-
-    def test_real_target_range_is_enforced(self):
-        _, d = small_gan(seed=15)
-        rng = np.random.default_rng(16)
-        batch = rng.normal(size=(3, 4))
-        for bad in (0.5, 0.2, 1.1):
-            with pytest.raises(ValueError):
-                gan.d_loss(d, batch, batch, batch, real_target=bad)
 
 
 class TestGeneratorLoss:

@@ -1,5 +1,7 @@
 """Core dense-net machinery: forward, backward, losses, Adam."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,17 @@ def tiny_net():
         w=np.array([[1.0], [-1.0]]), b=np.array([0.25]), activation="linear"
     )
     return nn.DenseNet([l1, l2])
+
+
+def net_of_layers(dims, activations, rng):
+    """A float32 net built layer by layer, layer i applying activations[i]:
+    normal weights scaled by 1/sqrt(fan_in) and normal biases, so relu
+    layers have units on both sides of the kink."""
+    return nn.DenseNet([
+        nn.Layer(w=(rng.normal(size=(fan_in, fan_out)) / np.sqrt(fan_in)).astype(np.float32),
+                 b=rng.normal(size=fan_out).astype(np.float32), activation=act)
+        for fan_in, fan_out, act in zip(dims[:-1], dims[1:], activations, strict=True)
+    ])
 
 
 class TestForward:
@@ -70,22 +83,12 @@ class TestForward:
             single, _ = nn.forward(net, x[i : i + 1])
             assert np.allclose(full[i], single[0], rtol=1e-12, atol=1e-14)
 
-    def test_tanh_activation(self):
-        rng = np.random.default_rng(4)
-        net = nn.DenseNet.create((3, 6, 2), rng, hidden_activation="tanh")
-        x = rng.normal(size=(2, 3))
-        out, tape = nn.forward(net, x)
-        hidden = np.tanh(x @ net.layers[0].w + net.layers[0].b)
-        assert np.allclose(out, hidden @ net.layers[1].w + net.layers[1].b)
-
 
 class TestBackward:
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_parameter_gradients_match_finite_differences(self, activation):
+    @pytest.mark.parametrize("hidden", nn.ACTIVATIONS)
+    def test_parameter_gradients_match_finite_differences(self, hidden):
         rng = np.random.default_rng(11)
-        net = float64_copy(
-            nn.DenseNet.create((6, 9, 7, 3), rng, hidden_activation=activation)
-        )
+        net = float64_copy(net_of_layers((6, 9, 7, 3), (hidden, hidden, "linear"), rng))
         x = rng.normal(size=(5, 6))
         target = rng.normal(size=(5, 3))
 
@@ -162,24 +165,24 @@ def same_gradients(grads, weights, biases):
 
 
 net_shapes = st.lists(st.integers(1, 9), min_size=2, max_size=5)
+# a net's layer widths, input first, and one activation per layer
+layered_nets = net_shapes.flatmap(lambda dims: st.tuples(
+    st.just(dims), st.lists(st.sampled_from(nn.ACTIVATIONS),
+                            min_size=len(dims) - 1, max_size=len(dims) - 1)))
 
 
 class TestTapeReuse:
-    @given(dims=st.lists(net_shapes, min_size=2, max_size=2),
+    @given(layers=st.lists(layered_nets, min_size=2, max_size=2),
            passes=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 12)),
                            min_size=2, max_size=4),
-           hidden=st.sampled_from(nn.ACTIVATIONS), output=st.sampled_from(nn.ACTIVATIONS),
            seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
-    def test_reused_tape_matches_fresh_arrays_bit_for_bit(
-        self, dims, passes, hidden, output, seed
-    ):
+    def test_reused_tape_matches_fresh_arrays_bit_for_bit(self, layers, passes, seed):
         # one tape through a run of passes, each on either of two nets (one
         # float32, one float64) at its own batch size: every pass writes
         # over, or replaces, the last one's arrays
         rng = np.random.default_rng(seed)
-        nets = [nn.DenseNet.create(d, rng, hidden_activation=hidden,
-                                   output_activation=output) for d in dims]
+        nets = [net_of_layers(dims, acts, rng) for dims, acts in layers]
         nets[1] = float64_copy(nets[1])
         tape = nn.Tape()
         for which, batch in passes:
@@ -196,14 +199,13 @@ class TestTapeReuse:
             assert input_grad is tape.input_grads[net.input_dim]
             assert same_bytes(input_grad, want_input)
 
-    @given(dims=net_shapes, batch=st.integers(1, 12),
-           hidden=st.sampled_from(nn.ACTIVATIONS), seed=st.integers(0, 2**16))
+    @given(layers=layered_nets, batch=st.integers(1, 12), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
-    def test_params_false_gives_the_same_input_gradient(self, dims, batch, hidden, seed):
+    def test_params_false_gives_the_same_input_gradient(self, layers, batch, seed):
         rng = np.random.default_rng(seed)
-        net = nn.DenseNet.create(dims, rng, hidden_activation=hidden)
-        x = rng.normal(size=(batch, dims[0]))
-        upstream = rng.normal(size=(batch, dims[-1]))
+        net = net_of_layers(*layers, rng)
+        x = rng.normal(size=(batch, net.input_dim))
+        upstream = rng.normal(size=(batch, net.output_dim))
         *_, want = reference_forward_backward(net, x, upstream)
         tape = nn.Tape()
         for _ in range(2):
@@ -212,14 +214,13 @@ class TestTapeReuse:
             assert grads is None and tape.grads is None
             assert same_bytes(input_grad, want)
 
-    @given(dims=net_shapes, batch=st.integers(1, 12),
-           hidden=st.sampled_from(nn.ACTIVATIONS), seed=st.integers(0, 2**16))
+    @given(layers=layered_nets, batch=st.integers(1, 12), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
-    def test_inputs_false_gives_the_same_parameter_gradients(self, dims, batch, hidden, seed):
+    def test_inputs_false_gives_the_same_parameter_gradients(self, layers, batch, seed):
         rng = np.random.default_rng(seed)
-        net = nn.DenseNet.create(dims, rng, hidden_activation=hidden)
-        x = rng.normal(size=(batch, dims[0]))
-        upstream = rng.normal(size=(batch, dims[-1]))
+        net = net_of_layers(*layers, rng)
+        x = rng.normal(size=(batch, net.input_dim))
+        upstream = rng.normal(size=(batch, net.output_dim))
         _, want_w, want_b, _ = reference_forward_backward(net, x, upstream)
         tape = nn.Tape()
         for _ in range(2):
@@ -375,17 +376,6 @@ class TestAdam:
         )
         with pytest.raises(nn.NonFiniteError):
             nn.adam_step(net, grads, state)
-
-    def test_reset_moments_zeroes_buffers(self):
-        rng = np.random.default_rng(32)
-        net = nn.DenseNet.create((2, 2), rng)
-        state = nn.AdamState.for_net(net, 0.01)
-        grads = gradients_for(net, weights=[np.ones((2, 2))], biases=[np.ones(2)])
-        nn.adam_step(net, grads, state)
-        assert state.step_count == 1
-        state.reset_moments()
-        assert state.step_count == 0
-        assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
 
     @staticmethod
     def assert_overflow_commits_nothing(net, big, lr):
@@ -610,12 +600,13 @@ class TestDtype:
         with pytest.raises(TypeError):
             nn.DenseNet(mixed)
 
-    @pytest.mark.parametrize("hidden", ["relu", "tanh"])
-    def test_float32_net_keeps_every_array_float32(self, hidden):
+    @pytest.mark.parametrize("activations", itertools.product(nn.ACTIVATIONS, repeat=2),
+                             ids="-".join)
+    def test_float32_net_keeps_every_array_float32(self, activations):
         # inputs, upstream gradients and targets arrive in float64, as the
         # channel and the losses' callers give them; none may upcast the net
         rng = np.random.default_rng(72)
-        net = nn.DenseNet.create((5, 7, 4), rng, hidden_activation=hidden)
+        net = net_of_layers((5, 7, 4), activations, rng)
         state = nn.AdamState.for_net(net, 1e-3)
         ema = nn.EmaTracker(net, 0.9)
         tape = nn.Tape()
