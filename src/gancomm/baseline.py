@@ -120,32 +120,33 @@ def qam16_modulate(messages: np.ndarray) -> np.ndarray:
 
 
 def qam16_demod_coherent(y: np.ndarray, h_est: np.ndarray) -> np.ndarray:
-    """Equalize by h_est, then nearest constellation point (lowest index
-    on ties). A zero channel estimate cannot be equalized and raises."""
+    """Equalize the (B,) y by the (B,) h_est, then take each symbol's nearest
+    constellation point (lowest index on ties). A zero channel estimate
+    cannot be equalized and raises."""
     y = np.asarray(y, dtype=np.complex128)
-    h_est = np.broadcast_to(np.asarray(h_est, dtype=np.complex128), y.shape)
+    h_est = np.asarray(h_est, dtype=np.complex128)
+    if y.ndim != 1 or h_est.shape != y.shape:
+        raise nn.ShapeError(f"y {y.shape} and h_est {h_est.shape} must both be (batch,)")
     if np.any(h_est == 0):
         raise FloatingPointError("channel estimate is exactly zero; cannot equalize")
     eq = y / h_est
     decided = np.empty(eq.shape, dtype=np.intp)
     # the distances to the 16 points, QAM16_DEMOD_CHUNK symbols at a time,
     # so the (symbols, 16) scratch stays small whatever the batch
-    flat_eq, flat_decided = eq.reshape(-1), decided.reshape(-1)
-    for start in range(0, flat_eq.size, QAM16_DEMOD_CHUNK):
+    for start in range(0, eq.size, QAM16_DEMOD_CHUNK):
         part = slice(start, start + QAM16_DEMOD_CHUNK)
-        dist = np.abs(flat_eq[part, None] - qam16_constellation())
-        np.argmin(dist, axis=1, out=flat_decided[part])
-    return decided[()]  # a scalar for a scalar y, as argmin gives
+        dist = np.abs(eq[part, None] - qam16_constellation())
+        np.argmin(dist, axis=1, out=decided[part])
+    return decided
 
 
 def ls_estimate(y_pilot: np.ndarray) -> np.ndarray:
     """Least-squares channel estimate from all-ones pilots.
 
     With pilot symbol 1, the LS solution is the mean of the received
-    pilot uses. y_pilot is (n_pilot,) complex or (B, n_pilot) complex;
-    returns a scalar or (B,) complex estimate.
+    pilot uses. y_pilot is (B, n_pilot) complex; returns the (B,) estimates.
     """
     y_pilot = np.asarray(y_pilot, dtype=np.complex128)
-    if y_pilot.ndim not in (1, 2):
-        raise nn.ShapeError(f"pilots must be 1-D or 2-D, got shape {y_pilot.shape}")
-    return y_pilot.mean(axis=-1)
+    if y_pilot.ndim != 2:
+        raise nn.ShapeError(f"pilots must be (batch, n_pilot), got {y_pilot.shape}")
+    return y_pilot.mean(axis=1)

@@ -24,8 +24,6 @@ same stream positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -51,30 +49,20 @@ def complex_to_iq(symbols: np.ndarray) -> np.ndarray:
 EBN0_DB_LIMIT = 300.0
 
 
-@dataclass(frozen=True)
-class SnrSpec:
-    """An Eb/N0 operating point for a rate k/n block code."""
-
-    ebn0_db: float
-    k: int  # information bits per block
-    n: int  # complex channel uses per block
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.n < 1:
-            raise ValueError("k and n must be >= 1")
-        if not abs(self.ebn0_db) <= EBN0_DB_LIMIT:
-            raise ValueError(f"ebn0_db must lie within +-{EBN0_DB_LIMIT:g} dB")
-
-
-def noise_std_from_snr(spec: SnrSpec) -> float:
-    """Per-real-dimension noise standard deviation for an Eb/N0 point.
+def noise_std_from_snr(ebn0_db: float, k: int, n: int) -> float:
+    """Per-real-dimension noise standard deviation at Eb/N0 ebn0_db for a
+    block code of k information bits over n complex channel uses.
 
     With unit average power per complex use and rate R = k/n bits per use,
     N0 = 1 / (R * 10^(ebn0_db/10)); the noise is CN(0, N0), i.e. variance
     N0/2 per real dimension.
     """
-    rate = spec.k / spec.n
-    n0 = 1.0 / (rate * 10.0 ** (spec.ebn0_db / 10.0))
+    if k < 1 or n < 1:
+        raise ValueError("k and n must be >= 1")
+    if not abs(ebn0_db) <= EBN0_DB_LIMIT:
+        raise ValueError(f"ebn0_db must lie within +-{EBN0_DB_LIMIT:g} dB")
+    rate = k / n
+    n0 = 1.0 / (rate * 10.0 ** (ebn0_db / 10.0))
     return float(np.sqrt(n0 / 2.0))
 
 
@@ -97,7 +85,9 @@ def _receive(noiseless: np.ndarray, noise_std: float, rng: np.random.Generator,
     """Write noiseless + w into out (noiseless may be out itself): w is
     i.i.d. Gaussian(0, noise_std^2) per real dimension, drawn in row-major
     order NOISE_CHUNK values at a time and scaled in a scratch of that
-    size. A noise_std of 0 draws nothing."""
+    size. A noise_std of 0 draws nothing; a negative or NaN one raises."""
+    if not noise_std >= 0:
+        raise ValueError(f"noise std must be >= 0, got {noise_std}")
     if noise_std > 0:
         src, dst = noiseless.reshape(-1), out.reshape(-1)
         scratch = np.empty(min(dst.size, NOISE_CHUNK))
@@ -116,8 +106,6 @@ def awgn_apply(x: np.ndarray, std: float, rng: np.random.Generator,
     """y = x + w with w i.i.d. Gaussian(0, std^2) per real dimension,
     written into ``out`` if given."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if std < 0:
-        raise ValueError("std must be >= 0")
     return _receive(x, std, rng, _output(out, x.shape))
 
 
@@ -130,46 +118,46 @@ def rayleigh_sample(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def fading_apply(
-    x: np.ndarray, h: complex | np.ndarray, noise_std: float,
+    x: np.ndarray, h: np.ndarray, noise_std: float,
     rng: np.random.Generator, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """y_i = h * x_i + w_i; one h multiplies every complex use of a block.
 
-    ``h`` is a scalar for a single block or a (batch,) array for a batch of
-    independently faded blocks; ``noise_std`` is per real dimension. y is
-    written into ``out`` if given, which must not overlap x: numpy's complex
-    multiply rounds differently in place for some shapes.
+    ``h`` holds one coefficient per block of the (batch, 2n) ``x``, shape
+    (batch,); ``noise_std`` is per real dimension. y is written into
+    ``out`` if given, which must not overlap x: numpy's complex multiply
+    rounds differently in place for some shapes.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim == 1:
-        if x.ndim != 2 or h.shape[0] != x.shape[0]:
-            raise ValueError(f"h batch {h.shape} does not match blocks {x.shape}")
-        h = h[:, None]
+    if x.ndim != 2 or h.shape != x.shape[:1]:
+        raise ValueError(f"h {h.shape} must hold one coefficient per block of {x.shape}")
     out = _output(out, x.shape)
     if np.may_share_memory(x, out):
         raise ValueError("out must not overlap x")
     # the interleaved (re, im) pairs of a C-contiguous float64 block are a
     # complex128 array in memory, so h multiplies views, not copies
-    np.multiply(x.view(np.complex128), h, out=out.view(np.complex128))
+    np.multiply(x.view(np.complex128), h[:, None], out=out.view(np.complex128))
     return _receive(out, noise_std, rng, out)
 
 
 def pilot_receive(
-    h: complex | np.ndarray, noise_std: float, n_pilot: int,
+    h: np.ndarray, noise_std: float, n_pilot: int,
     rng: np.random.Generator, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Receive the known all-ones pilot: y_p = h * 1 + w, per pilot use.
 
-    Shape (2*n_pilot,) for a scalar h, (batch, 2*n_pilot) for a batched one;
-    written into ``out`` if given.
+    ``h`` holds one coefficient per block, shape (batch,); the pilots come
+    back (batch, 2*n_pilot), written into ``out`` if given.
     """
     if n_pilot < 1:
         raise ValueError("n_pilot must be >= 1")
     h = np.asarray(h, dtype=np.complex128)
-    out = _output(out, h.shape + (2 * n_pilot,))
+    if h.ndim != 1:
+        raise ValueError(f"h must hold one coefficient per block, got shape {h.shape}")
+    out = _output(out, (h.shape[0], 2 * n_pilot))
     # h * 1 is h exactly, so every pilot use receives h before the noise
-    out.view(np.complex128)[...] = h[..., None]
+    out.view(np.complex128)[...] = h[:, None]
     return _receive(out, noise_std, rng, out)
 
 
@@ -233,7 +221,7 @@ class AwgnChannel(Channel):
 class RayleighChannel(Channel):
     """Rayleigh block fading: one h ~ CN(0, 1) per block, shared by the
     block and its n_pilot all-ones pilot uses (none when n_pilot is 0).
-    The state is h, a scalar or one coefficient per block."""
+    The state is h, one coefficient per block."""
 
     def __init__(self, n_pilot: int = 1):
         self.n_pilot = n_pilot

@@ -110,7 +110,7 @@ def _cmd_dump(args: argparse.Namespace) -> int:
         evaluate.constellation_dump(tx, args.out)
     else:
         x = tx.encode_messages(np.arange(cfg.M))
-        std = channel.noise_std_from_snr(cfg.snr_train())
+        std = channel.noise_std_from_snr(cfg.train_ebn0_db, cfg.k, cfg.n)
         h = cfg.make_channel().draw_state(substream(args.seed, "dump", "h"), cfg.M)
         evaluate.gan_scatter_dump(
             g, x, std, args.out, n_samples=args.samples, seed=args.seed,

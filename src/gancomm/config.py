@@ -19,7 +19,7 @@ import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields
 
-from .channel import EBN0_DB_LIMIT, Channel, SnrSpec, make_channel
+from .channel import EBN0_DB_LIMIT, Channel, make_channel
 
 CHANNELS = ("awgn", "rayleigh")
 
@@ -118,9 +118,6 @@ class TrainConfig:
     def make_channel(self) -> Channel:
         return make_channel(self.channel, self.n_pilot)
 
-    def snr_train(self) -> SnrSpec:
-        return SnrSpec(ebn0_db=float(self.train_ebn0_db), k=self.k, n=self.n)
-
     def to_dict(self) -> dict:
         d = asdict(self)
         for name in ("tx_hidden", "rx_hidden", "gen_hidden", "disc_hidden"):
@@ -203,5 +200,10 @@ def _coerce(hint, value):
 
 
 def load_config(path: str) -> TrainConfig:
-    """Parse a JSON config file; unspecified fields take the defaults."""
-    return TrainConfig.from_dict(read_json(path, "config"))
+    """Parse a JSON config file; unspecified fields take the defaults. A
+    bad value raises a ConfigError that names the file."""
+    data = read_json(path, "config")
+    try:
+        return TrainConfig.from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None

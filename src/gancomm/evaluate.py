@@ -159,7 +159,7 @@ def _sweep(codebook, model, decide, k, n, spec, seed, label, workers):
     workspace = _Workspace()
     points = []
     for i, ebn0 in enumerate(spec.ebn0_db):
-        std = channel.noise_std_from_snr(channel.SnrSpec(ebn0, k, n))
+        std = channel.noise_std_from_snr(ebn0, k, n)
 
         def trial_fn(n_trials: int, rng: np.random.Generator) -> int:
             messages = rng.integers(0, len(codebook), size=n_trials)
@@ -306,27 +306,24 @@ def _fixed_condition(
     blocks, the generator conditioning for them, the noiseless received
     block and a label.
 
-    With h None the channel is AWGN and the conditioning is the block x[c];
-    otherwise it is block fading at the fixed coefficient h[c], and the
-    conditioning appends the noiseless pilot observation h[c] * 1.
+    With h None the channel is AWGN, otherwise block fading with every
+    block at h[c]. The channel object gives the noiseless output and
+    pilots; ``gan.conditioning`` appends the pilots, as in training.
     """
     xc = np.tile(x[c], (n_samples, 1))
     label = f"x={x[c].round(4).tolist()}"
     if h is None:
-        hc, model, m = None, channel.make_channel("awgn"), xc
+        model, state = channel.make_channel("awgn"), None
     else:
         hc = complex(np.asarray(h, dtype=np.complex128).reshape(-1)[c])
-        model = channel.make_channel("rayleigh", n_pilot)
-        pilot = model.pilots(hc, 0.0, None)  # noiseless: draws nothing
-        m = np.concatenate([xc, np.tile(pilot, (n_samples, 1))], axis=1)
+        model, state = channel.make_channel("rayleigh", n_pilot), np.full(n_samples, hc)
         label = f"h={hc:.4g}, {label}"
-    # the channel's own noiseless output, so the target is bit-equal to it
-    target = model.apply(x[c][None, :], hc, 0.0, None)[0]
+    noiseless, pilots = model.observe(xc, state, 0.0, None)  # draws nothing
 
     def sample(rng: np.random.Generator) -> np.ndarray:
-        return model.apply(xc, hc, noise_std, rng)
+        return model.apply(xc, state, noise_std, rng)
 
-    return sample, m, target, label
+    return sample, gan.conditioning(xc, pilots), noiseless[0].copy(), label
 
 
 def gan_fidelity(

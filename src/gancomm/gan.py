@@ -2,7 +2,8 @@
 
 The generator maps [z, m] -> fake received block, where z is standard
 normal and m is the conditioning: the transmitted block x on AWGN, or
-[x, received pilots] on fading channels. The discriminator maps
+[x, received pilots] on fading channels. ``conditioning`` builds m, for
+training and for the surrogate diagnostics alike. The discriminator maps
 [y, m] -> one real/fake logit. Because the generator is an explicit dense
 net, gradients can flow from a receiver loss through the fake block back
 into the transmitter, which the real channel cannot offer.
@@ -84,6 +85,14 @@ def sample_z(rng: np.random.Generator, batch: int, z_dim: int) -> np.ndarray:
     return rng.standard_normal((batch, z_dim))
 
 
+def conditioning(x: np.ndarray, y_pilot: np.ndarray | None) -> np.ndarray:
+    """The conditioning m of a batch: the transmitted blocks, with the
+    received pilots appended on a channel that has them."""
+    if y_pilot is None:
+        return x
+    return np.concatenate([x, y_pilot], axis=1)
+
+
 def _stack(a: np.ndarray, m: np.ndarray, cond_dim: int, net: nn.DenseNet) -> np.ndarray:
     """[a, m] as one array in the net's dtype, after checking m's shape."""
     m = np.asarray(m)
@@ -131,8 +140,8 @@ def d_loss(
     """
     logits_r, tape_r = discriminate(d, real_y, m, tapes[0])
     logits_f, tape_f = discriminate(d, fake_y, m, tapes[1])
-    loss_r, grad_r = nn.sigmoid_bce(logits_r, np.ones_like(logits_r))
-    loss_f, grad_f = nn.sigmoid_bce(logits_f, np.zeros_like(logits_f))
+    loss_r, grad_r = nn.sigmoid_bce(logits_r, real=True)
+    loss_f, grad_f = nn.sigmoid_bce(logits_f, real=False)
     loss = float(loss_r + loss_f)
     if not np.isfinite(loss):
         raise nn.NonFiniteError("discriminator loss is not finite")
@@ -158,7 +167,7 @@ def g_loss(
     """
     fake_y, g_tape = generate(g, z, m, tapes[0])
     logits, d_tape = discriminate(d, fake_y, m, tapes[1])
-    loss, grad_logits = nn.sigmoid_bce(logits, np.ones_like(logits))
+    loss, grad_logits = nn.sigmoid_bce(logits, real=True)
     if not np.isfinite(loss):
         raise nn.NonFiniteError("generator loss is not finite")
     _, d_input_grad = nn.backward(d.net, d_tape, grad_logits, params=False)

@@ -350,21 +350,15 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid_bce(
-    logits: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy on logits, stable log-sum-exp form.
+def sigmoid_bce(logits: np.ndarray, real: bool) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy of logits against one label for every
+    row, t = 1 for real and 0 for fake, in the stable log-sum-exp form.
 
     loss_i = max(z,0) - z*t + log(1 + exp(-|z|)); grad = (sigmoid(z) - t) / N.
-    Targets may be soft (label smoothing), in [0, 1]. The gradient comes
-    back in the logits' dtype.
+    The gradient comes back in the logits' dtype.
     """
     z = np.asarray(logits)
-    t = np.asarray(targets, dtype=z.dtype)
-    if z.shape != t.shape:
-        raise ShapeError(f"logits {z.shape} vs targets {t.shape}")
-    if np.any((t < 0.0) | (t > 1.0)):
-        raise ValueError("targets must lie in [0, 1]")
+    t = z.dtype.type(1.0 if real else 0.0)
     per_sample = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     loss = float(per_sample.mean())
     grad = (sigmoid(z) - t) / z.size

@@ -57,14 +57,6 @@ class TrainLog:
                 ])
 
 
-def conditioning(x: np.ndarray, y_pilot: np.ndarray | None) -> np.ndarray:
-    """GAN conditioning: the transmitted block, plus received pilots when
-    the channel state must be inferred."""
-    if y_pilot is None:
-        return x
-    return np.concatenate([x, y_pilot], axis=1)
-
-
 def _tape(tapes: Mapping[str, nn.Tape] | None, key: str) -> nn.Tape | None:
     """The tape kept under this key, or None for a new one."""
     return None if tapes is None else tapes[key]
@@ -104,7 +96,7 @@ def transmitter_forward_backward(
     reusable tape for each net by name (tx, gen, rx).
     """
     x, tx_tape = tx.encode(onehot, _tape(tapes, "tx"))
-    m = conditioning(x, y_pilot)
+    m = gan.conditioning(x, y_pilot)
     fake_y, g_tape = gan.generate(g, z, m, _tape(tapes, "gen"))
     logits, rx_tape = rx.forward_logits(fake_y, y_pilot, _tape(tapes, "rx"))
     loss, grad_logits = nn.softmax_cross_entropy(logits, onehot)
@@ -186,7 +178,7 @@ class Trainer:
     def __init__(self, cfg: TrainConfig, source=None):
         self.cfg = cfg
         self.channel_model = cfg.make_channel()
-        self.noise_std = channel.noise_std_from_snr(cfg.snr_train())
+        self.noise_std = channel.noise_std_from_snr(cfg.train_ebn0_db, cfg.k, cfg.n)
         self.tx, self.rx, self.generator, self.discriminator = build_system(cfg)
         self.tx_opt = nn.AdamState.for_net(self.tx.net, cfg.lr_transceiver)
         self.rx_opt = nn.AdamState.for_net(self.rx.net, cfg.lr_transceiver)
@@ -222,7 +214,7 @@ class Trainer:
         )
         d_loss_val, g_loss_val, d_acc = gan_update(
             self.generator, self.discriminator, self.g_opt, self.d_opt,
-            real_y, conditioning(x, y_p), self._rng_z,
+            real_y, gan.conditioning(x, y_p), self._rng_z,
             d_updates=self.cfg.d_updates, tapes=self._tapes,
         )
         self._g_ema.update(self.generator.net)

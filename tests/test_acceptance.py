@@ -67,7 +67,7 @@ def test_1_gradient_suite_full_size_nets():
         z = gan.sample_z(rng, batch, cfg.z_dim)
         y_p = rng.normal(size=(batch, 2 * cfg.n_pilot)) if cfg.is_fading else None
         y = rng.normal(size=(batch, 2 * cfg.n))
-        cond = train.conditioning(tx.encode(onehot)[0], y_p)
+        cond = gan.conditioning(tx.encode(onehot)[0], y_p)
 
         _, rx_grads = train.receiver_forward_backward(rx, onehot, y, y_p)
         fd_check(
@@ -137,7 +137,7 @@ def test_2_awgn_end_to_end_tracks_hamming_within_one_db(awgn_run):
 
 def test_3_awgn_surrogate_matches_channel_statistics():
     g, _, _ = train.train_channel_gan("awgn", 6.0, steps=3000, seed=1)
-    std = channel.noise_std_from_snr(channel.SnrSpec(6.0, k=4, n=1))
+    std = channel.noise_std_from_snr(6.0, 4, 1)
     x = channel.complex_to_iq(baseline.qam16_constellation()[:, None])
     reports = evaluate.gan_fidelity(g, x, std, n_samples=10_000, seed=2)
     mean_dist = max(
@@ -157,7 +157,7 @@ def test_4_fading_surrogate_follows_the_pilot():
     coeffs = np.array([1.0 + 0j, 1j, 0.5 - 0.5j])
     x = channel.complex_to_iq(np.repeat(baseline.qam16_constellation(), 3)[:, None])
     h = np.tile(coeffs, 16)
-    std = channel.noise_std_from_snr(channel.SnrSpec(10.0, k=4, n=1))
+    std = channel.noise_std_from_snr(10.0, 4, 1)
     reports = evaluate.gan_fidelity(g, x, std, n_samples=10_000, seed=2, h=h)
     mean_dist = max(
         float(np.linalg.norm(r.fake_mean - r.target_mean)) for r in reports
@@ -222,7 +222,7 @@ def test_7_channel_monte_carlo_invariants():
     power = float(np.mean(np.abs(h) ** 2))
     quad_corr = float(np.mean(h.real * h.imag))
 
-    std = channel.noise_std_from_snr(channel.SnrSpec(4.0, k=4, n=7))
+    std = channel.noise_std_from_snr(4.0, 4, 7)
     x = np.zeros((50_000, 14))
     awgn_var = float(channel.awgn_apply(x, std, rng).var())
 

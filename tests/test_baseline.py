@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gancomm import baseline
+from gancomm import baseline, nn
 from helpers import bits_to_message, hamming74_hard_decode
 
 
@@ -196,12 +196,18 @@ class TestQam16:
         with pytest.raises(FloatingPointError):
             baseline.qam16_demod_coherent(np.array([1.0 + 0j]), np.array([0.0 + 0j]))
 
+    def test_takes_only_one_estimate_per_symbol(self):
+        for y, h_est in ((1.0 + 0j, 1.0 + 0j), (np.ones(3), 1.0 + 0j),
+                         (np.ones(3), np.ones(2)), (np.ones((3, 1)), np.ones((3, 1)))):
+            with pytest.raises(nn.ShapeError):
+                baseline.qam16_demod_coherent(y, h_est)
+
 
 class TestLsEstimate:
     def test_noiseless_recovers_h_exactly(self):
         h = 0.7 - 1.1j
-        y_p = np.full(4, h)
-        assert baseline.ls_estimate(y_p) == pytest.approx(h, rel=1e-12)
+        y_p = np.full((1, 4), h)
+        assert baseline.ls_estimate(y_p)[0] == pytest.approx(h, rel=1e-12)
 
     def test_is_the_pilot_mean(self):
         rng = np.random.default_rng(5)
@@ -217,3 +223,8 @@ class TestLsEstimate:
         err_1 = np.abs(baseline.ls_estimate(h + noise[:, :1]) - h)
         err_8 = np.abs(baseline.ls_estimate(h + noise) - h)
         assert err_8.mean() < err_1.mean() / 2.0
+
+    def test_takes_only_batched_pilots(self):
+        for y_p in (np.ones(4), np.ones((2, 3, 1))):
+            with pytest.raises(nn.ShapeError):
+                baseline.ls_estimate(y_p)

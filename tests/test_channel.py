@@ -36,34 +36,37 @@ class TestIqLayout:
 class TestNoiseStd:
     def test_rate_four_sevenths_at_zero_db(self):
         # N0 = 1/(4/7) = 1.75, per-dim variance 0.875
-        std = channel.noise_std_from_snr(channel.SnrSpec(0.0, 4, 7))
+        std = channel.noise_std_from_snr(0.0, 4, 7)
         assert std == pytest.approx(0.9354143466934853, rel=1e-12)
 
     def test_rate_four_sevenths_at_four_db(self):
-        std = channel.noise_std_from_snr(channel.SnrSpec(4.0, 4, 7))
+        std = channel.noise_std_from_snr(4.0, 4, 7)
         assert std == pytest.approx(0.5902065521783963, rel=1e-12)
 
     def test_uncoded_qam_point(self):
         # 4 bits in one use at 10 dB: N0 = 1/40
-        std = channel.noise_std_from_snr(channel.SnrSpec(10.0, 4, 1))
+        std = channel.noise_std_from_snr(10.0, 4, 1)
         assert std == pytest.approx(0.11180339887498948, rel=1e-12)
 
     def test_bpsk_unit_rate_zero_db(self):
-        std = channel.noise_std_from_snr(channel.SnrSpec(0.0, 1, 1))
+        std = channel.noise_std_from_snr(0.0, 1, 1)
         assert std == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
     def test_monotone_in_snr(self):
         stds = [
-            channel.noise_std_from_snr(channel.SnrSpec(db, 4, 7))
+            channel.noise_std_from_snr(db, 4, 7)
             for db in (-2.0, 0.0, 2.0, 4.0)
         ]
         assert all(a > b for a, b in zip(stds, stds[1:]))
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            channel.SnrSpec(0.0, 0, 7)
-        with pytest.raises(ValueError):
-            channel.SnrSpec(float("nan"), 4, 7)
+        with pytest.raises(ValueError, match="k and n"):
+            channel.noise_std_from_snr(0.0, 0, 7)
+        with pytest.raises(ValueError, match="k and n"):
+            channel.noise_std_from_snr(0.0, 4, 0)
+        for db in (float("nan"), channel.EBN0_DB_LIMIT + 1.0):
+            with pytest.raises(ValueError, match="ebn0_db"):
+                channel.noise_std_from_snr(db, 4, 7)
 
 
 class TestAwgn:
@@ -100,6 +103,18 @@ class TestAwgn:
             channel.awgn_apply(np.zeros((1, 2)), -0.1, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("noise_std", [-0.5, float("nan")])
+@pytest.mark.parametrize("simulate", [
+    lambda std, rng: channel.awgn_apply(np.ones((2, 4)), std, rng),
+    lambda std, rng: channel.fading_apply(np.ones((2, 4)), np.ones(2, dtype=complex),
+                                          std, rng),
+    lambda std, rng: channel.pilot_receive(np.ones(2, dtype=complex), std, 1, rng),
+], ids=["awgn_apply", "fading_apply", "pilot_receive"])
+def test_simulators_refuse_a_negative_or_nan_noise_std(simulate, noise_std):
+    with pytest.raises(ValueError, match="noise std"):
+        simulate(noise_std, np.random.default_rng(0))
+
+
 class TestRayleigh:
     def test_unit_average_power(self):
         h = channel.rayleigh_sample(np.random.default_rng(2), 200_000)
@@ -115,7 +130,7 @@ class TestRayleigh:
 class TestFading:
     def test_noiseless_is_exact_complex_multiplication(self):
         x = np.array([[1.0, 0.0, 0.0, 1.0]])  # 1, j
-        y = channel.fading_apply(x, 2.0 - 1.0j, 0.0, np.random.default_rng(0))
+        y = channel.fading_apply(x, np.array([2.0 - 1.0j]), 0.0, np.random.default_rng(0))
         sym = channel.iq_to_complex(y)
         assert sym[0, 0] == pytest.approx(2.0 - 1.0j)
         assert sym[0, 1] == pytest.approx(1.0 + 2.0j)  # (2-j)*j
@@ -134,10 +149,17 @@ class TestFading:
             channel.fading_apply(np.zeros((4, 2)), np.ones(3, dtype=complex), 0.0,
                                  np.random.default_rng(0))
 
+    def test_scalar_h_rejected(self):
+        for h in (1.0 + 0.0j, np.array(1.0 + 0.0j)):
+            with pytest.raises(ValueError, match="one coefficient per block"):
+                channel.fading_apply(np.zeros((1, 2)), h, 0.0, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="one coefficient per block"):
+                channel.pilot_receive(h, 0.0, 1, np.random.default_rng(0))
+
     def test_noise_variance_on_top_of_fading(self):
         rng = np.random.default_rng(5)
         x = np.zeros((100_000, 2))
-        y = channel.fading_apply(x, 1.0 + 0.0j, 0.7, rng)
+        y = channel.fading_apply(x, np.ones(len(x), dtype=complex), 0.7, rng)
         assert y.var() == pytest.approx(0.49, rel=0.02)
 
 
@@ -160,9 +182,9 @@ class TestFading:
 
 class TestPilots:
     def test_noiseless_pilot_reveals_h(self):
-        y_p = channel.pilot_receive(0.3 + 1.2j, 0.0, 2, np.random.default_rng(0))
-        assert y_p.shape == (4,)
-        assert np.allclose(y_p, [0.3, 1.2, 0.3, 1.2])
+        y_p = channel.pilot_receive(np.array([0.3 + 1.2j]), 0.0, 2,
+                                    np.random.default_rng(0))
+        assert np.array_equal(y_p, [[0.3, 1.2, 0.3, 1.2]])
 
     def test_batched_shape(self):
         h = channel.rayleigh_sample(np.random.default_rng(1), 5)
@@ -170,17 +192,16 @@ class TestPilots:
         assert y_p.shape == (5, 6)
 
     def test_noisy_pilot_centers_on_h(self):
-        y_p = channel.pilot_receive(-0.5 + 0.25j, 0.5, 1, np.random.default_rng(3))
-        # single draw says little; average many through the same h
+        # one draw says little; average many through the same h
         h_arr = np.full(50_000, -0.5 + 0.25j)
         y_b = channel.pilot_receive(h_arr, 0.5, 1, np.random.default_rng(4))
         est = channel.iq_to_complex(y_b).mean()
         assert abs(est - (-0.5 + 0.25j)) < 0.01
-        assert y_p.shape == (2,)
 
     def test_rejects_zero_pilots(self):
         with pytest.raises(ValueError):
-            channel.pilot_receive(1.0 + 0.0j, 0.1, 0, np.random.default_rng(0))
+            channel.pilot_receive(np.ones(1, dtype=complex), 0.1, 0,
+                                  np.random.default_rng(0))
 
 
 class TestNoGradient:
@@ -265,8 +286,8 @@ class TestChannelObject:
 
     def test_noiseless_pilot_draws_nothing(self):
         model = channel.make_channel("rayleigh", n_pilot=2)
-        pilot = model.pilots(0.6 - 0.8j, 0.0, None)
-        assert np.array_equal(pilot, [0.6, -0.8, 0.6, -0.8])
+        pilot = model.pilots(np.array([0.6 - 0.8j]), 0.0, None)
+        assert np.array_equal(pilot, [[0.6, -0.8, 0.6, -0.8]])
 
     @given(kind=st.sampled_from(["awgn", "rayleigh"]), n_pilot=st.integers(0, 3),
            batch=st.integers(1, 64), n=st.integers(1, 4),

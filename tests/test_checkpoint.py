@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -208,5 +209,6 @@ class TestOlderRunDirectory:
                                             ("label_smoothing", False)])
     def test_other_value_is_refused_by_key(self, tmp_path, key, value):
         self.write_older_run(tmp_path, **{key: value})
-        with pytest.raises(ConfigError, match=f"^{key}: "):
+        path = re.escape(str(tmp_path / "config.json"))
+        with pytest.raises(ConfigError, match=f"^config {path}: {key}: "):
             checkpoint.load_system(str(tmp_path))

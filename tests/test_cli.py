@@ -151,7 +151,7 @@ class TestTrainCommand:
                        str(tmp_path / "run"), "--quiet"])
         captured = capsys.readouterr()
         assert rc == 1
-        assert captured.err.startswith("error: k:")
+        assert captured.err.startswith(f"error: config {cfg_path}: k:")
 
     @pytest.mark.parametrize("text, key", [
         ('{"train_ebn0_db": 5000}', "train_ebn0_db"),
@@ -167,7 +167,7 @@ class TestTrainCommand:
         rc = cli.main(["train", "--config", str(cfg_path), "--out", str(out),
                        "--quiet"])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: {key}:")
+        assert capsys.readouterr().err.startswith(f"error: config {cfg_path}: {key}:")
         assert not out.exists()
 
 
@@ -211,6 +211,19 @@ class TestEvalCommand:
                        "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert str(bad) in capsys.readouterr().err
+
+    def test_bad_config_value_exits_1_naming_the_file(self, trained_dir, tmp_path,
+                                                      capsys):
+        ckpt = tmp_path / "run"
+        shutil.copytree(trained_dir, ckpt)
+        bad = ckpt / "config.json"
+        bad.write_text(json.dumps({"k": 0}))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"ebn0_db": [0.0]}))
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--sweep", str(sweep),
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: config {bad}: k: must be >= 1")
 
     def test_svg_chart_written_on_request(self, trained_dir, tmp_path, capsys):
         sweep = tmp_path / "sweep.json"

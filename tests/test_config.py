@@ -41,10 +41,6 @@ class TestDefaults:
         assert cfg.lr_disc == pytest.approx(0.0008)
         assert TrainConfig(lr_disc=0.01).lr_disc == 0.01
 
-    def test_snr_train_carries_code_rate(self):
-        spec = TrainConfig(k=4, n=7).snr_train()
-        assert (spec.ebn0_db, spec.k, spec.n) == (4.0, 4, 7)
-
     def test_hidden_layers_coerced_to_int_tuples(self):
         cfg = TrainConfig(tx_hidden=[16, 8])
         assert cfg.tx_hidden == (16, 8)

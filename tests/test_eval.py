@@ -155,7 +155,7 @@ def learned_shard(tx, rx, cfg):
     model = cfg.make_channel()
 
     def shard_errors(ebn0, size, rng):
-        std = channel.noise_std_from_snr(channel.SnrSpec(ebn0, cfg.k, cfg.n))
+        std = channel.noise_std_from_snr(ebn0, cfg.k, cfg.n)
         messages = rng.integers(0, cfg.M, size=size)
         onehots = [transceiver.to_onehot(messages[t:t + 1], cfg.M) for t in range(size)]
         x = np.concatenate([tx.encode(onehot)[0] for onehot in onehots])
@@ -173,7 +173,7 @@ def learned_shard(tx, rx, cfg):
 def hamming_shard(ebn0, size, rng):
     """Encode each message's bits, BPSK over AWGN (in-phase noise only, 4
     bits over 7 uses), MLD one block at a time."""
-    std = channel.noise_std_from_snr(channel.SnrSpec(ebn0, 4, 7))
+    std = channel.noise_std_from_snr(ebn0, 4, 7)
     messages = rng.integers(0, 16, size=size)
     bits = baseline.message_to_bits(messages, 4)
     y = channel.awgn_apply(baseline.bpsk_modulate(baseline.hamming74_encode(bits)),
@@ -189,7 +189,7 @@ def qam16_shard(n_pilot):
     received pilots; an exactly-zero estimate is an error."""
 
     def shard_errors(ebn0, size, rng):
-        std = channel.noise_std_from_snr(channel.SnrSpec(ebn0, 4, 1))
+        std = channel.noise_std_from_snr(ebn0, 4, 1)
         messages = rng.integers(0, 16, size=size)
         x = channel.complex_to_iq(baseline.qam16_modulate(messages)[:, None])
         h = channel.rayleigh_sample(rng, size)
@@ -200,7 +200,8 @@ def qam16_shard(n_pilot):
             h_est = baseline.ls_estimate(channel.iq_to_complex(pilots))
         return sum(
             int(h_est[t] == 0
-                or baseline.qam16_demod_coherent(y[t], h_est[t]) != messages[t])
+                or baseline.qam16_demod_coherent(y[t:t + 1], h_est[t:t + 1])[0]
+                != messages[t])
             for t in range(size)
         )
 
@@ -356,7 +357,7 @@ class TestBaselineSweeps:
         # per-axis 4-PAM error is 1.5 Q(|h| / (sqrt(10) sigma)); averaging
         # the exact conditional block error over fresh fading draws gives
         # an independent estimate of the same quantity
-        sigma = channel.noise_std_from_snr(channel.SnrSpec(10.0, k=4, n=1))
+        sigma = channel.noise_std_from_snr(10.0, 4, 1)
         rng = np.random.default_rng(99)
         absh = np.abs(
             math.sqrt(0.5) * (rng.standard_normal(400_000)
@@ -465,7 +466,7 @@ class TestGanFidelity:
         reports = evaluate.gan_fidelity(None, x, 0.1, n_samples=4, seed=3, h=h)
         model = channel.make_channel(kind)
         for c, r in enumerate(reports):
-            state = None if h is None else complex(h[c])
+            state = None if h is None else h[c:c + 1]
             noiseless = model.apply(x[c][None, :], state, 0.0, None)[0]
             assert r.target_mean.tobytes() == noiseless.tobytes()
 

@@ -58,6 +58,12 @@ class TestSampling:
         fake, _ = gan.generate(g, gan.sample_z(rng, 5, 3), rng.normal(size=(5, 4)))
         assert fake.shape == (5, 4)
 
+    def test_conditioning_concatenates_pilots(self):
+        x = np.ones((3, 4))
+        y_p = np.zeros((3, 2))
+        assert gan.conditioning(x, None) is x
+        assert np.array_equal(gan.conditioning(x, y_p), np.hstack([x, y_p]))
+
     def test_generate_checks_conditioning_shape(self):
         g, _ = small_gan()
         rng = np.random.default_rng(3)

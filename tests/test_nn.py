@@ -314,41 +314,45 @@ class TestSoftmaxCrossEntropy:
 
 class TestSigmoidBce:
     def test_frozen_values(self):
-        # z=[0.8,-0.3], t=[1,0]: mean of -log(sigmoid), -log(1-sigmoid)
-        logits = np.array([0.8, -0.3])
-        targets = np.array([1.0, 0.0])
-        loss, grad = nn.sigmoid_bce(logits, targets)
-        assert loss == pytest.approx(0.46272795520815246, rel=1e-12)
-        assert grad[0] == pytest.approx(-0.15501275943619375, rel=1e-12)
-        assert grad[1] == pytest.approx(0.2127787415941705, rel=1e-12)
+        # z=0.8 real and z=-0.3 fake: the mean of -log(sigmoid(0.8)) and
+        # -log(1 - sigmoid(-0.3)), and each gradient over a batch of two
+        loss_r, grad_r = nn.sigmoid_bce(np.array([0.8]), real=True)
+        loss_f, grad_f = nn.sigmoid_bce(np.array([-0.3]), real=False)
+        assert (loss_r + loss_f) / 2 == pytest.approx(0.46272795520815246, rel=1e-12)
+        assert grad_r[0] / 2 == pytest.approx(-0.15501275943619375, rel=1e-12)
+        assert grad_f[0] / 2 == pytest.approx(0.2127787415941705, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(22)
         logits = rng.normal(size=(8, 1)) * 2
-        targets = (rng.random((8, 1)) > 0.4).astype(float)
-        _, grad = nn.sigmoid_bce(logits, targets)
         flat = logits.reshape(-1)
+        for real in (True, False):
+            _, grad = nn.sigmoid_bce(logits, real)
 
-        def loss_at(v):
-            return nn.sigmoid_bce(v.reshape(8, 1), targets)[0]
+            def loss_at(v):
+                return nn.sigmoid_bce(v.reshape(8, 1), real)[0]
 
-        fd = central_difference(loss_at, flat, np.arange(flat.size))
-        assert relative_error(grad.reshape(-1), fd).max() < 1e-6
+            fd = central_difference(loss_at, flat, np.arange(flat.size))
+            assert relative_error(grad.reshape(-1), fd).max() < 1e-6
 
     def test_extreme_logits_stay_finite(self):
-        loss, grad = nn.sigmoid_bce(
-            np.array([800.0, -800.0]), np.array([0.0, 1.0])
-        )
-        assert np.isfinite(loss) and np.isfinite(grad).all()
-        assert loss == pytest.approx(800.0, rel=1e-12)
+        for logits, real in ((np.array([800.0]), False), (np.array([-800.0]), True)):
+            loss, grad = nn.sigmoid_bce(logits, real)
+            assert np.isfinite(loss) and np.isfinite(grad).all()
+            assert loss == pytest.approx(800.0, rel=1e-12)
 
-    def test_soft_targets_allowed(self):
-        loss, _ = nn.sigmoid_bce(np.array([0.0]), np.array([0.9]))
-        assert loss == pytest.approx(np.log(2.0), rel=1e-12)
-
-    def test_rejects_out_of_range_targets(self):
-        with pytest.raises(ValueError):
-            nn.sigmoid_bce(np.array([0.0]), np.array([1.5]))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_label_matches_a_full_target_array(self, dtype):
+        # the label enters as a scalar of the logits' dtype, so loss and
+        # gradient keep the bits of the same formula over a target array
+        z = (np.random.default_rng(23).normal(size=(16, 1)) * 3).astype(dtype)
+        for real in (True, False):
+            t = np.full_like(z, 1.0 if real else 0.0)
+            loss, grad = nn.sigmoid_bce(z, real)
+            ref = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
+            assert loss == float(ref.mean())
+            assert grad.dtype == z.dtype
+            assert grad.tobytes() == ((nn.sigmoid(z) - t) / z.size).tobytes()
 
 
 class TestAdam:
@@ -603,8 +607,8 @@ class TestDtype:
     @pytest.mark.parametrize("activations", itertools.product(nn.ACTIVATIONS, repeat=2),
                              ids="-".join)
     def test_float32_net_keeps_every_array_float32(self, activations):
-        # inputs, upstream gradients and targets arrive in float64, as the
-        # channel and the losses' callers give them; none may upcast the net
+        # inputs and upstream gradients arrive in float64, as the channel
+        # and the losses' callers give them; neither may upcast the net
         rng = np.random.default_rng(72)
         net = net_of_layers((5, 7, 4), activations, rng)
         state = nn.AdamState.for_net(net, 1e-3)
@@ -613,7 +617,7 @@ class TestDtype:
         for _ in range(2):
             out, _ = nn.forward(net, rng.normal(size=(3, 5)), tape)
             _, upstream = nn.softmax_cross_entropy(out, np.eye(4)[[0, 2, 3]])
-            _, bce_grad = nn.sigmoid_bce(out, np.full((3, 4), 0.9))
+            _, bce_grad = nn.sigmoid_bce(out, real=True)
             grads, input_grad = nn.backward(net, tape, upstream.astype(np.float64))
             nn.adam_step(net, grads, state)
             ema.update(net)

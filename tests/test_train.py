@@ -73,13 +73,13 @@ class TestSampleBatch:
             h = channel.rayleigh_sample(ref, cfg.batch_size)
             assert state.tobytes() == h.tobytes()
         assert trainer._rng_batch.bit_generator.state == ref.bit_generator.state
-        assert trainer.noise_std == channel.noise_std_from_snr(cfg.snr_train())
+        assert trainer.noise_std == channel.noise_std_from_snr(
+            cfg.train_ebn0_db, cfg.k, cfg.n)
 
-    def test_conditioning_concatenates_pilots(self):
-        x = np.ones((3, 4))
-        y_p = np.zeros((3, 2))
-        assert train.conditioning(x, None) is x
-        assert train.conditioning(x, y_p).shape == (3, 6)
+    def test_noise_std_is_the_train_point_at_the_code_rate(self):
+        # 4 dB at rate 4/7: N0 = 1 / ((4/7) * 10^0.4)
+        assert train.Trainer(tiny_cfg(k=4, n=7, train_ebn0_db=4.0)).noise_std == (
+            pytest.approx(0.5902065521783963, rel=1e-12))
 
 
 class TestGradientPaths:
@@ -194,7 +194,7 @@ class TestFloat32Gradients:
         y_p = (float32_representable(rng.normal(size=(batch, 2 * cfg.n_pilot)))
                if cfg.is_fading else None)
         x = float32_representable(system64[0].encode(onehot)[0])
-        cond = train.conditioning(x, y_p)
+        cond = gan.conditioning(x, y_p)
 
         def path_gradients(tx, rx, g, d):
             grads = {
