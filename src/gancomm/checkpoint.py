@@ -74,13 +74,36 @@ def load_net(path: str) -> nn.DenseNet:
 
 
 def write_json(data: dict, path: str) -> None:
-    """Write data as compact, key-sorted JSON; a reader never sees a
-    partly written file, because it is renamed into place when complete."""
+    """Write data as compact, key-sorted, standard JSON. A value JSON cannot
+    hold (NaN, Inf) raises a ValueError naming the file before anything is
+    written; a reader never sees a partly written file, because it is
+    renamed into place when complete."""
+    try:
+        text = json.dumps(data, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
-        json.dump(data, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+        f.write(text + "\n")
     os.replace(tmp, path)
+
+
+def wrap_nets(
+    cfg: TrainConfig, nets: list[nn.DenseNet]
+) -> tuple[transceiver.Transmitter, transceiver.Receiver, gan.Generator,
+           gan.Discriminator]:
+    """The four wrappers around nets given in ``CHECKPOINT_FILES`` order;
+    each wrapper checks its net against the config's k, n and pilots."""
+    tx_net, rx_net, g_net, d_net = nets
+    model = cfg.make_channel()
+    cond_dim = model.cond_dim(cfg.n)
+    return (
+        transceiver.Transmitter(tx_net, cfg.n),
+        transceiver.Receiver(rx_net, cfg.M, cfg.n, model.n_pilot),
+        gan.Generator(g_net, cfg.n, cfg.z_dim, cond_dim),
+        gan.Discriminator(d_net, cfg.n, cond_dim),
+    )
 
 
 def save_system(
@@ -94,38 +117,25 @@ def save_system(
     """Write the four nets plus the config into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     write_json(cfg.to_dict(), os.path.join(out_dir, "config.json"))
-    for name, net in (
-        ("transmitter.json", tx.net),
-        ("receiver.json", rx.net),
-        ("generator.json", g.net),
-        ("discriminator.json", d.net),
-    ):
-        save_net(net, os.path.join(out_dir, name))
+    for name, wrapper in zip(CHECKPOINT_FILES, (tx, rx, g, d)):
+        save_net(wrapper.net, os.path.join(out_dir, name))
 
 
 def load_system(
     ckpt_dir: str,
 ) -> tuple[TrainConfig, transceiver.Transmitter, transceiver.Receiver,
            gan.Generator, gan.Discriminator]:
-    """Load config plus the four nets, checking dimensions against the
-    config so a checkpoint cannot be silently run with the wrong k/n."""
+    """Load config plus the four nets; a net whose layer widths differ from
+    the config's ``net_dims`` is refused, naming its file."""
     cfg = load_config(os.path.join(ckpt_dir, "config.json"))
-    nets = {name: load_net(os.path.join(ckpt_dir, name)) for name in CHECKPOINT_FILES}
-
-    model = cfg.make_channel()
-    cond_dim = model.cond_dim(cfg.n)
-    # the wrapper constructors re-check every dimension against cfg
-    tx = transceiver.Transmitter(nets["transmitter.json"], cfg.n)
-    if tx.m_count != cfg.M:
-        raise ConfigError(
-            f"transmitter expects M = {tx.m_count} messages, config says {cfg.M}"
-        )
-    rx = transceiver.Receiver(nets["receiver.json"], cfg.M, cfg.n, model.n_pilot)
-    g_net = nets["generator.json"]
-    g = gan.Generator(g_net, cfg.n, g_net.input_dim - cond_dim, cond_dim)
-    if g.z_dim != cfg.z_dim:
-        raise ConfigError(
-            f"generator z_dim {g.z_dim} does not match config z_dim {cfg.z_dim}"
-        )
-    d = gan.Discriminator(nets["discriminator.json"], cfg.n, cond_dim)
-    return cfg, tx, rx, g, d
+    nets = []
+    for name, dims in zip(CHECKPOINT_FILES, cfg.net_dims().values()):
+        path = os.path.join(ckpt_dir, name)
+        net = load_net(path)
+        if net.dims != dims:
+            raise ConfigError(
+                f"checkpoint file {path} has layer widths {list(net.dims)}, "
+                f"but its config.json builds {list(dims)}"
+            )
+        nets.append(net)
+    return (cfg, *wrap_nets(cfg, nets))

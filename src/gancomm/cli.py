@@ -8,14 +8,13 @@ success, 2 for bad usage (argparse), 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
-import datetime
 import os
 import sys
 
 import numpy as np
 
 from . import __version__, channel, checkpoint, evaluate, nn, train
-from .config import ConfigError, TrainConfig, from_dict, load_config, read_json
+from .config import ConfigError, from_dict, load_config, read_json
 from .evaluate import BASELINE_SYSTEMS, SweepSpec
 from .rng import substream
 from .svg import line_chart
@@ -44,28 +43,8 @@ def _progress_printer(quiet: bool):
     return emit
 
 
-def _write_manifest(out_dir: str, cfg: TrainConfig, outputs: list[str]) -> None:
-    path = os.path.join(out_dir, "manifest.json")
-    if os.path.exists(path):
-        raise ConfigError(
-            f"{path} already exists; refusing to overwrite a previous run"
-        )
-    manifest = {
-        "command": "train",
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "package_version": __version__,
-        "seed": cfg.seed,
-        "config": cfg.to_dict(),
-        "outputs": outputs,
-    }
-    checkpoint.write_json(manifest, path)
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = sorted(checkpoint.CHECKPOINT_FILES) + ["config.json", "train_log.csv"]
-    _write_manifest(args.out, cfg, outputs)
     train.train_full(cfg, out_dir=args.out, progress=_progress_printer(args.quiet))
     if not args.quiet:
         print(f"checkpoint written to {args.out}")

@@ -118,6 +118,20 @@ class TrainConfig:
     def make_channel(self) -> Channel:
         return make_channel(self.channel, self.n_pilot)
 
+    def net_dims(self) -> dict[str, tuple[int, ...]]:
+        """Each net's layer widths, input first, by role, in the order of
+        ``checkpoint.CHECKPOINT_FILES``. The receiver sees the block plus
+        the received pilots (none on AWGN); the generator and the
+        discriminator are conditioned on the same."""
+        block = 2 * self.n
+        cond = self.make_channel().cond_dim(self.n)
+        return {
+            "tx": (self.M, *self.tx_hidden, block),
+            "rx": (cond, *self.rx_hidden, self.M),
+            "gen": (self.z_dim + cond, *self.gen_hidden, block),
+            "disc": (block + cond, *self.disc_hidden, 1),
+        }
+
     def to_dict(self) -> dict:
         d = asdict(self)
         for name in ("tx_hidden", "rx_hidden", "gen_hidden", "disc_hidden"):
@@ -137,16 +151,45 @@ class TrainConfig:
         return from_dict(cls, data)
 
 
+# What parsing leaves where a NaN, Infinity or -Infinity literal stood, for
+# read_json to find the key it sits under.
+_LITERAL = object()
+
+
+def _holds_literal(value) -> bool:
+    return value is _LITERAL or (
+        isinstance(value, list) and any(map(_holds_literal, value)))
+
+
 def read_json(path: str, what: str):
     """The parsed JSON file at path; a file that cannot be read or parsed
-    raises a ConfigError naming it as ``what`` and its path."""
+    raises a ConfigError naming it as ``what`` and its path. So does a NaN,
+    Infinity or -Infinity literal, which standard JSON does not have, as
+    "<what> <path>: <key>: ..." with the key it sits under."""
+    literals = []
+
+    def constant(name: str):
+        literals.append(name)
+        return _LITERAL
+
+    def check(items: list) -> dict:
+        # the first object to close after a literal, or one around it, holds it
+        for key, value in items if literals else ():
+            if _holds_literal(value):
+                raise ConfigError(
+                    f"{what} {path}: {key}: {literals[0]} is not standard JSON")
+        return dict(items)
+
     try:
         with open(path) as f:
-            return json.load(f)
+            data = json.load(f, parse_constant=constant, object_pairs_hook=check)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed {what} {path}: {exc}") from None
+    if literals:
+        raise ConfigError(f"{what} {path}: {literals[0]} is not standard JSON")
+    return data
 
 
 def from_dict(cls, data):

@@ -37,17 +37,6 @@ class Generator:
         self.z_dim = z_dim
         self.cond_dim = cond_dim
 
-    @classmethod
-    def create(
-        cls,
-        n: int,
-        cond_dim: int,
-        rng: np.random.Generator,
-        z_dim: int = 16,
-        hidden: tuple[int, ...] = (128, 128, 128),
-    ) -> "Generator":
-        net = nn.DenseNet.create((z_dim + cond_dim, *hidden, 2 * n), rng)
-        return cls(net, n, z_dim, cond_dim)
 
 
 class Discriminator:
@@ -67,16 +56,6 @@ class Discriminator:
         self.n = n
         self.cond_dim = cond_dim
 
-    @classmethod
-    def create(
-        cls,
-        n: int,
-        cond_dim: int,
-        rng: np.random.Generator,
-        hidden: tuple[int, ...] = (32, 32, 32),
-    ) -> "Discriminator":
-        net = nn.DenseNet.create((2 * n + cond_dim, *hidden, 1), rng)
-        return cls(net, n, cond_dim)
 
 
 def sample_z(rng: np.random.Generator, batch: int, z_dim: int) -> np.ndarray:

@@ -119,6 +119,11 @@ class DenseNet:
         return self.layers[-1].w.shape[1]
 
     @property
+    def dims(self) -> tuple[int, ...]:
+        """Layer widths, input first, as ``create`` takes them."""
+        return (self.input_dim, *(layer.w.shape[1] for layer in self.layers))
+
+    @property
     def n_params(self) -> int:
         return sum(layer.w.size + layer.b.size for layer in self.layers)
 

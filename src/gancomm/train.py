@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import collections
 import csv
+import datetime
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import baseline, channel, checkpoint, gan, nn, transceiver
-from .config import TrainConfig
+from . import __version__, baseline, channel, checkpoint, gan, nn, transceiver
+from .config import ConfigError, TrainConfig
 from .rng import substream
 
 @dataclass
@@ -147,23 +148,10 @@ def build_system(
 ) -> tuple[transceiver.Transmitter, transceiver.Receiver, gan.Generator,
            gan.Discriminator]:
     """Fresh nets for the configured system, each from its own init stream."""
-    model = cfg.make_channel()
-    cond_dim = model.cond_dim(cfg.n)
-    tx = transceiver.Transmitter.create(
-        cfg.M, cfg.n, substream(cfg.seed, "init", "tx"), hidden=cfg.tx_hidden
-    )
-    rx = transceiver.Receiver.create(
-        cfg.M, cfg.n, substream(cfg.seed, "init", "rx"), n_pilot=model.n_pilot,
-        hidden=cfg.rx_hidden,
-    )
-    g = gan.Generator.create(
-        cfg.n, cond_dim, substream(cfg.seed, "init", "gen"), z_dim=cfg.z_dim,
-        hidden=cfg.gen_hidden,
-    )
-    d = gan.Discriminator.create(
-        cfg.n, cond_dim, substream(cfg.seed, "init", "disc"), hidden=cfg.disc_hidden
-    )
-    return tx, rx, g, d
+    return checkpoint.wrap_nets(cfg, [
+        nn.DenseNet.create(dims, substream(cfg.seed, "init", role))
+        for role, dims in cfg.net_dims().items()
+    ])
 
 
 class Trainer:
@@ -293,12 +281,21 @@ class Trainer:
 
 
 def train_full(cfg: TrainConfig, out_dir: str | None = None, progress=None) -> Trainer:
-    """Run the whole schedule. With out_dir set, checkpoints and the step
-    log are written there even if training aborts mid-run (the partial
-    state is flushed before the exception propagates)."""
+    """Run the whole schedule. With out_dir set, the run is recorded there:
+    ``manifest.json`` reads status "running" from the start; the
+    checkpoints and the step log are written even if training aborts
+    mid-run (the partial state is flushed before the exception
+    propagates); then the status reads "completed", or "aborted at step N:
+    <error>" with N the number of steps logged."""
+    manifest = {} if out_dir is None else _start_manifest(out_dir, cfg)
     trainer = Trainer(cfg)
     try:
         trainer.run(progress)
+        manifest["status"] = "completed"
+    except BaseException as exc:
+        manifest["status"] = (
+            f"aborted at step {trainer.step}: {type(exc).__name__}: {exc}")
+        raise
     finally:
         if out_dir is not None:
             checkpoint.save_system(
@@ -306,7 +303,30 @@ def train_full(cfg: TrainConfig, out_dir: str | None = None, progress=None) -> T
                 trainer.generator_averaged(), trainer.discriminator,
             )
             trainer.log.to_csv(os.path.join(out_dir, "train_log.csv"))
+            checkpoint.write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return trainer
+
+
+def _start_manifest(out_dir: str, cfg: TrainConfig) -> dict:
+    """The run's manifest, written into out_dir with status "running"; a
+    directory that already holds one is refused."""
+    path = os.path.join(out_dir, "manifest.json")
+    if os.path.exists(path):
+        raise ConfigError(
+            f"{path} already exists; refusing to overwrite a previous run")
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = {
+        "command": "train",
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "package_version": __version__,
+        "seed": cfg.seed,
+        "config": cfg.to_dict(),
+        "outputs": [*sorted(checkpoint.CHECKPOINT_FILES), "config.json",
+                    "train_log.csv"],
+        "status": "running",
+    }
+    checkpoint.write_json(manifest, path)
+    return manifest
 
 
 def _qam16_blocks(messages: np.ndarray) -> np.ndarray:

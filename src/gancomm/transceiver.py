@@ -62,17 +62,6 @@ class Transmitter:
     def m_count(self) -> int:
         return self.net.input_dim
 
-    @classmethod
-    def create(
-        cls,
-        m_count: int,
-        n: int,
-        rng: np.random.Generator,
-        hidden: tuple[int, ...] = (32, 32),
-    ) -> "Transmitter":
-        net = nn.DenseNet.create((m_count, *hidden, 2 * n), rng)
-        return cls(net, n)
-
     def encode(
         self, onehot: np.ndarray, tape: nn.Tape | None = None
     ) -> tuple[np.ndarray, TxTape]:
@@ -146,18 +135,6 @@ class Receiver:
     @property
     def expects_pilot(self) -> bool:
         return self.n_pilot > 0
-
-    @classmethod
-    def create(
-        cls,
-        m_count: int,
-        n: int,
-        rng: np.random.Generator,
-        n_pilot: int = 0,
-        hidden: tuple[int, ...] = (32, 32),
-    ) -> "Receiver":
-        net = nn.DenseNet.create((2 * n + 2 * n_pilot, *hidden, m_count), rng)
-        return cls(net, m_count, n, n_pilot)
 
     def _stack_input(self, y: np.ndarray, y_pilot: np.ndarray | None) -> np.ndarray:
         """The net input in the net's dtype: y, with the pilots appended."""

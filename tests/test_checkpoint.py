@@ -165,6 +165,19 @@ class TestSystemRoundTrip:
         with pytest.raises(ConfigError):
             checkpoint.load_system(str(tmp_path))
 
+    @pytest.mark.parametrize("key, name", [
+        ("tx_hidden", "transmitter.json"), ("rx_hidden", "receiver.json"),
+        ("gen_hidden", "generator.json"), ("disc_hidden", "discriminator.json"),
+    ])
+    def test_hidden_width_mismatch_names_the_file(self, tmp_path, key, name):
+        cfg = tiny_cfg()
+        checkpoint.save_system(str(tmp_path), cfg, *train.build_system(cfg))
+        checkpoint.write_json({**cfg.to_dict(), key: [16, 16]},
+                              str(tmp_path / "config.json"))
+        path = re.escape(str(tmp_path / name))
+        with pytest.raises(ConfigError, match=f"^checkpoint file {path} has layer widths"):
+            checkpoint.load_system(str(tmp_path))
+
     def test_wrong_message_count_rejected(self, tmp_path):
         cfg = tiny_cfg()
         checkpoint.save_system(str(tmp_path), cfg, *train.build_system(cfg))
@@ -176,7 +189,8 @@ class TestSystemRoundTrip:
             checkpoint.load_system(str(tmp_path))
 
     def test_non_finite_parameter_rejected(self, tmp_path):
-        # a run aborted on divergence flushes its NaN weights as JSON NaN
+        # Adam never commits a non-finite parameter and write_json refuses
+        # one, so only a hand-edited file can hold a NaN
         cfg = tiny_cfg()
         checkpoint.save_system(str(tmp_path), cfg, *train.build_system(cfg))
         path = tmp_path / "receiver.json"
@@ -185,6 +199,24 @@ class TestSystemRoundTrip:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="receiver.json"):
             checkpoint.load_system(str(tmp_path))
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_refused_before_anything_is_written(self, tmp_path,
+                                                                 value):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            checkpoint.write_json({"w": [1.0, value]}, str(path))
+        assert os.listdir(tmp_path) == []
+
+    def test_refused_write_keeps_the_previous_file(self, tmp_path):
+        path = str(tmp_path / "out.json")
+        checkpoint.write_json({"x": 1.5}, path)
+        with pytest.raises(ValueError):
+            checkpoint.write_json({"x": float("nan")}, path)
+        assert os.listdir(tmp_path) == ["out.json"]
+        assert json.loads(open(path).read()) == {"x": 1.5}
 
 
 class TestOlderRunDirectory:

@@ -113,6 +113,7 @@ class TestTrainCommand:
         assert manifest["seed"] == 3
         assert manifest["config"]["k"] == 2
         assert "train_log.csv" in manifest["outputs"]
+        assert manifest["status"] == "completed"
 
     def test_refuses_to_reuse_a_run_directory(self, trained_dir, tmp_path,
                                               capsys):

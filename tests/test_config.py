@@ -1,6 +1,7 @@
 """Config parsing, defaults resolution, and strictness."""
 
 import json
+import re
 from dataclasses import asdict, fields
 
 import pytest
@@ -139,6 +140,27 @@ class TestFiles:
         data = json.loads(path.read_text())
         assert data["k"] == 4
         assert data["tx_hidden"] == [32, 32]
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_literal_names_the_file_and_key(self, tmp_path, literal):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"k": 4, "lr_gan": {literal}}}')
+        where = re.escape(f"config {path}: lr_gan: {literal} ")
+        with pytest.raises(ConfigError, match=f"^{where}is not standard JSON"):
+            config.load_config(str(path))
+
+    @pytest.mark.parametrize("text, where", [
+        ('{"ebn0_db": [0.0, [1.0, NaN]]}', "ebn0_db: NaN"),
+        ('{"a": {"b": [Infinity]}, "c": 1}', "b: Infinity"),
+        ('{"a": [-Infinity, {"b": 1}]}', "a: -Infinity"),
+        ("[1.0, NaN]", "NaN"),
+        ("-Infinity", "-Infinity"),
+    ])
+    def test_literal_anywhere_is_refused(self, tmp_path, text, where):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"spec {path}: {where} is not")):
+            config.read_json(str(path), "spec")
 
     def test_missing_file_raises_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

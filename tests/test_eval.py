@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gancomm import baseline, channel, evaluate, gan, nn, transceiver
+from gancomm import baseline, channel, evaluate, gan, nn, train, transceiver
 from gancomm.config import ConfigError, TrainConfig
 from gancomm.rng import substream
 
@@ -127,8 +127,8 @@ class TestRunPointStopRule:
 def small_system(seed=0):
     cfg = TrainConfig(k=2, n=2, tx_hidden=(8,), rx_hidden=(8,))
     rng = np.random.default_rng(seed)
-    tx = transceiver.Transmitter.create(cfg.M, cfg.n, rng, hidden=cfg.tx_hidden)
-    rx = transceiver.Receiver.create(cfg.M, cfg.n, rng, hidden=cfg.rx_hidden)
+    tx = transceiver.Transmitter(nn.DenseNet.create((4, 8, 4), rng), cfg.n)
+    rx = transceiver.Receiver(nn.DenseNet.create((4, 8, 4), rng), cfg.M, cfg.n)
     return cfg, tx, rx
 
 
@@ -214,10 +214,7 @@ class TestLearnedSweep:
         # short shards, so a point spans several and three workers run waves
         monkeypatch.setattr(evaluate, "SHARD_TRIALS", 100)
         cfg = TrainConfig(k=2, n=2, channel=kind, tx_hidden=(8,), rx_hidden=(8,))
-        rng = np.random.default_rng(9)
-        tx = transceiver.Transmitter.create(cfg.M, cfg.n, rng, hidden=cfg.tx_hidden)
-        rx = transceiver.Receiver.create(cfg.M, cfg.n, rng, hidden=cfg.rx_hidden,
-                                         n_pilot=cfg.make_channel().n_pilot)
+        tx, rx, _, _ = train.build_system(cfg)
         spec = evaluate.SweepSpec(ebn0_db=(0.0, 8.0), min_trials=250, max_trials=950,
                                   target_errors=300)
         expected = reference_sweep(f"learned-{kind}", learned_shard(tx, rx, cfg),
@@ -232,10 +229,7 @@ class TestLearnedSweep:
         # workspaces are then sliced for it and for the next point's shards
         monkeypatch.setattr(evaluate, "SHARD_TRIALS", 100)
         cfg = TrainConfig(k=2, n=2, channel=kind, tx_hidden=(8,), rx_hidden=(8,))
-        rng = np.random.default_rng(10)
-        tx = transceiver.Transmitter.create(cfg.M, cfg.n, rng, hidden=cfg.tx_hidden)
-        rx = transceiver.Receiver.create(cfg.M, cfg.n, rng, hidden=cfg.rx_hidden,
-                                         n_pilot=cfg.make_channel().n_pilot)
+        tx, rx, _, _ = train.build_system(cfg)
         spec = evaluate.SweepSpec(ebn0_db=(2.0, 6.0), min_trials=1050,
                                   max_trials=1050, target_errors=10**6)
         expected = reference_sweep(f"learned-{kind}", learned_shard(tx, rx, cfg),
@@ -247,15 +241,17 @@ class TestLearnedSweep:
 
     def test_dimension_mismatch_is_rejected(self):
         cfg, tx, rx = small_system()
-        other = transceiver.Transmitter.create(8, 2, np.random.default_rng(1))
+        other = transceiver.Transmitter(
+            nn.DenseNet.create((8, 32, 32, 4), np.random.default_rng(1)), 2)
         spec = evaluate.SweepSpec(ebn0_db=(4.0,))
         with pytest.raises(ConfigError):
             evaluate.bler_sweep_learned(other, rx, cfg, spec)
 
     def test_pilot_mismatch_is_rejected(self):
         cfg, tx, rx = small_system()
-        piloted = transceiver.Receiver.create(
-            cfg.M, cfg.n, np.random.default_rng(2), n_pilot=1
+        piloted = transceiver.Receiver(
+            nn.DenseNet.create((6, 32, 32, 4), np.random.default_rng(2)),
+            cfg.M, cfg.n, n_pilot=1,
         )
         spec = evaluate.SweepSpec(ebn0_db=(4.0,))
         with pytest.raises(ConfigError):
@@ -284,11 +280,7 @@ class TestLearnedSweep:
 
     def test_rayleigh_path_runs_with_pilots(self):
         cfg = TrainConfig(k=2, n=2, channel="rayleigh", tx_hidden=(8,), rx_hidden=(8,))
-        rng = np.random.default_rng(5)
-        tx = transceiver.Transmitter.create(cfg.M, cfg.n, rng, hidden=cfg.tx_hidden)
-        rx = transceiver.Receiver.create(
-            cfg.M, cfg.n, rng, n_pilot=cfg.n_pilot, hidden=cfg.rx_hidden
-        )
+        tx, rx, _, _ = train.build_system(cfg)
         spec = evaluate.SweepSpec(ebn0_db=(10.0,), target_errors=50)
         (pt,) = evaluate.bler_sweep_learned(tx, rx, cfg, spec)
         assert pt.errors >= 50
@@ -496,7 +488,7 @@ class TestDumps:
 
     def test_scatter_csv_has_real_fake_and_condition_rows(self, tmp_path):
         rng = np.random.default_rng(7)
-        g = gan.Generator.create(1, 2, rng, z_dim=3, hidden=(8,))
+        g = gan.Generator(nn.DenseNet.create((5, 8, 2), rng), n=1, z_dim=3, cond_dim=2)
         x = channel.complex_to_iq(baseline.qam16_constellation()[:2][:, None])
         path = tmp_path / "scatter.csv"
         evaluate.gan_scatter_dump(g, x, 0.2, str(path), n_samples=50, seed=8)

@@ -14,8 +14,9 @@ def small_gan(seed=0, n=2, cond_dim=4, z_dim=3, float64=False):
     """A small generator and discriminator; with float64, their nets are
     float64 copies, for checks finer than float32 rounding."""
     rng = np.random.default_rng(seed)
-    g = gan.Generator.create(n, cond_dim, rng, z_dim=z_dim, hidden=(8, 8))
-    d = gan.Discriminator.create(n, cond_dim, rng, hidden=(8,))
+    g = gan.Generator(nn.DenseNet.create((z_dim + cond_dim, 8, 8, 2 * n), rng),
+                      n, z_dim, cond_dim)
+    d = gan.Discriminator(nn.DenseNet.create((2 * n + cond_dim, 8, 1), rng), n, cond_dim)
     if float64:
         g.net, d.net = float64_copy(g.net), float64_copy(d.net)
     return g, d

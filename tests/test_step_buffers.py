@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gancomm import checkpoint, evaluate, train, transceiver
+from gancomm import checkpoint, evaluate, train
 from gancomm.config import TrainConfig
 
 MIB = 1 << 20
@@ -72,10 +72,7 @@ def test_a_steady_state_sweep_shard_allocates_under_four_mib(kind, monkeypatch):
     # new arrays would peak near 10 MiB; what is left are the messages, h,
     # the fading product, the float32 receiver input and the decisions
     cfg = TrainConfig(channel=kind)
-    rng = np.random.default_rng(0)
-    tx = transceiver.Transmitter.create(cfg.M, cfg.n, rng, hidden=cfg.tx_hidden)
-    rx = transceiver.Receiver.create(cfg.M, cfg.n, rng, hidden=cfg.rx_hidden,
-                                     n_pilot=cfg.make_channel().n_pilot)
+    tx, rx, _, _ = train.build_system(cfg)
     trial_fns = []
     run_point = evaluate._run_point
 

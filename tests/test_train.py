@@ -1,6 +1,9 @@
 """Training loop: phase updates, the surrogate gradient path, scheduling."""
 
 import csv
+import importlib.util
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -85,7 +88,7 @@ class TestSampleBatch:
 class TestGradientPaths:
     def test_receiver_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
-        rx = transceiver.Receiver.create(4, 2, rng, hidden=(8,))
+        rx = transceiver.Receiver(nn.DenseNet.create((4, 8, 4), rng), 4, 2)
         rx.net = float64_copy(rx.net)
         onehot = transceiver.to_onehot(rng.integers(0, 4, size=6), 4)
         y = rng.normal(size=(6, 4))
@@ -311,6 +314,29 @@ class TestTrainer:
         assert last_iteration_mean(trainer.log, "rx") < 1.0
 
 
+class TestNetDims:
+    @pytest.mark.parametrize("n_pilot", [1, 3])
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_are_the_widths_of_the_built_nets(self, kind, n_pilot):
+        cfg = TrainConfig(channel=kind, n_pilot=n_pilot)
+        dims = cfg.net_dims()
+        assert list(dims) == ["tx", "rx", "gen", "disc"]
+        assert [w.net.dims for w in train.build_system(cfg)] == list(dims.values())
+
+    @pytest.mark.parametrize("n_pilot", [1, 3])
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_agree_with_the_benchmark_roles(self, kind, n_pilot, monkeypatch):
+        perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workload", perfbench / "workload.py")
+        workload = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workload)
+        cfg = TrainConfig(channel=kind, n_pilot=n_pilot)
+        assert workload.roles_for([cfg]) == {
+            dims: role for role, dims in cfg.net_dims().items()}
+
+
 class TestTrainFull:
     def test_checkpoint_holds_the_averaged_generator(self, tmp_path):
         cfg = tiny_cfg()
@@ -338,6 +364,39 @@ class TestTrainFull:
         names = {p.name for p in tmp_path.iterdir()}
         assert set(checkpoint.CHECKPOINT_FILES) <= names
         assert "train_log.csv" in names
+
+    def test_finished_run_reads_completed(self, tmp_path):
+        train.train_full(tiny_cfg(), out_dir=str(tmp_path))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "completed"
+
+    @pytest.mark.parametrize("error", [RuntimeError("deliberate stop"),
+                                       KeyboardInterrupt()])
+    def test_aborted_run_reads_the_step_it_stopped_at(self, tmp_path, error):
+        calls = []
+
+        def bomb(it, phase, loss):
+            calls.append(it)
+            if len(calls) == 3:
+                raise error
+
+        with pytest.raises(type(error)):
+            train.train_full(tiny_cfg(), out_dir=str(tmp_path), progress=bomb)
+        with open(tmp_path / "train_log.csv", newline="") as f:
+            steps = len(list(csv.reader(f))) - 1
+        assert steps > 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == (
+            f"aborted at step {steps}: {type(error).__name__}: {error}")
+
+    def test_progress_sees_the_run_as_running(self, tmp_path):
+        seen = []
+
+        def look(it, phase, loss):
+            seen.append(json.loads((tmp_path / "manifest.json").read_text())["status"])
+
+        train.train_full(tiny_cfg(), out_dir=str(tmp_path), progress=look)
+        assert len(seen) > 1 and set(seen) == {"running"}
 
     def test_log_csv_written_alongside_checkpoints(self, tmp_path):
         cfg = tiny_cfg()

@@ -54,7 +54,7 @@ class TestHardDecision:
 
 def make_tx(seed=0, m_count=8, n=3):
     rng = np.random.default_rng(seed)
-    return transceiver.Transmitter.create(m_count, n, rng, hidden=(12,))
+    return transceiver.Transmitter(nn.DenseNet.create((m_count, 12, 2 * n), rng), n)
 
 
 class TestTransmitter:
@@ -127,7 +127,7 @@ class TestTransmitter:
 class TestReceiver:
     def test_decode_returns_the_most_likely_message_per_row(self):
         rng = np.random.default_rng(7)
-        rx = transceiver.Receiver.create(8, 3, rng, hidden=(10,))
+        rx = transceiver.Receiver(nn.DenseNet.create((6, 10, 8), rng), 8, 3)
         y = rng.normal(size=(5, 6))
         decided = rx.decode(y)
         assert decided.shape == (5,)
@@ -137,25 +137,25 @@ class TestReceiver:
 
     def test_pilot_required_when_configured(self):
         rng = np.random.default_rng(8)
-        rx = transceiver.Receiver.create(8, 3, rng, n_pilot=1, hidden=(10,))
+        rx = transceiver.Receiver(nn.DenseNet.create((8, 10, 8), rng), 8, 3, n_pilot=1)
         with pytest.raises(ConfigError, match="pilot"):
             rx.decode(rng.normal(size=(2, 6)))
 
     def test_pilot_rejected_when_not_configured(self):
         rng = np.random.default_rng(9)
-        rx = transceiver.Receiver.create(8, 3, rng, hidden=(10,))
+        rx = transceiver.Receiver(nn.DenseNet.create((6, 10, 8), rng), 8, 3)
         with pytest.raises(ConfigError, match="pilot"):
             rx.decode(rng.normal(size=(2, 6)), rng.normal(size=(2, 2)))
 
     def test_pilot_widens_input(self):
         rng = np.random.default_rng(10)
-        rx = transceiver.Receiver.create(8, 3, rng, n_pilot=2, hidden=(10,))
+        rx = transceiver.Receiver(nn.DenseNet.create((10, 10, 8), rng), 8, 3, n_pilot=2)
         decided = rx.decode(rng.normal(size=(4, 6)), rng.normal(size=(4, 4)))
         assert decided.shape == (4,)
 
     def test_wrong_block_width_raises(self):
         rng = np.random.default_rng(11)
-        rx = transceiver.Receiver.create(8, 3, rng, hidden=(10,))
+        rx = transceiver.Receiver(nn.DenseNet.create((6, 10, 8), rng), 8, 3)
         with pytest.raises(nn.ShapeError):
             rx.decode(rng.normal(size=(2, 7)))
 
