@@ -94,16 +94,10 @@ def wrap_nets(
 ) -> tuple[transceiver.Transmitter, transceiver.Receiver, gan.Generator,
            gan.Discriminator]:
     """The four wrappers around nets given in ``CHECKPOINT_FILES`` order;
-    each wrapper checks its net against the config's k, n and pilots."""
+    each reads its sizes off its net, and the generator its z_dim off cfg."""
     tx_net, rx_net, g_net, d_net = nets
-    model = cfg.make_channel()
-    cond_dim = model.cond_dim(cfg.n)
-    return (
-        transceiver.Transmitter(tx_net, cfg.n),
-        transceiver.Receiver(rx_net, cfg.M, cfg.n, model.n_pilot),
-        gan.Generator(g_net, cfg.n, cfg.z_dim, cond_dim),
-        gan.Discriminator(d_net, cfg.n, cond_dim),
-    )
+    return (transceiver.Transmitter(tx_net), transceiver.Receiver(rx_net),
+            gan.Generator(g_net, cfg.z_dim), gan.Discriminator(d_net))
 
 
 def save_system(

@@ -65,8 +65,21 @@ def _write_sweep(points, args: argparse.Namespace, label: str) -> int:
     return 0
 
 
+def _load_finished_run(ckpt_dir: str):
+    """``checkpoint.load_system`` on a run directory whose manifest.json, if
+    it has one, reads status "completed" or none (written before runs
+    recorded one); an aborted or still running run is refused."""
+    path = os.path.join(ckpt_dir, "manifest.json")
+    status = (read_json(path, "manifest").get("status", "completed")
+              if os.path.exists(path) else "completed")
+    if status != "completed":
+        raise ConfigError(f"run directory {ckpt_dir} is not a completed run: "
+                          f"its manifest.json reads status {status!r}")
+    return checkpoint.load_system(ckpt_dir)
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg, tx, rx, _, _ = checkpoint.load_system(args.checkpoint)
+    cfg, tx, rx, _, _ = _load_finished_run(args.checkpoint)
     spec = load_sweep(args.sweep)
     points = evaluate.bler_sweep_learned(
         tx, rx, cfg, spec, seed=args.seed, workers=args.workers
@@ -84,7 +97,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
-    cfg, tx, rx, g, _ = checkpoint.load_system(args.checkpoint)
+    cfg, tx, rx, g, _ = _load_finished_run(args.checkpoint)
     if args.what == "constellation":
         evaluate.constellation_dump(tx, args.out)
     else:

@@ -189,16 +189,18 @@ def bler_sweep_learned(
 ) -> list[BlerPoint]:
     """Monte-Carlo BLER of a trained transmitter/receiver pair on the real
     channel the config names."""
-    if tx.n != cfg.n or tx.m_count != cfg.M:
-        raise ConfigError("transmitter dimensions do not match the config")
-    model = cfg.make_channel()
-    if rx.n != cfg.n or rx.m_count != cfg.M or rx.n_pilot != model.n_pilot:
-        raise ConfigError("receiver dimensions do not match the config")
+    dims = cfg.net_dims()
+    for role, net in (("tx", tx.net), ("rx", rx.net)):
+        if (net.input_dim, net.output_dim) != (dims[role][0], dims[role][-1]):
+            raise ConfigError(
+                f"{role} net maps {net.input_dim} -> {net.output_dim} values, "
+                f"but the config builds {dims[role][0]} -> {dims[role][-1]}"
+            )
     if seed is None:
         seed = cfg.seed
     # the transmitter is deterministic, so its M blocks serve every trial
     codebook = tx.encode_messages(np.arange(cfg.M))
-    return _sweep(codebook, model,
+    return _sweep(codebook, cfg.make_channel(),
                   lambda y, y_pilot, state, tape: rx.decode(y, y_pilot, tape),
                   cfg.k, cfg.n, spec, seed, f"learned-{cfg.channel}", workers)
 

@@ -18,44 +18,28 @@ from .config import ConfigError
 
 
 class Generator:
-    """Dense net over [z, conditioning] producing a fake received block."""
+    """Dense net over [z, conditioning] producing a fake received block;
+    the first z_dim inputs are the noise."""
 
-    def __init__(self, net: nn.DenseNet, n: int, z_dim: int, cond_dim: int):
-        if z_dim < 1 or cond_dim < 1:
-            raise ValueError("z_dim and cond_dim must be >= 1")
-        if net.input_dim != z_dim + cond_dim:
+    def __init__(self, net: nn.DenseNet, z_dim: int):
+        if not 1 <= z_dim < net.input_dim:
             raise ConfigError(
-                f"generator net takes {net.input_dim} inputs, expected "
-                f"z_dim + cond_dim = {z_dim + cond_dim}"
-            )
-        if net.output_dim != 2 * n:
-            raise ConfigError(
-                f"generator net emits {net.output_dim} values, expected 2n = {2 * n}"
+                f"z_dim must lie in [1, {net.input_dim}), the generator net's "
+                f"input width, got {z_dim}"
             )
         self.net = net
-        self.n = n
         self.z_dim = z_dim
-        self.cond_dim = cond_dim
-
 
 
 class Discriminator:
     """Dense net over [y, conditioning] producing one real/fake logit."""
 
-    def __init__(self, net: nn.DenseNet, n: int, cond_dim: int):
-        if net.input_dim != 2 * n + cond_dim:
-            raise ConfigError(
-                f"discriminator net takes {net.input_dim} inputs, expected "
-                f"2n + cond_dim = {2 * n + cond_dim}"
-            )
+    def __init__(self, net: nn.DenseNet):
         if net.output_dim != 1:
             raise ConfigError(
                 f"discriminator net emits {net.output_dim} values, expected 1 logit"
             )
         self.net = net
-        self.n = n
-        self.cond_dim = cond_dim
-
 
 
 def sample_z(rng: np.random.Generator, batch: int, z_dim: int) -> np.ndarray:
@@ -72,13 +56,8 @@ def conditioning(x: np.ndarray, y_pilot: np.ndarray | None) -> np.ndarray:
     return np.concatenate([x, y_pilot], axis=1)
 
 
-def _stack(a: np.ndarray, m: np.ndarray, cond_dim: int, net: nn.DenseNet) -> np.ndarray:
-    """[a, m] as one array in the net's dtype, after checking m's shape."""
-    m = np.asarray(m)
-    if m.shape != (a.shape[0], cond_dim):
-        raise nn.ShapeError(
-            f"conditioning must be ({a.shape[0]}, {cond_dim}), got {m.shape}"
-        )
+def _stack(a: np.ndarray, m: np.ndarray, net: nn.DenseNet) -> np.ndarray:
+    """[a, m] as one array in the net's dtype; ``nn.forward`` checks its width."""
     return np.concatenate([a, m], axis=1, dtype=net.dtype)
 
 
@@ -90,7 +69,7 @@ def generate(
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[1] != g.z_dim:
         raise nn.ShapeError(f"z must be (batch, {g.z_dim}), got {z.shape}")
-    return nn.forward(g.net, _stack(z, m, g.cond_dim, g.net), tape)
+    return nn.forward(g.net, _stack(z, m, g.net), tape)
 
 
 def discriminate(
@@ -98,10 +77,7 @@ def discriminate(
 ) -> tuple[np.ndarray, nn.Tape]:
     """Real/fake logits, (batch, 1), positive favoring 'real', and the
     discriminator's tape (see ``nn.forward``)."""
-    y = np.asarray(y)
-    if y.ndim != 2 or y.shape[1] != 2 * d.n:
-        raise nn.ShapeError(f"y must be (batch, {2 * d.n}), got {y.shape}")
-    return nn.forward(d.net, _stack(y, m, d.cond_dim, d.net), tape)
+    return nn.forward(d.net, _stack(y, m, d.net), tape)
 
 
 def d_loss(
@@ -150,6 +126,6 @@ def g_loss(
     if not np.isfinite(loss):
         raise nn.NonFiniteError("generator loss is not finite")
     _, d_input_grad = nn.backward(d.net, d_tape, grad_logits, params=False)
-    upstream_fake = d_input_grad[:, : 2 * d.n]
+    upstream_fake = d_input_grad[:, : fake_y.shape[1]]
     g_grads, _ = nn.backward(g.net, g_tape, upstream_fake, inputs=False)
     return float(loss), g_grads

@@ -103,9 +103,9 @@ def transmitter_forward_backward(
     loss, grad_logits = nn.softmax_cross_entropy(logits, onehot)
     _, rx_input_grad = nn.backward(rx.net, rx_tape, grad_logits, params=False)
     _, g_input_grad = nn.backward(
-        g.net, g_tape, rx_input_grad[:, : 2 * tx.n], params=False
+        g.net, g_tape, rx_input_grad[:, : x.shape[1]], params=False
     )
-    x_grad = g_input_grad[:, g.z_dim : g.z_dim + 2 * tx.n]
+    x_grad = g_input_grad[:, g.z_dim : g.z_dim + x.shape[1]]
     tx_grads = tx.backward(tx_tape, x_grad)
     return loss, tx_grads
 
@@ -228,10 +228,8 @@ class Trainer:
 
     def generator_averaged(self) -> gan.Generator:
         """The parameter-averaged generator; the surrogate worth keeping."""
-        return gan.Generator(
-            self._g_ema.averaged_net(self.generator.net),
-            self.generator.n, self.generator.z_dim, self.generator.cond_dim,
-        )
+        return gan.Generator(self._g_ema.averaged_net(self.generator.net),
+                             self.generator.z_dim)
 
     def train_transmitter_step(self, iteration: int) -> float:
         messages, state = self._draw_batch()

@@ -48,15 +48,17 @@ class TxTape:
 class Transmitter:
     """Dense net plus exact per-block power normalization."""
 
-    def __init__(self, net: nn.DenseNet, n: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if net.output_dim != 2 * n:
+    def __init__(self, net: nn.DenseNet):
+        if net.output_dim % 2:
             raise ConfigError(
-                f"transmitter net emits {net.output_dim} values, expected 2n = {2 * n}"
+                f"transmitter net emits {net.output_dim} values; a block of n "
+                f"complex uses takes an even 2n"
             )
         self.net = net
-        self.n = n
+
+    @property
+    def n(self) -> int:
+        return self.net.output_dim // 2
 
     @property
     def m_count(self) -> int:
@@ -114,50 +116,12 @@ class Transmitter:
 class Receiver:
     """Dense net mapping received blocks (and pilots, if any) to messages."""
 
-    def __init__(self, net: nn.DenseNet, m_count: int, n: int, n_pilot: int = 0):
-        if n < 1 or n_pilot < 0:
-            raise ValueError("n must be >= 1 and n_pilot >= 0")
-        expected_in = 2 * n + 2 * n_pilot
-        if net.input_dim != expected_in:
-            raise ConfigError(
-                f"receiver net takes {net.input_dim} inputs, expected {expected_in} "
-                f"(2n + 2*n_pilot)"
-            )
-        if net.output_dim != m_count:
-            raise ConfigError(
-                f"receiver net emits {net.output_dim} logits, expected M = {m_count}"
-            )
+    def __init__(self, net: nn.DenseNet):
         self.net = net
-        self.m_count = m_count
-        self.n = n
-        self.n_pilot = n_pilot
 
     @property
-    def expects_pilot(self) -> bool:
-        return self.n_pilot > 0
-
-    def _stack_input(self, y: np.ndarray, y_pilot: np.ndarray | None) -> np.ndarray:
-        """The net input in the net's dtype: y, with the pilots appended."""
-        y = np.asarray(y)
-        if y.ndim != 2 or y.shape[1] != 2 * self.n:
-            raise nn.ShapeError(
-                f"received block must be (batch, {2 * self.n}), got {y.shape}"
-            )
-        if self.expects_pilot:
-            if y_pilot is None:
-                raise ConfigError(
-                    "receiver was built with pilots but none were supplied"
-                )
-            y_pilot = np.asarray(y_pilot)
-            if y_pilot.shape != (y.shape[0], 2 * self.n_pilot):
-                raise nn.ShapeError(
-                    f"pilot block must be ({y.shape[0]}, {2 * self.n_pilot}), "
-                    f"got {y_pilot.shape}"
-                )
-            return np.concatenate([y, y_pilot], axis=1, dtype=self.net.dtype)
-        if y_pilot is not None:
-            raise ConfigError("receiver was built without pilots but got some")
-        return np.asarray(y, dtype=self.net.dtype)
+    def m_count(self) -> int:
+        return self.net.output_dim
 
     def forward_logits(
         self,
@@ -165,7 +129,11 @@ class Receiver:
         y_pilot: np.ndarray | None = None,
         tape: nn.Tape | None = None,
     ) -> tuple[np.ndarray, nn.Tape]:
-        return nn.forward(self.net, self._stack_input(y, y_pilot), tape)
+        """The net's logits for received blocks, with the pilots appended
+        when given; ``nn.forward`` checks the input width."""
+        if y_pilot is not None:
+            y = np.concatenate([y, y_pilot], axis=1, dtype=self.net.dtype)
+        return nn.forward(self.net, y, tape)
 
     def decode(
         self,

@@ -116,8 +116,20 @@ class TestSystemRoundTrip:
         for before, after in ((tx.net, tx2.net), (rx.net, rx2.net),
                               (g.net, g2.net), (d.net, d2.net)):
             assert np.array_equal(before.flat_params(), after.flat_params())
-        assert rx2.n_pilot == cfg.n_pilot
+        assert rx2.net.input_dim == 2 * cfg.n + 2 * cfg.n_pilot
         assert g2.z_dim == cfg.z_dim
+
+    @pytest.mark.parametrize("n_pilot", [1, 3])
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_wrappers_read_their_sizes_off_the_nets(self, tmp_path, kind, n_pilot):
+        cfg = tiny_cfg(k=3, n=5, channel=kind, n_pilot=n_pilot, z_dim=4)
+        built = train.build_system(cfg)
+        checkpoint.save_system(str(tmp_path), cfg, *built)
+        _, *loaded = checkpoint.load_system(str(tmp_path))
+        for tx, rx, g, _ in (built, loaded):
+            assert tx.n == cfg.n
+            assert tx.m_count == rx.m_count == cfg.M
+            assert g.z_dim == cfg.z_dim
 
     def test_loaded_nets_are_views_of_one_vector(self, tmp_path):
         cfg = tiny_cfg()
@@ -131,8 +143,8 @@ class TestSystemRoundTrip:
         tx, rx, g, d = train.build_system(cfg)
         checkpoint.save_system(str(tmp_path), cfg, tx, rx, g, d)
         _, _, rx2, g2, _ = checkpoint.load_system(str(tmp_path))
-        assert rx2.n_pilot == 0
-        assert g2.cond_dim == 2 * cfg.n
+        assert rx2.net.input_dim == 2 * cfg.n
+        assert g2.net.input_dim == cfg.z_dim + 2 * cfg.n
 
     def test_expected_files_on_disk(self, tmp_path):
         cfg = tiny_cfg()

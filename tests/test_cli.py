@@ -9,8 +9,8 @@ import shutil
 
 import pytest
 
-from gancomm import cli
-from gancomm.config import ConfigError
+from gancomm import checkpoint, cli, train
+from gancomm.config import ConfigError, TrainConfig
 from gancomm.evaluate import BASELINE_SYSTEMS
 
 TINY = {
@@ -226,6 +226,45 @@ class TestEvalCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: config {bad}: k: must be >= 1")
 
+    def test_aborted_run_exits_1_naming_its_status(self, tmp_path, capsys):
+        def stop(iteration, phase, loss):
+            raise RuntimeError("stop")
+
+        run = tmp_path / "run"
+        with pytest.raises(RuntimeError):
+            train.train_full(TrainConfig(**TINY), out_dir=str(run), progress=stop)
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"ebn0_db": [4.0]}))
+        out = tmp_path / "bler.csv"
+        rc = cli.main(["eval", "--checkpoint", str(run), "--sweep", str(sweep),
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: run directory {run} is not a completed run: its manifest.json "
+            f"reads status 'aborted at step 2: RuntimeError: stop'\n")
+        assert not out.exists()
+        # a Python caller can still inspect the last nets of the run
+        assert checkpoint.load_system(str(run))[0] == TrainConfig(**TINY)
+
+    @pytest.mark.parametrize("manifest", [None, {"command": "train"}],
+                             ids=["no-manifest", "no-status"])
+    def test_run_without_a_recorded_status_is_evaluated(self, trained_dir, tmp_path,
+                                                        capsys, manifest):
+        # perfbench's directories have no manifest; older runs' have no status
+        ckpt = tmp_path / "run"
+        shutil.copytree(trained_dir, ckpt)
+        if manifest is None:
+            (ckpt / "manifest.json").unlink()
+        else:
+            (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"ebn0_db": [8.0], "min_trials": 100,
+                                     "max_trials": 20000}))
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--sweep", str(sweep),
+                       "--out", str(tmp_path / "bler.csv")])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("ebn0_db=8 ")
+
     def test_svg_chart_written_on_request(self, trained_dir, tmp_path, capsys):
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps(
@@ -334,4 +373,19 @@ class TestDumpCommand:
                        "gan-scatter", "--out", str(out), "--samples", samples])
         assert rc == 1
         assert "samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("status", ["running", "aborted at step 9: X: y"])
+    @pytest.mark.parametrize("what", ["constellation", "gan-scatter"])
+    def test_dump_refuses_an_unfinished_run(self, trained_dir, tmp_path, capsys,
+                                            status, what):
+        ckpt = tmp_path / "run"
+        shutil.copytree(trained_dir, ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        (ckpt / "manifest.json").write_text(json.dumps({**manifest, "status": status}))
+        out = tmp_path / "dump.csv"
+        rc = cli.main(["dump", "--checkpoint", str(ckpt), "--what", what,
+                       "--out", str(out)])
+        assert rc == 1
+        assert f"status {status!r}" in capsys.readouterr().err
         assert not out.exists()

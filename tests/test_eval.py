@@ -127,8 +127,8 @@ class TestRunPointStopRule:
 def small_system(seed=0):
     cfg = TrainConfig(k=2, n=2, tx_hidden=(8,), rx_hidden=(8,))
     rng = np.random.default_rng(seed)
-    tx = transceiver.Transmitter(nn.DenseNet.create((4, 8, 4), rng), cfg.n)
-    rx = transceiver.Receiver(nn.DenseNet.create((4, 8, 4), rng), cfg.M, cfg.n)
+    tx = transceiver.Transmitter(nn.DenseNet.create((4, 8, 4), rng))
+    rx = transceiver.Receiver(nn.DenseNet.create((4, 8, 4), rng))
     return cfg, tx, rx
 
 
@@ -242,19 +242,17 @@ class TestLearnedSweep:
     def test_dimension_mismatch_is_rejected(self):
         cfg, tx, rx = small_system()
         other = transceiver.Transmitter(
-            nn.DenseNet.create((8, 32, 32, 4), np.random.default_rng(1)), 2)
+            nn.DenseNet.create((8, 32, 32, 4), np.random.default_rng(1)))
         spec = evaluate.SweepSpec(ebn0_db=(4.0,))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="tx net maps 8 -> 4"):
             evaluate.bler_sweep_learned(other, rx, cfg, spec)
 
     def test_pilot_mismatch_is_rejected(self):
         cfg, tx, rx = small_system()
         piloted = transceiver.Receiver(
-            nn.DenseNet.create((6, 32, 32, 4), np.random.default_rng(2)),
-            cfg.M, cfg.n, n_pilot=1,
-        )
+            nn.DenseNet.create((6, 32, 32, 4), np.random.default_rng(2)))
         spec = evaluate.SweepSpec(ebn0_db=(4.0,))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="rx net maps 6 -> 4"):
             evaluate.bler_sweep_learned(tx, piloted, cfg, spec)
 
     @pytest.mark.parametrize("workers", [0, -3])
@@ -488,7 +486,7 @@ class TestDumps:
 
     def test_scatter_csv_has_real_fake_and_condition_rows(self, tmp_path):
         rng = np.random.default_rng(7)
-        g = gan.Generator(nn.DenseNet.create((5, 8, 2), rng), n=1, z_dim=3, cond_dim=2)
+        g = gan.Generator(nn.DenseNet.create((5, 8, 2), rng), z_dim=3)
         x = channel.complex_to_iq(baseline.qam16_constellation()[:2][:, None])
         path = tmp_path / "scatter.csv"
         evaluate.gan_scatter_dump(g, x, 0.2, str(path), n_samples=50, seed=8)

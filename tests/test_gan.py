@@ -14,9 +14,8 @@ def small_gan(seed=0, n=2, cond_dim=4, z_dim=3, float64=False):
     """A small generator and discriminator; with float64, their nets are
     float64 copies, for checks finer than float32 rounding."""
     rng = np.random.default_rng(seed)
-    g = gan.Generator(nn.DenseNet.create((z_dim + cond_dim, 8, 8, 2 * n), rng),
-                      n, z_dim, cond_dim)
-    d = gan.Discriminator(nn.DenseNet.create((2 * n + cond_dim, 8, 1), rng), n, cond_dim)
+    g = gan.Generator(nn.DenseNet.create((z_dim + cond_dim, 8, 8, 2 * n), rng), z_dim)
+    d = gan.Discriminator(nn.DenseNet.create((2 * n + cond_dim, 8, 1), rng))
     if float64:
         g.net, d.net = float64_copy(g.net), float64_copy(d.net)
     return g, d
@@ -30,20 +29,18 @@ class TestConstruction:
         assert d.net.input_dim == 4 + 4
         assert d.net.output_dim == 1
 
-    def test_generator_rejects_wrong_output_width(self):
-        net = nn.DenseNet.create((7, 8, 5), np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            gan.Generator(net, n=2, z_dim=3, cond_dim=4)
-
     def test_generator_rejects_wrong_input_width(self):
+        # the input must hold at least one noise and one conditioning value
         net = nn.DenseNet.create((6, 8, 4), np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            gan.Generator(net, n=2, z_dim=3, cond_dim=4)
+        for z_dim in (0, 6, 7):
+            with pytest.raises(ConfigError, match="z_dim"):
+                gan.Generator(net, z_dim)
+        assert gan.Generator(net, 5).z_dim == 5
 
     def test_discriminator_must_emit_one_logit(self):
         net = nn.DenseNet.create((8, 8, 2), np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            gan.Discriminator(net, n=2, cond_dim=4)
+            gan.Discriminator(net)
 
 
 class TestSampling:

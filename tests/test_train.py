@@ -88,7 +88,7 @@ class TestSampleBatch:
 class TestGradientPaths:
     def test_receiver_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
-        rx = transceiver.Receiver(nn.DenseNet.create((4, 8, 4), rng), 4, 2)
+        rx = transceiver.Receiver(nn.DenseNet.create((4, 8, 4), rng))
         rx.net = float64_copy(rx.net)
         onehot = transceiver.to_onehot(rng.integers(0, 4, size=6), 4)
         y = rng.normal(size=(6, 4))
@@ -300,7 +300,8 @@ class TestTrainer:
         live = trainer.generator.net.flat_params()
         averaged = trainer.generator_averaged().net.flat_params()
         assert not np.array_equal(live, averaged)
-        assert trainer.generator_averaged().cond_dim == trainer.generator.cond_dim
+        assert trainer.generator_averaged().net.dims == trainer.generator.net.dims
+        assert trainer.generator_averaged().z_dim == trainer.generator.z_dim
 
     def test_receiver_alone_learns_a_clean_channel(self):
         cfg = tiny_cfg(
@@ -412,8 +413,9 @@ class TestChannelOnlyGan:
             "awgn", 6.0, steps=3, seed=0, batch_size=8,
             gen_hidden=(8,), disc_hidden=(8,), z_dim=3,
         )
-        assert g.cond_dim == 2
-        assert d.cond_dim == 2
+        # z_dim 3 plus the one-use block; the discriminator sees y and the block
+        assert g.net.input_dim == 3 + 2
+        assert d.net.input_dim == 2 + 2
         assert len(log.records) == 3
 
     def test_fading_surrogate_sees_the_pilot(self):
@@ -421,7 +423,7 @@ class TestChannelOnlyGan:
             "rayleigh", 10.0, steps=3, seed=0, batch_size=8,
             gen_hidden=(8,), disc_hidden=(8,), z_dim=3,
         )
-        assert g.cond_dim == 4
+        assert g.net.input_dim == 3 + 4
 
     def test_unknown_channel_rejected(self):
         with pytest.raises(ValueError, match="unknown channel"):

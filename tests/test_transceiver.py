@@ -39,7 +39,7 @@ def identity_receiver(m_count=4):
     # one linear layer with identity weights: the logits are the received
     # block itself (n = m_count / 2 complex uses)
     layer = nn.Layer(w=np.eye(m_count), b=np.zeros(m_count), activation="linear")
-    return transceiver.Receiver(nn.DenseNet([layer]), m_count, m_count // 2)
+    return transceiver.Receiver(nn.DenseNet([layer]))
 
 
 class TestHardDecision:
@@ -54,7 +54,7 @@ class TestHardDecision:
 
 def make_tx(seed=0, m_count=8, n=3):
     rng = np.random.default_rng(seed)
-    return transceiver.Transmitter(nn.DenseNet.create((m_count, 12, 2 * n), rng), n)
+    return transceiver.Transmitter(nn.DenseNet.create((m_count, 12, 2 * n), rng))
 
 
 class TestTransmitter:
@@ -118,16 +118,17 @@ class TestTransmitter:
         with pytest.raises(FloatingPointError, match="power"):
             tx.encode(transceiver.to_onehot(np.array([0]), 8))
 
-    def test_output_width_checked_against_n(self):
+    def test_odd_output_width_is_refused(self):
+        # a block of n complex uses is 2n reals
         net = nn.DenseNet.create((8, 12, 5), np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            transceiver.Transmitter(net, 3)
+        with pytest.raises(ConfigError, match="even"):
+            transceiver.Transmitter(net)
 
 
 class TestReceiver:
     def test_decode_returns_the_most_likely_message_per_row(self):
         rng = np.random.default_rng(7)
-        rx = transceiver.Receiver(nn.DenseNet.create((6, 10, 8), rng), 8, 3)
+        rx = transceiver.Receiver(nn.DenseNet.create((6, 10, 8), rng))
         y = rng.normal(size=(5, 6))
         decided = rx.decode(y)
         assert decided.shape == (5,)
@@ -137,29 +138,24 @@ class TestReceiver:
 
     def test_pilot_required_when_configured(self):
         rng = np.random.default_rng(8)
-        rx = transceiver.Receiver(nn.DenseNet.create((8, 10, 8), rng), 8, 3, n_pilot=1)
-        with pytest.raises(ConfigError, match="pilot"):
+        rx = transceiver.Receiver(nn.DenseNet.create((8, 10, 8), rng))
+        with pytest.raises(nn.ShapeError, match="input dim 8, got 6"):
             rx.decode(rng.normal(size=(2, 6)))
 
     def test_pilot_rejected_when_not_configured(self):
         rng = np.random.default_rng(9)
-        rx = transceiver.Receiver(nn.DenseNet.create((6, 10, 8), rng), 8, 3)
-        with pytest.raises(ConfigError, match="pilot"):
+        rx = transceiver.Receiver(nn.DenseNet.create((6, 10, 8), rng))
+        with pytest.raises(nn.ShapeError, match="input dim 6, got 8"):
             rx.decode(rng.normal(size=(2, 6)), rng.normal(size=(2, 2)))
 
     def test_pilot_widens_input(self):
         rng = np.random.default_rng(10)
-        rx = transceiver.Receiver(nn.DenseNet.create((10, 10, 8), rng), 8, 3, n_pilot=2)
+        rx = transceiver.Receiver(nn.DenseNet.create((10, 10, 8), rng))
         decided = rx.decode(rng.normal(size=(4, 6)), rng.normal(size=(4, 4)))
         assert decided.shape == (4,)
 
     def test_wrong_block_width_raises(self):
         rng = np.random.default_rng(11)
-        rx = transceiver.Receiver(nn.DenseNet.create((6, 10, 8), rng), 8, 3)
+        rx = transceiver.Receiver(nn.DenseNet.create((6, 10, 8), rng))
         with pytest.raises(nn.ShapeError):
             rx.decode(rng.normal(size=(2, 7)))
-
-    def test_logit_width_checked_against_m(self):
-        net = nn.DenseNet.create((6, 10, 9), np.random.default_rng(12))
-        with pytest.raises(ConfigError):
-            transceiver.Receiver(net, 8, 3)
