@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 
-from . import nn
+from . import channel, nn
 
 # Systematic Hamming(7,4): codeword = [u1 u2 u3 u4 p1 p2 p3] with
 #   p1 = u1 + u3 + u4,  p2 = u1 + u2 + u3,  p3 = u2 + u3 + u4  (mod 2).
@@ -109,14 +109,13 @@ def qam16_constellation() -> np.ndarray:
     return points
 
 
-def qam16_modulate(messages: np.ndarray) -> np.ndarray:
-    """(B,) 4-bit message indices -> (B,) complex symbols."""
-    messages = np.asarray(messages, dtype=np.int64)
-    if messages.ndim != 1:
-        raise nn.ShapeError(f"messages must be 1-D, got shape {messages.shape}")
-    if messages.size and (messages.min() < 0 or messages.max() > 15):
-        raise ValueError("message index out of range [0, 16)")
-    return qam16_constellation()[messages]
+@functools.lru_cache(maxsize=1)
+def qam16_codebook() -> np.ndarray:
+    """The 16 points as one-use blocks, (16, 2) interleaved I/Q reals, row i
+    for message i. Read-only."""
+    cb = channel.complex_to_iq(qam16_constellation()[:, None])
+    cb.setflags(write=False)
+    return cb
 
 
 def qam16_demod_coherent(y: np.ndarray, h_est: np.ndarray) -> np.ndarray:

@@ -68,10 +68,12 @@ def _write_sweep(points, args: argparse.Namespace, label: str) -> int:
 def _load_finished_run(ckpt_dir: str):
     """``checkpoint.load_system`` on a run directory whose manifest.json, if
     it has one, reads status "completed" or none (written before runs
-    recorded one); an aborted or still running run is refused."""
+    recorded one); any other run, or manifest, is refused."""
     path = os.path.join(ckpt_dir, "manifest.json")
-    status = (read_json(path, "manifest").get("status", "completed")
-              if os.path.exists(path) else "completed")
+    manifest = read_json(path, "manifest") if os.path.exists(path) else {}
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest {path}: must be a JSON object")
+    status = manifest.get("status", "completed")
     if status != "completed":
         raise ConfigError(f"run directory {ckpt_dir} is not a completed run: "
                           f"its manifest.json reads status {status!r}")

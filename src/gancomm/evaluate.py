@@ -229,8 +229,7 @@ def bler_sweep_baseline(
     # fading without pilots
     model = channel.make_channel(
         "rayleigh", 0 if system == "qam16-rayleigh-perfect-csi" else n_pilot)
-    codebook = channel.complex_to_iq(baseline.qam16_constellation()[:, None])
-    return _sweep(codebook, model,
+    return _sweep(baseline.qam16_codebook(), model,
                   lambda y, y_pilot, h, tape: _qam16_decide(y, y_pilot, h),
                   4, 1, spec, seed, system, workers)
 

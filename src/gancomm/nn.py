@@ -315,34 +315,29 @@ def backward(
     return grads, g
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted for stability; rows sum to 1."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def softmax_cross_entropy(
-    logits: np.ndarray, onehot: np.ndarray
+    logits: np.ndarray, messages: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy between softmax(logits) and one-hot targets.
+    """Mean cross-entropy between softmax(logits) and the (B,) messages.
 
     The softmax is fused into the loss, so the returned gradient is with
-    respect to the logits: (softmax - onehot) / batch, in the logits' dtype.
+    respect to the logits: (softmax - one-hot of messages) / batch, in the
+    logits' dtype.
     """
     logits = np.asarray(logits)
-    onehot = np.asarray(onehot, dtype=logits.dtype)
-    if logits.shape != onehot.shape or logits.ndim != 2:
-        raise ShapeError(f"logits {logits.shape} vs targets {onehot.shape}")
-    is_onehot = np.all((onehot == 0.0) | (onehot == 1.0)) and np.all(
-        onehot.sum(axis=1) == 1.0
-    )
-    if not is_onehot:
-        raise ValueError("targets must be exactly one-hot rows")
+    messages = np.asarray(messages)
+    if logits.ndim != 2 or messages.shape != logits.shape[:1]:
+        raise ShapeError(f"logits {logits.shape} vs messages {messages.shape}")
+    if messages.size and (messages.min() < 0 or messages.max() >= logits.shape[1]):
+        raise ValueError(f"message index out of range [0, {logits.shape[1]})")
+    rows = np.arange(logits.shape[0])
     z = logits - logits.max(axis=1, keepdims=True)
-    log_normalizer = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(log_normalizer - z[onehot == 1.0]))
-    grad = (softmax(logits) - onehot) / logits.shape[0]
+    e = np.exp(z)
+    total = e.sum(axis=1)
+    loss = float(np.mean(np.log(total) - z[rows, messages]))
+    grad = e / total[:, None]
+    grad[rows, messages] -= 1
+    grad /= logits.shape[0]
     return loss, grad
 
 

@@ -4,8 +4,9 @@ Each outer iteration runs three phases in order: the GAN fits the channel
 conditioned on the current transmitter's blocks, the receiver trains on
 real channel output, and the transmitter trains end-to-end with the
 frozen generator standing in for the channel (the real channel offers no
-gradient). The receiver loss is softmax cross-entropy over messages; the
-GAN uses the non-saturating logistic losses.
+gradient). The GAN and rx phases gather blocks from one codebook per
+transmitter state; the receiver loss is cross-entropy against message
+indices, and the GAN uses the non-saturating logistic losses.
 """
 
 from __future__ import annotations
@@ -65,14 +66,14 @@ def _tape(tapes: Mapping[str, nn.Tape] | None, key: str) -> nn.Tape | None:
 
 def receiver_forward_backward(
     rx: transceiver.Receiver,
-    onehot: np.ndarray,
+    messages: np.ndarray,
     y: np.ndarray,
     y_pilot: np.ndarray | None = None,
     tape: nn.Tape | None = None,
 ) -> tuple[float, nn.Gradients]:
     """Cross-entropy on real channel output and its receiver gradients."""
     logits, tape = rx.forward_logits(y, y_pilot, tape)
-    loss, grad = nn.softmax_cross_entropy(logits, onehot)
+    loss, grad = nn.softmax_cross_entropy(logits, messages)
     grads, _ = nn.backward(rx.net, tape, grad, inputs=False)
     return loss, grads
 
@@ -81,7 +82,7 @@ def transmitter_forward_backward(
     tx: transceiver.Transmitter,
     rx: transceiver.Receiver,
     g: gan.Generator,
-    onehot: np.ndarray,
+    messages: np.ndarray,
     z: np.ndarray,
     y_pilot: np.ndarray | None = None,
     tapes: Mapping[str, nn.Tape] | None = None,
@@ -89,18 +90,18 @@ def transmitter_forward_backward(
     """End-to-end loss with the generator in place of the channel, and its
     transmitter gradients.
 
-    The chain is onehot -> transmitter -> x -> generator(z | x, pilots) ->
+    The chain is messages -> transmitter -> x -> generator(z | x, pilots) ->
     fake y -> receiver -> cross-entropy. Receiver and generator parameters
     are read only; their input gradients carry the signal back to the
     transmitter. Pilots are a fixed symbol, so the gradient w.r.t. the
     pilot part of the conditioning is dropped. ``tapes``, if given, holds a
     reusable tape for each net by name (tx, gen, rx).
     """
-    x, tx_tape = tx.encode(onehot, _tape(tapes, "tx"))
+    x, tx_tape = tx.encode(messages, _tape(tapes, "tx"))
     m = gan.conditioning(x, y_pilot)
     fake_y, g_tape = gan.generate(g, z, m, _tape(tapes, "gen"))
     logits, rx_tape = rx.forward_logits(fake_y, y_pilot, _tape(tapes, "rx"))
-    loss, grad_logits = nn.softmax_cross_entropy(logits, onehot)
+    loss, grad_logits = nn.softmax_cross_entropy(logits, messages)
     _, rx_input_grad = nn.backward(rx.net, rx_tape, grad_logits, params=False)
     _, g_input_grad = nn.backward(
         g.net, g_tape, rx_input_grad[:, : x.shape[1]], params=False
@@ -157,13 +158,15 @@ def build_system(
 class Trainer:
     """Holds nets, optimizers, and RNG streams for one training run.
 
-    ``source`` maps the message indices of a GAN-phase batch to the blocks
-    sent through the channel; by default it is the transmitter in training.
-    The steps reuse one ``nn.Tape`` per net (two for the discriminator), so
-    a step allocates almost nothing; ``run`` drops them when it returns.
+    The GAN and receiver phases gather their blocks from an (M, 2n)
+    codebook: a given ``codebook``, fixed for the run, or else the
+    transmitter's M blocks, encoded when a step first needs them and
+    dropped after each transmitter update. The steps reuse one ``nn.Tape``
+    per net (two for the discriminator), so a step allocates almost
+    nothing; ``run`` drops them when it returns.
     """
 
-    def __init__(self, cfg: TrainConfig, source=None):
+    def __init__(self, cfg: TrainConfig, codebook: np.ndarray | None = None):
         self.cfg = cfg
         self.channel_model = cfg.make_channel()
         self.noise_std = channel.noise_std_from_snr(cfg.train_ebn0_db, cfg.k, cfg.n)
@@ -177,7 +180,7 @@ class Trainer:
             self.discriminator.net, cfg.lr_disc, beta1=cfg.gan_beta1
         )
         self._g_ema = nn.EmaTracker(self.generator.net, cfg.ema_decay)
-        self._source = source or self.tx.encode_messages
+        self._fixed_codebook = self._codebook = codebook
         self._rng_batch = substream(cfg.seed, "train", "batch")
         self._rng_channel = substream(cfg.seed, "train", "channel")
         self._rng_z = substream(cfg.seed, "train", "z")
@@ -194,9 +197,15 @@ class Trainer:
         messages = self._rng_batch.integers(0, self.cfg.M, size=batch)
         return messages, self.channel_model.draw_state(self._rng_batch, batch)
 
+    def _blocks(self, messages: np.ndarray) -> np.ndarray:
+        """The codebook rows of the messages; see the class docstring."""
+        if self._codebook is None:
+            self._codebook = self.tx.encode_messages(np.arange(self.cfg.M))
+        return np.take(self._codebook, messages, axis=0)
+
     def train_gan_step(self, iteration: int) -> float:
         messages, state = self._draw_batch()
-        x = self._source(messages)
+        x = self._blocks(messages)
         real_y, y_p = self.channel_model.observe(
             x, state, self.noise_std, self._rng_channel
         )
@@ -213,13 +222,11 @@ class Trainer:
 
     def train_receiver_step(self, iteration: int) -> float:
         messages, state = self._draw_batch()
-        onehot = transceiver.to_onehot(messages, self.cfg.M)
-        x, _ = self.tx.encode(onehot, self._tapes["tx"])
         y, y_p = self.channel_model.observe(
-            x, state, self.noise_std, self._rng_channel
+            self._blocks(messages), state, self.noise_std, self._rng_channel
         )
         loss, grads = receiver_forward_backward(
-            self.rx, onehot, y, y_p, self._tapes["rx"]
+            self.rx, messages, y, y_p, self._tapes["rx"]
         )
         nn.adam_step(self.rx.net, grads, self.rx_opt)
         self.step += 1
@@ -233,13 +240,13 @@ class Trainer:
 
     def train_transmitter_step(self, iteration: int) -> float:
         messages, state = self._draw_batch()
-        onehot = transceiver.to_onehot(messages, self.cfg.M)
         y_p = self.channel_model.pilots(state, self.noise_std, self._rng_channel)
         z = gan.sample_z(self._rng_z, self.cfg.batch_size, self.cfg.z_dim)
         loss, grads = transmitter_forward_backward(
-            self.tx, self.rx, self.generator, onehot, z, y_p, self._tapes
+            self.tx, self.rx, self.generator, messages, z, y_p, self._tapes
         )
         nn.adam_step(self.tx.net, grads, self.tx_opt)
+        self._codebook = self._fixed_codebook
         self.step += 1
         self.log.append(StepRecord(self.step, iteration, "tx", loss))
         return loss
@@ -327,11 +334,6 @@ def _start_manifest(out_dir: str, cfg: TrainConfig) -> dict:
     return manifest
 
 
-def _qam16_blocks(messages: np.ndarray) -> np.ndarray:
-    """Message indices -> one-use 16-QAM blocks, (batch, 2)."""
-    return channel.complex_to_iq(baseline.qam16_modulate(messages)[:, None])
-
-
 def train_channel_gan(
     channel_kind: str, ebn0_db: float, steps: int, seed: int, **overrides
 ) -> tuple[gan.Generator, gan.Discriminator, TrainLog]:
@@ -345,7 +347,7 @@ def train_channel_gan(
     """
     cfg = TrainConfig(k=4, n=1, channel=channel_kind, train_ebn0_db=ebn0_db,
                       seed=seed, **overrides)
-    trainer = Trainer(cfg, source=_qam16_blocks)
+    trainer = Trainer(cfg, codebook=baseline.qam16_codebook())
     for _ in range(steps):
         trainer.train_gan_step(0)
     return trainer.generator_averaged(), trainer.discriminator, trainer.log

@@ -1,6 +1,6 @@
 """Learned transmitter and receiver.
 
-The transmitter maps a one-hot message to n complex channel uses
+The transmitter maps a message index to n complex channel uses
 (interleaved as 2n reals) and rescales every block to exactly n total
 power, i.e. unit average power per complex use. The receiver maps a
 received block (plus received pilots on fading channels) to logits over
@@ -65,9 +65,10 @@ class Transmitter:
         return self.net.input_dim
 
     def encode(
-        self, onehot: np.ndarray, tape: nn.Tape | None = None
+        self, messages: np.ndarray, tape: nn.Tape | None = None
     ) -> tuple[np.ndarray, TxTape]:
-        """One-hot rows -> power-normalized blocks, with tape for backward.
+        """(B,) message indices -> power-normalized blocks, with tape for
+        backward. The net reads each message as a one-hot row.
 
         Every output row x satisfies sum(x**2) == n exactly up to float64
         rounding, i.e. unit average power per complex channel use: the dense
@@ -75,7 +76,7 @@ class Transmitter:
         net's dtype. The dense net's pass is written into ``tape``, a new
         one if none is given (see ``nn.forward``).
         """
-        out, dense_tape = nn.forward(self.net, onehot, tape)
+        out, dense_tape = nn.forward(self.net, to_onehot(messages, self.m_count), tape)
         prenorm = out.astype(np.float64)
         norm_sq = np.einsum("ij,ij->i", prenorm, prenorm)
         if np.any(norm_sq / self.n < POWER_EPSILON):
@@ -89,8 +90,7 @@ class Transmitter:
 
     def encode_messages(self, messages: np.ndarray) -> np.ndarray:
         """Convenience for evaluation: message indices -> blocks, no tape."""
-        x, _ = self.encode(to_onehot(messages, self.m_count))
-        return x
+        return self.encode(messages)[0]
 
     def backward(self, tape: TxTape, upstream_grad: np.ndarray) -> nn.Gradients:
         """Gradients of a scalar loss w.r.t. the parameters (the one-hot

@@ -169,6 +169,20 @@ def reference_forward_backward(net, x, upstream):
     return acts[-1], weights, biases, g
 
 
+def reference_softmax_cross_entropy(logits, messages):
+    """The cross-entropy through one-hot targets in the logits' dtype and a
+    separately computed softmax, as plain array expressions: (loss,
+    gradient w.r.t. the logits). nn.softmax_cross_entropy, which takes the
+    message indices, must match it bit for bit."""
+    onehot = np.zeros(logits.shape, dtype=logits.dtype)
+    onehot[np.arange(logits.shape[0]), messages] = 1.0
+    z = logits - logits.max(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(np.exp(z).sum(axis=1)) - z[onehot == 1.0]))
+    e = np.exp(z)
+    softmax = e / e.sum(axis=1, keepdims=True)
+    return loss, (softmax - onehot) / logits.shape[0]
+
+
 def reference_ema_update(avg, net, decay):
     """The EMA update on a flat average, as one array expression."""
     avg += (1.0 - decay) * (net.flat_params() - avg)

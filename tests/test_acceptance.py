@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from gancomm import baseline, channel, evaluate, gan, train, transceiver
+from gancomm import baseline, channel, evaluate, gan, train
 from gancomm.config import TrainConfig
 from helpers import central_difference, float64_copy, relative_error
 
@@ -63,16 +63,16 @@ def test_1_gradient_suite_full_size_nets():
             part.net = float64_copy(part.net)
         rng = np.random.default_rng(23)
         batch = 8
-        onehot = transceiver.to_onehot(rng.integers(0, cfg.M, size=batch), cfg.M)
+        messages = rng.integers(0, cfg.M, size=batch)
         z = gan.sample_z(rng, batch, cfg.z_dim)
         y_p = rng.normal(size=(batch, 2 * cfg.n_pilot)) if cfg.is_fading else None
         y = rng.normal(size=(batch, 2 * cfg.n))
-        cond = gan.conditioning(tx.encode(onehot)[0], y_p)
+        cond = gan.conditioning(tx.encode(messages)[0], y_p)
 
-        _, rx_grads = train.receiver_forward_backward(rx, onehot, y, y_p)
+        _, rx_grads = train.receiver_forward_backward(rx, messages, y, y_p)
         fd_check(
             rx.net,
-            lambda: train.receiver_forward_backward(rx, onehot, y, y_p)[0],
+            lambda: train.receiver_forward_backward(rx, messages, y, y_p)[0],
             rx_grads,
         )
 
@@ -87,11 +87,11 @@ def test_1_gradient_suite_full_size_nets():
         fd_check(g.net, lambda: gan.g_loss(g, d, z, cond)[0], g_grads)
 
         _, tx_grads = train.transmitter_forward_backward(
-            tx, rx, g, onehot, z, y_p
+            tx, rx, g, messages, z, y_p
         )
         fd_check(
             tx.net,
-            lambda: train.transmitter_forward_backward(tx, rx, g, onehot, z, y_p)[0],
+            lambda: train.transmitter_forward_backward(tx, rx, g, messages, z, y_p)[0],
             tx_grads,
             count=60,
         )

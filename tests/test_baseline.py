@@ -137,6 +137,14 @@ class TestQam16:
         points = baseline.qam16_constellation()
         assert np.mean(np.abs(points) ** 2) == pytest.approx(1.0, rel=1e-12)
 
+    def test_codebook_is_the_constellation_as_read_only_blocks(self):
+        cb = baseline.qam16_codebook()
+        points = baseline.qam16_constellation()
+        assert cb.shape == (16, 2) and not cb.flags.writeable
+        assert np.array_equal(cb[:, 0], points.real)
+        assert np.array_equal(cb[:, 1], points.imag)
+        assert baseline.qam16_codebook() is cb
+
     def test_frozen_corner_points(self):
         scale = 1.0 / np.sqrt(10.0)
         points = baseline.qam16_constellation()
@@ -169,13 +177,13 @@ class TestQam16:
 
     def test_noiseless_round_trip(self):
         msgs = np.arange(16)
-        x = baseline.qam16_modulate(msgs)
+        x = baseline.qam16_constellation()[msgs]
         assert np.array_equal(baseline.qam16_demod_coherent(x, np.ones(16)), msgs)
 
     def test_equalizes_known_rotation(self):
         msgs = np.arange(16)
         h = 0.5 - 0.5j
-        y = h * baseline.qam16_modulate(msgs)
+        y = h * baseline.qam16_constellation()[msgs]
         assert np.array_equal(
             baseline.qam16_demod_coherent(y, np.full(16, h)), msgs
         )
@@ -184,7 +192,7 @@ class TestQam16:
         rng = np.random.default_rng(4)
         msgs = rng.integers(0, 16, 5000)
         h = 1.2 + 0.3j
-        y = h * baseline.qam16_modulate(msgs) + 0.2 * (
+        y = h * baseline.qam16_constellation()[msgs] + 0.2 * (
             rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
         )
         got = baseline.qam16_demod_coherent(y, np.full(5000, h))

@@ -265,6 +265,21 @@ class TestEvalCommand:
         assert rc == 0
         assert capsys.readouterr().out.startswith("ebn0_db=8 ")
 
+    def test_manifest_that_is_not_an_object_exits_1_naming_it(self, trained_dir,
+                                                              tmp_path, capsys):
+        ckpt = tmp_path / "run"
+        shutil.copytree(trained_dir, ckpt)
+        (ckpt / "manifest.json").write_text("[1, 2]")
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"ebn0_db": [4.0]}))
+        out = tmp_path / "bler.csv"
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--sweep", str(sweep),
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest {ckpt / 'manifest.json'}: must be a JSON object\n")
+        assert not out.exists()
+
     def test_svg_chart_written_on_request(self, trained_dir, tmp_path, capsys):
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps(
@@ -388,4 +403,18 @@ class TestDumpCommand:
                        "--out", str(out)])
         assert rc == 1
         assert f"status {status!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("what", ["constellation", "gan-scatter"])
+    def test_manifest_that_is_not_an_object_exits_1_naming_it(self, trained_dir,
+                                                              tmp_path, capsys, what):
+        ckpt = tmp_path / "run"
+        shutil.copytree(trained_dir, ckpt)
+        (ckpt / "manifest.json").write_text('"completed"')
+        out = tmp_path / "dump.csv"
+        rc = cli.main(["dump", "--checkpoint", str(ckpt), "--what", what,
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest {ckpt / 'manifest.json'}: must be a JSON object\n")
         assert not out.exists()

@@ -150,21 +150,20 @@ def reference_sweep(label, shard_errors, spec, seed):
 
 
 def learned_shard(tx, rx, cfg):
-    """One-hot encode each message, take the receiver's logits, softmax,
-    argmax. Draw order: messages, h, block noise, pilot noise."""
+    """Encode each message, take the receiver's logits, argmax. Draw order:
+    messages, h, block noise, pilot noise."""
     model = cfg.make_channel()
 
     def shard_errors(ebn0, size, rng):
         std = channel.noise_std_from_snr(ebn0, cfg.k, cfg.n)
         messages = rng.integers(0, cfg.M, size=size)
-        onehots = [transceiver.to_onehot(messages[t:t + 1], cfg.M) for t in range(size)]
-        x = np.concatenate([tx.encode(onehot)[0] for onehot in onehots])
+        x = np.concatenate([tx.encode(messages[t:t + 1])[0] for t in range(size)])
         y, y_pilot = model.observe(x, model.draw_state(rng, size), std, rng)
         errors = 0
         for t in range(size):
             pilot = None if y_pilot is None else y_pilot[t:t + 1]
             logits, _ = rx.forward_logits(y[t:t + 1], pilot)
-            errors += int(np.argmax(nn.softmax(logits)[0]) != messages[t])
+            errors += int(np.argmax(logits[0]) != messages[t])
         return errors
 
     return shard_errors
@@ -191,7 +190,7 @@ def qam16_shard(n_pilot):
     def shard_errors(ebn0, size, rng):
         std = channel.noise_std_from_snr(ebn0, 4, 1)
         messages = rng.integers(0, 16, size=size)
-        x = channel.complex_to_iq(baseline.qam16_modulate(messages)[:, None])
+        x = channel.complex_to_iq(baseline.qam16_constellation()[messages][:, None])
         h = channel.rayleigh_sample(rng, size)
         y = channel.iq_to_complex(channel.fading_apply(x, h, std, rng))[:, 0]
         h_est = h

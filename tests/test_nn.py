@@ -18,6 +18,7 @@ from helpers import (
     reference_adam_step,
     reference_ema_update,
     reference_forward_backward,
+    reference_softmax_cross_entropy,
     relative_error,
 )
 
@@ -254,16 +255,14 @@ class TestSoftmaxCrossEntropy:
     def test_frozen_single_row(self):
         # p = softmax([1,2,3]); loss = -log p[2]
         logits = np.array([[1.0, 2.0, 3.0]])
-        onehot = np.array([[0.0, 0.0, 1.0]])
-        loss, grad = nn.softmax_cross_entropy(logits, onehot)
+        loss, grad = nn.softmax_cross_entropy(logits, np.array([2]))
         assert loss == pytest.approx(0.4076059644443803, rel=1e-12)
         assert grad[0, 0] == pytest.approx(0.09003057317038046, rel=1e-12)
         assert grad[0, 2] == pytest.approx(0.6652409557748219 - 1.0, rel=1e-12)
 
     def test_frozen_two_rows_averages(self):
         logits = np.array([[0.5, -1.0], [2.0, 2.0]])
-        onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss, grad = nn.softmax_cross_entropy(logits, onehot)
+        loss, grad = nn.softmax_cross_entropy(logits, np.array([0, 1]))
         assert loss == pytest.approx(0.44728022927134886, rel=1e-12)
         assert grad[0, 0] == pytest.approx(-0.09121276190317817, rel=1e-12)
         assert grad[1, 1] == pytest.approx(-0.25, rel=1e-12)
@@ -271,45 +270,66 @@ class TestSoftmaxCrossEntropy:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(21)
         logits = rng.normal(size=(4, 6))
-        onehot = np.zeros((4, 6))
-        onehot[np.arange(4), rng.integers(0, 6, 4)] = 1.0
-        _, grad = nn.softmax_cross_entropy(logits, onehot)
+        messages = rng.integers(0, 6, 4)
+        _, grad = nn.softmax_cross_entropy(logits, messages)
         flat = logits.reshape(-1)
 
         def loss_at(v):
-            return nn.softmax_cross_entropy(v.reshape(4, 6), onehot)[0]
+            return nn.softmax_cross_entropy(v.reshape(4, 6), messages)[0]
 
         fd = central_difference(loss_at, flat, np.arange(flat.size))
         assert relative_error(grad.reshape(-1), fd).max() < 1e-6
 
     def test_shift_invariance(self):
         logits = np.array([[1.0, 2.0, 3.0]])
-        onehot = np.array([[0.0, 1.0, 0.0]])
-        a, _ = nn.softmax_cross_entropy(logits, onehot)
-        b, _ = nn.softmax_cross_entropy(logits + 500.0, onehot)
+        a, _ = nn.softmax_cross_entropy(logits, np.array([1]))
+        b, _ = nn.softmax_cross_entropy(logits + 500.0, np.array([1]))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_huge_logits_stay_finite(self):
         logits = np.array([[1000.0, -1000.0]])
-        onehot = np.array([[1.0, 0.0]])
-        loss, grad = nn.softmax_cross_entropy(logits, onehot)
+        loss, grad = nn.softmax_cross_entropy(logits, np.array([0]))
         assert np.isfinite(loss) and np.isfinite(grad).all()
         assert loss == pytest.approx(0.0, abs=1e-12)
 
-    def test_rejects_soft_targets(self):
-        with pytest.raises(ValueError):
-            nn.softmax_cross_entropy(np.zeros((1, 3)), np.array([[0.5, 0.5, 0.0]]))
+    @pytest.mark.parametrize("logits, messages", [
+        (np.zeros((2, 3)), np.array([0])),
+        (np.zeros((2, 3)), np.array([[0], [1]])),
+        (np.zeros((2, 3)), np.array(0)),
+        (np.zeros(3), np.array([0])),
+    ], ids=["short", "2d-messages", "scalar-message", "1d-logits"])
+    def test_rejects_messages_of_the_wrong_shape(self, logits, messages):
+        with pytest.raises(nn.ShapeError):
+            nn.softmax_cross_entropy(logits, messages)
+
+    @pytest.mark.parametrize("message", [-1, 3])
+    def test_rejects_a_message_out_of_range(self, message):
+        # a negative index would otherwise pick a logit from the row's end
+        with pytest.raises(ValueError, match="out of range"):
+            nn.softmax_cross_entropy(np.zeros((2, 3)), np.array([0, message]))
 
     @given(st.integers(0, 4), st.integers(1, 30))
     @settings(max_examples=25, deadline=None)
     def test_grad_rows_sum_to_zero(self, seed, batch):
         rng = np.random.default_rng(seed)
         logits = rng.normal(size=(batch, 5)) * 3
-        onehot = np.zeros((batch, 5))
-        onehot[np.arange(batch), rng.integers(0, 5, batch)] = 1.0
-        _, grad = nn.softmax_cross_entropy(logits, onehot)
+        _, grad = nn.softmax_cross_entropy(logits, rng.integers(0, 5, batch))
         # softmax minus one-hot sums to zero along classes
         assert np.abs(grad.sum(axis=1)).max() < 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.sampled_from([2, 4, 16, 64]),
+           st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_one_hot_reference_bit_for_bit(self, seed, batch, m_count,
+                                                       dtype):
+        rng = np.random.default_rng(seed)
+        logits = (rng.normal(size=(batch, m_count)) * 4).astype(dtype)
+        messages = rng.integers(0, m_count, batch)
+        loss, grad = nn.softmax_cross_entropy(logits, messages)
+        want_loss, want_grad = reference_softmax_cross_entropy(logits, messages)
+        assert loss == want_loss
+        assert grad.dtype == want_grad.dtype == dtype
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 class TestSigmoidBce:
@@ -616,7 +636,7 @@ class TestDtype:
         tape = nn.Tape()
         for _ in range(2):
             out, _ = nn.forward(net, rng.normal(size=(3, 5)), tape)
-            _, upstream = nn.softmax_cross_entropy(out, np.eye(4)[[0, 2, 3]])
+            _, upstream = nn.softmax_cross_entropy(out, np.array([0, 2, 3]))
             _, bce_grad = nn.sigmoid_bce(out, real=True)
             grads, input_grad = nn.backward(net, tape, upstream.astype(np.float64))
             nn.adam_step(net, grads, state)

@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from gancomm import channel, checkpoint, gan, nn, train, transceiver
+from gancomm import baseline, channel, checkpoint, gan, nn, train, transceiver
 from gancomm.config import TrainConfig
 from gancomm.rng import substream
 from helpers import (
@@ -90,16 +90,16 @@ class TestGradientPaths:
         rng = np.random.default_rng(2)
         rx = transceiver.Receiver(nn.DenseNet.create((4, 8, 4), rng))
         rx.net = float64_copy(rx.net)
-        onehot = transceiver.to_onehot(rng.integers(0, 4, size=6), 4)
+        messages = rng.integers(0, 4, size=6)
         y = rng.normal(size=(6, 4))
 
-        _, grads = train.receiver_forward_backward(rx, onehot, y)
+        _, grads = train.receiver_forward_backward(rx, messages, y)
         flat = rx.net.flat_params()
         idx = np.linspace(0, flat.size - 1, 30).astype(int)
 
         def at(params):
             rx.net.set_flat_params(params)
-            loss, _ = train.receiver_forward_backward(rx, onehot, y)
+            loss, _ = train.receiver_forward_backward(rx, messages, y)
             return loss
 
         fd = central_difference(at, flat, idx)
@@ -114,16 +114,16 @@ class TestGradientPaths:
         for part in (tx, rx, g):
             part.net = float64_copy(part.net)
         rng = np.random.default_rng(4)
-        onehot = transceiver.to_onehot(rng.integers(0, 4, size=5), 4)
+        messages = rng.integers(0, 4, size=5)
         z = gan.sample_z(rng, 5, cfg.z_dim)
 
-        _, grads = train.transmitter_forward_backward(tx, rx, g, onehot, z)
+        _, grads = train.transmitter_forward_backward(tx, rx, g, messages, z)
         flat = tx.net.flat_params()
         idx = np.linspace(0, flat.size - 1, 40).astype(int)
 
         def at(params):
             tx.net.set_flat_params(params)
-            loss, _ = train.transmitter_forward_backward(tx, rx, g, onehot, z)
+            loss, _ = train.transmitter_forward_backward(tx, rx, g, messages, z)
             return loss
 
         fd = central_difference(at, flat, idx)
@@ -134,11 +134,11 @@ class TestGradientPaths:
         cfg = tiny_cfg()
         tx, rx, g, _ = train.build_system(cfg)
         rng = np.random.default_rng(5)
-        onehot = transceiver.to_onehot(rng.integers(0, 4, size=5), 4)
+        messages = rng.integers(0, 4, size=5)
         z = gan.sample_z(rng, 5, cfg.z_dim)
         rx_before = rx.net.flat_params().copy()
         g_before = g.net.flat_params().copy()
-        train.transmitter_forward_backward(tx, rx, g, onehot, z)
+        train.transmitter_forward_backward(tx, rx, g, messages, z)
         assert np.array_equal(rx.net.flat_params(), rx_before)
         assert np.array_equal(g.net.flat_params(), g_before)
 
@@ -148,18 +148,18 @@ class TestGradientPaths:
         for part in (tx, rx, g):
             part.net = float64_copy(part.net)
         rng = np.random.default_rng(6)
-        onehot = transceiver.to_onehot(rng.integers(0, 4, size=5), 4)
+        messages = rng.integers(0, 4, size=5)
         z = gan.sample_z(rng, 5, cfg.z_dim)
         y_p = rng.normal(size=(5, 2))
 
-        _, grads = train.transmitter_forward_backward(tx, rx, g, onehot, z, y_p)
+        _, grads = train.transmitter_forward_backward(tx, rx, g, messages, z, y_p)
         flat = tx.net.flat_params()
         idx = np.linspace(0, flat.size - 1, 30).astype(int)
 
         def at(params):
             tx.net.set_flat_params(params)
             loss, _ = train.transmitter_forward_backward(
-                tx, rx, g, onehot, z, y_p
+                tx, rx, g, messages, z, y_p
             )
             return loss
 
@@ -189,22 +189,23 @@ class TestFloat32Gradients:
             part.net = float64_copy(part.net)
         rng = np.random.default_rng(10)
         batch = 64
-        onehot = transceiver.to_onehot(rng.integers(0, cfg.M, size=batch), cfg.M)
+        messages = rng.integers(0, cfg.M, size=batch)
         z = float32_representable(gan.sample_z(rng, batch, cfg.z_dim))
         y, real_y, fake_y = (
             float32_representable(rng.normal(size=(batch, 2 * cfg.n))) for _ in range(3)
         )
         y_p = (float32_representable(rng.normal(size=(batch, 2 * cfg.n_pilot)))
                if cfg.is_fading else None)
-        x = float32_representable(system64[0].encode(onehot)[0])
+        x = float32_representable(system64[0].encode(messages)[0])
         cond = gan.conditioning(x, y_p)
 
         def path_gradients(tx, rx, g, d):
             grads = {
-                "rx": train.receiver_forward_backward(rx, onehot, y, y_p)[1],
+                "rx": train.receiver_forward_backward(rx, messages, y, y_p)[1],
                 "disc": gan.d_loss(d, real_y, fake_y, cond)[1],
                 "gen": gan.g_loss(g, d, z, cond)[1],
-                "tx": train.transmitter_forward_backward(tx, rx, g, onehot, z, y_p)[1],
+                "tx": train.transmitter_forward_backward(tx, rx, g, messages, z,
+                                                         y_p)[1],
             }
             return {path: v.flat.astype(np.float64) for path, v in grads.items()}
 
@@ -313,6 +314,96 @@ class TestTrainer:
         losses = phase_losses(trainer.log, "rx")
         assert losses[-1] < 0.5 * losses[0]
         assert last_iteration_mean(trainer.log, "rx") < 1.0
+
+
+def record_steps(trainer, monkeypatch):
+    """Per step, the messages drawn and the blocks sent through the channel
+    (None for a transmitter step, which sends none), and the nn.forward
+    calls on the trainer's transmitter net."""
+    steps = []
+    draw, observe, forward = trainer._draw_batch, trainer.channel_model.observe, nn.forward
+
+    def draw_batch():
+        messages, state = draw()
+        steps.append({"messages": messages, "blocks": None, "tx_forwards": 0})
+        return messages, state
+
+    def observe_blocks(x, *args, **kwargs):
+        steps[-1]["blocks"] = x.copy()
+        return observe(x, *args, **kwargs)
+
+    def counting_forward(net, *args, **kwargs):
+        if net is trainer.tx.net:
+            steps[-1]["tx_forwards"] += 1
+        return forward(net, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_draw_batch", draw_batch)
+    monkeypatch.setattr(trainer.channel_model, "observe", observe_blocks)
+    monkeypatch.setattr(nn, "forward", counting_forward)
+    return steps
+
+
+class TestCodebook:
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_blocks_after_a_transmitter_step_are_the_new_encoding(self, kind,
+                                                                  monkeypatch):
+        trainer = train.Trainer(tiny_cfg(channel=kind))
+        steps = record_steps(trainer, monkeypatch)
+        trainer.train_gan_step(1)
+        trainer.train_transmitter_step(1)
+        trainer.train_gan_step(2)
+        trainer.train_receiver_step(2)
+        first, _, gan_step, rx_step = steps
+        for step in (gan_step, rx_step):
+            want = trainer.tx.encode(step["messages"])[0]
+            assert step["blocks"].tobytes() == want.tobytes()
+        # the transmitter step moved the blocks, so a stale codebook would show
+        assert not np.array_equal(first["blocks"],
+                                  trainer.tx.encode(first["messages"])[0])
+
+    def test_only_the_transmitter_step_and_the_codebook_run_the_transmitter(
+            self, monkeypatch):
+        trainer = train.Trainer(tiny_cfg())
+        steps = record_steps(trainer, monkeypatch)
+        for step in ("gan", "gan", "rx", "tx", "rx", "gan", "tx", "gan"):
+            {"gan": trainer.train_gan_step, "rx": trainer.train_receiver_step,
+             "tx": trainer.train_transmitter_step}[step](1)
+        # a GAN or receiver step encodes the codebook only when a
+        # transmitter update, or the start of the run, dropped it
+        assert [s["tx_forwards"] for s in steps] == [1, 0, 0, 1, 1, 0, 1, 1]
+
+    def test_channel_gan_keeps_the_qam16_codebook(self, monkeypatch):
+        trainers = []
+
+        class Recording(train.Trainer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                trainers.append(self)
+                self.steps = record_steps(self, monkeypatch)
+
+        monkeypatch.setattr(train, "Trainer", Recording)
+        train.train_channel_gan("rayleigh", 10.0, steps=3, seed=0, batch_size=8,
+                                gen_hidden=(8,), disc_hidden=(8,), z_dim=3)
+        (trainer,) = trainers
+        assert trainer._codebook is baseline.qam16_codebook()
+        assert len(trainer.steps) == 3
+        for step in trainer.steps:
+            assert step["tx_forwards"] == 0
+            want = baseline.qam16_codebook()[step["messages"]]
+            assert step["blocks"].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 5, 17, 320, 640])
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_gathered_rows_equal_a_batch_encode(self, kind, batch):
+        # the rows of the M-message encode are the bits a batch encode of
+        # the same messages gives, whatever the batch size; training's
+        # gathered batches rest on it
+        cfg = TrainConfig(channel=kind, seed=11)
+        tx = train.build_system(cfg)[0]
+        codebook = tx.encode_messages(np.arange(cfg.M))
+        messages = np.random.default_rng(batch).integers(0, cfg.M, size=batch)
+        gathered = np.take(codebook, messages, axis=0)
+        assert gathered.tobytes() == tx.encode(messages)[0].tobytes()
 
 
 class TestNetDims:
