@@ -85,43 +85,52 @@ def d_loss(
     real_y: np.ndarray,
     fake_y: np.ndarray,
     m: np.ndarray,
-    tapes: tuple[nn.Tape | None, nn.Tape | None] = (None, None),
+    tape: nn.Tape | None = None,
 ) -> tuple[float, nn.Gradients, float]:
-    """Discriminator BCE on a real and a fake batch under conditioning m.
+    """Discriminator BCE on a real and a fake batch under conditioning m:
+    mean BCE of the real rows against 'real' plus that of the fake rows
+    against 'fake'.
 
-    Returns (loss, parameter gradients, classification accuracy). The fake
-    batch is treated as a constant: no gradient flows to the generator
-    here. ``tapes`` are the real and the fake pass's tapes; None makes a new one.
+    Returns (loss, parameter gradients, classification accuracy). The two
+    batches are scored as the 2B rows [real; fake] in one pass, ``tape``
+    (None makes a new one), and the two halves' BCE gradients, stacked the
+    same way, go back through it in one backward. The fake batch is treated
+    as a constant: no gradient flows to the generator here.
     """
-    logits_r, tape_r = discriminate(d, real_y, m, tapes[0])
-    logits_f, tape_f = discriminate(d, fake_y, m, tapes[1])
-    loss_r, grad_r = nn.sigmoid_bce(logits_r, real=True)
-    loss_f, grad_f = nn.sigmoid_bce(logits_f, real=False)
+    batch = real_y.shape[0]
+    logits, tape = discriminate(
+        d, np.concatenate([real_y, fake_y]), np.concatenate([m, m]), tape
+    )
+    loss_r, grad_r = nn.sigmoid_bce(logits[:batch], real=True)
+    loss_f, grad_f = nn.sigmoid_bce(logits[batch:], real=False)
     loss = float(loss_r + loss_f)
     if not np.isfinite(loss):
         raise nn.NonFiniteError("discriminator loss is not finite")
     # before backward, which overwrites the logits
-    accuracy = float(0.5 * (np.mean(logits_r > 0.0) + np.mean(logits_f <= 0.0)))
-    grads_r, _ = nn.backward(d.net, tape_r, grad_r, inputs=False)
-    grads_f, _ = nn.backward(d.net, tape_f, grad_f, inputs=False)
-    return loss, grads_r.accumulate(grads_f), accuracy
+    accuracy = float(0.5 * (np.mean(logits[:batch] > 0.0)
+                            + np.mean(logits[batch:] <= 0.0)))
+    grads, _ = nn.backward(d.net, tape, np.concatenate([grad_r, grad_f]),
+                           inputs=False)
+    return loss, grads, accuracy
 
 
 def g_loss(
     g: Generator,
     d: Discriminator,
-    z: np.ndarray,
+    fake_y: np.ndarray,
+    g_tape: nn.Tape,
     m: np.ndarray,
-    tapes: tuple[nn.Tape | None, nn.Tape | None] = (None, None),
+    tape: nn.Tape | None = None,
 ) -> tuple[float, nn.Gradients]:
     """Non-saturating generator loss: BCE of D(fake) against target 'real'.
 
-    The discriminator is read but not updated; only its input gradient is
-    used to reach the generator parameters. ``tapes`` are the generator's
-    and the discriminator's tapes; None makes a new one.
+    ``fake_y`` and ``g_tape`` are a generator pass under conditioning m, as
+    ``generate`` returns them; the generator must not have moved since, and
+    the tape is consumed. The discriminator is read but not updated: its
+    pass runs on ``tape`` (None makes a new one), and only its input
+    gradient is used to reach the generator parameters.
     """
-    fake_y, g_tape = generate(g, z, m, tapes[0])
-    logits, d_tape = discriminate(d, fake_y, m, tapes[1])
+    logits, d_tape = discriminate(d, fake_y, m, tape)
     loss, grad_logits = nn.sigmoid_bce(logits, real=True)
     if not np.isfinite(loss):
         raise nn.NonFiniteError("generator loss is not finite")

@@ -18,8 +18,8 @@ A net's parameters are one contiguous vector, ``DenseNet.params``: each
 layer's row-major weights, then its bias, layer by layer. Every layer's
 ``w`` and ``b`` are views of it, and ``DenseNet.views`` is the one place
 that knows the layout. Gradients, Adam's moments and the EMA average are
-vectors of the same layout, so the optimizer, the EMA update and gradient
-sums each take one numpy call per operation for a whole net.
+vectors of the same layout, so the optimizer and the EMA update each take
+one numpy call per operation for a whole net.
 
 Every pass writes into a ``Tape``: a new one unless the caller hands one
 back. ``forward`` allocates a tape's arrays when the pass does not fit them
@@ -222,11 +222,6 @@ class Gradients:
         self.weights = [w for w, _ in views]
         self.biases = [b for _, b in views]
 
-    def accumulate(self, other: "Gradients") -> "Gradients":
-        """Add other's gradients into these, in place; returns self."""
-        self.flat += other.flat
-        return self
-
 
 def forward(
     net: DenseNet, x: np.ndarray, tape: Tape | None = None
@@ -341,15 +336,6 @@ def softmax_cross_entropy(
     return loss, grad
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def sigmoid_bce(logits: np.ndarray, real: bool) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy of logits against one label for every
     row, t = 1 for real and 0 for fake, in the stable log-sum-exp form.
@@ -359,9 +345,11 @@ def sigmoid_bce(logits: np.ndarray, real: bool) -> tuple[float, np.ndarray]:
     """
     z = np.asarray(logits)
     t = z.dtype.type(1.0 if real else 0.0)
-    per_sample = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
+    e = np.exp(-np.abs(z))
+    per_sample = np.maximum(z, 0.0) - z * t + np.log1p(e)
     loss = float(per_sample.mean())
-    grad = (sigmoid(z) - t) / z.size
+    # sigmoid(z) is 1 / (1 + e) for z >= 0 and e / (1 + e) below
+    grad = (np.where(z >= 0, 1.0, e) / (1.0 + e) - t) / z.size
     return loss, grad
 
 

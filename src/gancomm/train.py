@@ -122,24 +122,22 @@ def gan_update(
     d_updates: int,
     tapes: Mapping[str, nn.Tape] | None = None,
 ) -> tuple[float, float, float]:
-    """One adversarial step: d_updates discriminator updates, then one
-    generator update. Returns (d loss, g loss, d accuracy). ``tapes``, if
-    given, holds reusable tapes by net: gen, disc, and disc.fake for the
-    discriminator's fake pass."""
+    """One adversarial step: d_updates discriminator updates, each on a
+    fresh generator pass, then one generator update on the last of those
+    passes, which the generator has not moved since. Returns (d loss, g
+    loss, d accuracy). ``tapes``, if given, holds reusable tapes by net:
+    gen, disc.pair for the discriminator's 2B-row [real; fake] pass, and
+    disc for its B-row pass in the generator update."""
     batch = real_y.shape[0]
     d_loss_val = d_acc = 0.0
     for _ in range(d_updates):
         z = gan.sample_z(rng_z, batch, g.z_dim)
-        fake_y, _ = gan.generate(g, z, m, _tape(tapes, "gen"))
+        fake_y, g_tape = gan.generate(g, z, m, _tape(tapes, "gen"))
         d_loss_val, d_grads, d_acc = gan.d_loss(
-            d, real_y, fake_y, m,
-            tapes=(_tape(tapes, "disc"), _tape(tapes, "disc.fake")),
+            d, real_y, fake_y, m, _tape(tapes, "disc.pair")
         )
         nn.adam_step(d.net, d_grads, d_opt)
-    z = gan.sample_z(rng_z, batch, g.z_dim)
-    g_loss_val, g_grads = gan.g_loss(
-        g, d, z, m, tapes=(_tape(tapes, "gen"), _tape(tapes, "disc"))
-    )
+    g_loss_val, g_grads = gan.g_loss(g, d, fake_y, g_tape, m, _tape(tapes, "disc"))
     nn.adam_step(g.net, g_grads, g_opt)
     return d_loss_val, g_loss_val, d_acc
 
@@ -162,8 +160,9 @@ class Trainer:
     codebook: a given ``codebook``, fixed for the run, or else the
     transmitter's M blocks, encoded when a step first needs them and
     dropped after each transmitter update. The steps reuse one ``nn.Tape``
-    per net (two for the discriminator), so a step allocates almost
-    nothing; ``run`` drops them when it returns.
+    per net (two for the discriminator: 2B rows in its update, B rows in
+    the generator's), so a step allocates almost nothing; ``run`` drops
+    them when it returns.
     """
 
     def __init__(self, cfg: TrainConfig, codebook: np.ndarray | None = None):
@@ -184,8 +183,9 @@ class Trainer:
         self._rng_batch = substream(cfg.seed, "train", "batch")
         self._rng_channel = substream(cfg.seed, "train", "channel")
         self._rng_z = substream(cfg.seed, "train", "z")
-        # one tape per net, by role, plus "disc.fake": each step's passes
-        # through a net run one after another, except d_loss's two
+        # one tape per net, by role: each step's passes through a net run one
+        # after another. The discriminator's 2B-row pass has its own,
+        # "disc.pair", so neither tape is reallocated for the other's rows
         self._tapes: dict[str, nn.Tape] = collections.defaultdict(nn.Tape)
         self.log = TrainLog()
         self.step = 0

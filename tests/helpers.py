@@ -183,6 +183,19 @@ def reference_softmax_cross_entropy(logits, messages):
     return loss, (softmax - onehot) / logits.shape[0]
 
 
+def reference_sigmoid(z):
+    """The logistic function, branch by branch on the sign of z:
+    1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, each
+    form finite over its half. nn.sigmoid_bce's gradient must match it
+    bit for bit."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def reference_ema_update(avg, net, decay):
     """The EMA update on a flat average, as one array expression."""
     avg += (1.0 - decay) * (net.flat_params() - avg)

@@ -83,8 +83,10 @@ def test_1_gradient_suite_full_size_nets():
             d.net, lambda: gan.d_loss(d, real_y, fake_y, cond)[0], d_grads
         )
 
-        _, g_grads = gan.g_loss(g, d, z, cond)
-        fd_check(g.net, lambda: gan.g_loss(g, d, z, cond)[0], g_grads)
+        _, g_grads = gan.g_loss(g, d, *gan.generate(g, z, cond), cond)
+        fd_check(
+            g.net, lambda: gan.g_loss(g, d, *gan.generate(g, z, cond), cond)[0], g_grads
+        )
 
         _, tx_grads = train.transmitter_forward_backward(
             tx, rx, g, messages, z, y_p

@@ -23,7 +23,7 @@ class TestDefaults:
         assert cfg.channel == "awgn"
         assert not cfg.is_fading
         assert cfg.tx_hidden == (32, 32)
-        assert cfg.gen_hidden == (128, 128, 128)
+        assert cfg.gen_hidden == (96, 96, 96)
         assert cfg.disc_hidden == (32, 32, 32)
         assert cfg.batch_size == 320
 

@@ -134,6 +134,31 @@ class TestDiscriminatorLoss:
         d.net.set_flat_params(flat)
         assert relative_error(grads.flat[idx], fd).max() < 1e-6
 
+    def test_pair_pass_gradient_is_that_of_the_two_mean_bces(self):
+        # one pass over [real; fake] must differentiate mean BCE(real, 'real')
+        # + mean BCE(fake, 'fake'), computed here from two separate passes
+        g, d = small_gan(seed=13, float64=True)
+        rng = np.random.default_rng(14)
+        m = rng.normal(size=(7, 4))
+        real = rng.normal(size=(7, 4))
+        fake, _ = gan.generate(g, gan.sample_z(rng, 7, 3), m)
+
+        def two_bces(params):
+            d.net.set_flat_params(params)
+            logits_r, _ = gan.discriminate(d, real, m)
+            logits_f, _ = gan.discriminate(d, fake, m)
+            return float(np.mean(np.logaddexp(0.0, -logits_r))
+                         + np.mean(np.logaddexp(0.0, logits_f)))
+
+        flat = d.net.flat_params()
+        loss, grads, _ = gan.d_loss(d, real, fake, m)
+        assert loss == pytest.approx(two_bces(flat), rel=1e-12)
+        fd = central_difference(two_bces, flat, np.arange(flat.size))
+        d.net.set_flat_params(flat)
+        # every parameter, small gradients too, so an absolute bound: the
+        # differences round at about 1e-10 here
+        assert np.abs(grads.flat - fd).max() < 1e-8
+
 
 class TestGeneratorLoss:
     def test_parameter_gradients_match_finite_differences(self):
@@ -144,13 +169,13 @@ class TestGeneratorLoss:
         z = gan.sample_z(rng, 6, 3)
         m = rng.normal(size=(6, 4))
 
-        _, grads = gan.g_loss(g, d, z, m)
+        _, grads = gan.g_loss(g, d, *gan.generate(g, z, m), m)
         flat = g.net.flat_params()
         idx = np.linspace(0, flat.size - 1, 30).astype(int)
 
         def at(params):
             g.net.set_flat_params(params)
-            loss, _ = gan.g_loss(g, d, z, m)
+            loss, _ = gan.g_loss(g, d, *gan.generate(g, z, m), m)
             return loss
 
         fd = central_difference(at, flat, idx)
@@ -161,7 +186,8 @@ class TestGeneratorLoss:
         g, d = small_gan(seed=19)
         rng = np.random.default_rng(20)
         before = d.net.flat_params().copy()
-        gan.g_loss(g, d, gan.sample_z(rng, 4, 3), rng.normal(size=(4, 4)))
+        z, m = gan.sample_z(rng, 4, 3), rng.normal(size=(4, 4))
+        gan.g_loss(g, d, *gan.generate(g, z, m), m)
         assert np.array_equal(d.net.flat_params(), before)
 
     def test_loss_falls_when_fakes_start_fooling(self):
@@ -169,11 +195,11 @@ class TestGeneratorLoss:
         rng = np.random.default_rng(22)
         z = gan.sample_z(rng, 16, 3)
         m = rng.normal(size=(16, 4))
-        first, _ = gan.g_loss(g, d, z, m)
+        first, _ = gan.g_loss(g, d, *gan.generate(g, z, m), m)
         for _ in range(100):
-            _, grads = gan.g_loss(g, d, z, m)
+            _, grads = gan.g_loss(g, d, *gan.generate(g, z, m), m)
             g.net.set_flat_params(g.net.flat_params() - 0.1 * grads.flat)
-        last, _ = gan.g_loss(g, d, z, m)
+        last, _ = gan.g_loss(g, d, *gan.generate(g, z, m), m)
         assert last < first
 
     def test_conditioning_input_gradient_matches_finite_differences(self):

@@ -1,5 +1,6 @@
 """Training loop: phase updates, the surrogate gradient path, scheduling."""
 
+import collections
 import csv
 import importlib.util
 import json
@@ -203,7 +204,7 @@ class TestFloat32Gradients:
             grads = {
                 "rx": train.receiver_forward_backward(rx, messages, y, y_p)[1],
                 "disc": gan.d_loss(d, real_y, fake_y, cond)[1],
-                "gen": gan.g_loss(g, d, z, cond)[1],
+                "gen": gan.g_loss(g, d, *gan.generate(g, z, cond), cond)[1],
                 "tx": train.transmitter_forward_backward(tx, rx, g, messages, z,
                                                          y_p)[1],
             }
@@ -244,6 +245,79 @@ class TestGanUpdate:
         assert not np.array_equal(d.net.flat_params(), d_before)
         assert d_opt.step_count == 3
         assert g_opt.step_count == 1
+
+    @pytest.mark.parametrize("d_updates", [1, 2, 3])
+    def test_a_step_runs_each_net_only_as_often_as_it_must(self, d_updates,
+                                                           monkeypatch):
+        # d_updates generator passes, each scored with the real batch in
+        # one 2B-row discriminator pass, then the generator update reuses
+        # the last of them: one more B-row discriminator pass, and the one
+        # generator backward
+        trainer = train.Trainer(tiny_cfg(d_updates=d_updates))
+        batch = trainer.cfg.batch_size
+        role = {id(trainer.generator.net): "gen", id(trainer.discriminator.net): "disc"}
+        calls, z_draws = [], []
+        forward, backward, sample_z = nn.forward, nn.backward, gan.sample_z
+
+        def counting_forward(net, x, *args, **kwargs):
+            calls.append(("forward", role.get(id(net)), len(x)))
+            return forward(net, x, *args, **kwargs)
+
+        def counting_backward(net, tape, *args, **kwargs):
+            calls.append(("backward", role.get(id(net)), tape.batch_size))
+            return backward(net, tape, *args, **kwargs)
+
+        def counting_sample_z(*args):
+            z_draws.append(args)
+            return sample_z(*args)
+
+        monkeypatch.setattr(nn, "forward", counting_forward)
+        monkeypatch.setattr(nn, "backward", counting_backward)
+        monkeypatch.setattr(gan, "sample_z", counting_sample_z)
+        trainer.train_gan_step(1)
+        # the GAN's calls; the first step also encodes the codebook
+        forwards = [(net, rows) for kind, net, rows in calls if kind == "forward" and net]
+        backwards = [(net, rows) for kind, net, rows in calls if kind == "backward" and net]
+        assert len(z_draws) == d_updates
+        assert forwards.count(("gen", batch)) == d_updates
+        assert forwards.count(("disc", 2 * batch)) == d_updates
+        assert forwards.count(("disc", batch)) == 1
+        assert len(forwards) == 2 * d_updates + 1
+        assert backwards.count(("gen", batch)) == 1
+        assert backwards.count(("disc", 2 * batch)) == d_updates
+        assert backwards.count(("disc", batch)) == 1
+        assert len(backwards) == d_updates + 2
+        assert sorted(trainer._tapes) == ["disc", "disc.pair", "gen"]
+
+    def test_generator_update_is_g_loss_on_the_last_discriminator_z(self, monkeypatch):
+        cfg = tiny_cfg()
+        _, _, g, d = train.build_system(cfg)
+        g_opt = nn.AdamState.for_net(g.net, 1e-3)
+        d_opt = nn.AdamState.for_net(d.net, 1e-3)
+        rng = np.random.default_rng(8)
+        real_y = rng.normal(size=(8, 4))
+        m = rng.normal(size=(8, 4))
+        zs, seen = [], {}
+        sample_z, adam_step = gan.sample_z, nn.adam_step
+
+        def recording_sample_z(*args):
+            zs.append(sample_z(*args))
+            return zs[-1]
+
+        def recording_adam_step(net, grads, state):
+            if net is g.net:
+                # the discriminator has taken its updates, the generator not yet
+                seen["got"] = grads.flat.copy()
+                fake_y, g_tape = gan.generate(g, zs[-1], m)
+                seen["want"] = gan.g_loss(g, d, fake_y, g_tape, m)[1].flat.copy()
+            adam_step(net, grads, state)
+
+        monkeypatch.setattr(gan, "sample_z", recording_sample_z)
+        monkeypatch.setattr(nn, "adam_step", recording_adam_step)
+        train.gan_update(g, d, g_opt, d_opt, real_y, m, rng, d_updates=2,
+                         tapes=collections.defaultdict(nn.Tape))
+        assert len(zs) == 2
+        assert seen["got"].tobytes() == seen["want"].tobytes()
 
 
 class TestTrainer:
