@@ -63,11 +63,7 @@ def load_net(path: str) -> nn.DenseNet:
     """Read a net; malformed content, or a NaN or Inf parameter (the JSON
     of a diverged run that was flushed on abort), is rejected with a
     ConfigError naming the file rather than evaluated."""
-    data = read_json(path, "checkpoint file")
-    try:
-        net = net_from_dict(data)
-    except ConfigError as exc:
-        raise ConfigError(f"checkpoint file {path}: {exc}") from None
+    net = read_json(path, "checkpoint file", net_from_dict)
     if not np.isfinite(net.params).all():
         raise ConfigError(f"checkpoint file {path} holds non-finite parameters")
     return net

@@ -23,8 +23,8 @@ from .svg import line_chart
 def load_sweep(path: str) -> SweepSpec:
     """Parse a sweep spec JSON file by the config rules: unknown keys are
     rejected, a null or absent key takes its default, and ebn0_db is
-    required."""
-    return from_dict(SweepSpec, read_json(path, "sweep spec"))
+    required. A bad value raises a ConfigError that names the file."""
+    return read_json(path, "sweep spec", lambda data: from_dict(SweepSpec, data))
 
 
 def _use_color() -> bool:

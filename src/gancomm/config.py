@@ -133,6 +133,18 @@ class TrainConfig:
             "disc": (block + cond, *self.disc_hidden, 1),
         }
 
+    def schedule(self) -> list[tuple[int, str, int]]:
+        """The run as (iteration, phase, steps), in run order: a GAN warm-up
+        at iteration 0; GAN, receiver and transmitter phases in each outer
+        iteration 1..N; then a receiver polish at N + 1 on the now-frozen
+        constellation, which the interleaved phases leave slightly stale.
+        Entries with 0 steps stay in the list."""
+        outer = (("gan", self.gan_steps), ("rx", self.rx_steps), ("tx", self.tx_steps))
+        return [(0, "gan", self.warmup_gan_steps),
+                *((it, *entry) for it in range(1, self.outer_iterations + 1)
+                  for entry in outer),
+                (self.outer_iterations + 1, "rx", self.final_rx_steps)]
+
     def to_dict(self) -> dict:
         d = asdict(self)
         for name in ("tx_hidden", "rx_hidden", "gen_hidden", "disc_hidden"):
@@ -162,11 +174,13 @@ def _holds_literal(value) -> bool:
         isinstance(value, list) and any(map(_holds_literal, value)))
 
 
-def read_json(path: str, what: str):
-    """The parsed JSON file at path; a file that cannot be read or parsed
-    raises a ConfigError naming it as ``what`` and its path. So does a NaN,
-    Infinity or -Infinity literal, which standard JSON does not have, as
-    "<what> <path>: <key>: ..." with the key it sits under."""
+def read_json(path: str, what: str, parse=None):
+    """The parsed JSON file at path, passed through parse if given. A file
+    that cannot be read or parsed raises a ConfigError naming it as
+    ``what`` and its path; a ConfigError from parse is raised again as
+    "<what> <path>: <its message>". A NaN, Infinity or -Infinity literal,
+    which standard JSON does not have, raises "<what> <path>: <key>: ..."
+    with the key it sits under."""
     literals = []
 
     def constant(name: str):
@@ -190,6 +204,11 @@ def read_json(path: str, what: str):
         raise ConfigError(f"malformed {what} {path}: {exc}") from None
     if literals:
         raise ConfigError(f"{what} {path}: {literals[0]} is not standard JSON")
+    if parse is not None:
+        try:
+            data = parse(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{what} {path}: {exc}") from None
     return data
 
 
@@ -244,10 +263,5 @@ def _coerce(hint, value):
 
 
 def load_config(path: str) -> TrainConfig:
-    """Parse a JSON config file; unspecified fields take the defaults. A
-    bad value raises a ConfigError that names the file."""
-    data = read_json(path, "config")
-    try:
-        return TrainConfig.from_dict(data)
-    except ConfigError as exc:
-        raise ConfigError(f"config {path}: {exc}") from None
+    """Parse a JSON config file; unspecified fields take the defaults."""
+    return read_json(path, "config", TrainConfig.from_dict)

@@ -2,7 +2,8 @@
 
 Good enough for BLER-vs-SNR curves: linear x, optionally log y, markers,
 and a legend. Points that cannot be drawn on a log axis (y <= 0, e.g. a
-zero-error BLER estimate) are skipped.
+zero-error BLER estimate) are skipped; a chart left with none still draws
+its frame, axes and legend.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ def line_chart(
     width: int = 720,
     height: int = 480,
 ) -> None:
-    """Write a line chart. series is a list of (label, xs, ys)."""
+    """Write a line chart. series is a list of (label, xs, ys). With no
+    drawable y the chart has no curve and its y axis spans 0.1 to 1 (log)
+    or 0 to 1 (linear); with no x at all, the x axis spans 0 to 1."""
     if not series:
         raise ValueError("need at least one series")
     xs_all, ys_all = [], []
@@ -52,13 +55,13 @@ def line_chart(
             raise ValueError("series x and y lengths differ")
         xs_all.extend(float(v) for v in xs)
         ys_all.extend(float(v) for v in ys if (v > 0 or not log_y))
-    if not xs_all or not ys_all:
-        raise ValueError("no drawable points")
 
-    x_lo, x_hi = min(xs_all), max(xs_all)
+    x_lo, x_hi = (min(xs_all), max(xs_all)) if xs_all else (0.0, 1.0)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if log_y:
+    if not ys_all:
+        y_lo, y_hi = (-1, 0) if log_y else (0.0, 1.0)
+    elif log_y:
         y_lo = math.floor(math.log10(min(ys_all)))
         y_hi = math.ceil(math.log10(max(ys_all)))
         if y_hi == y_lo:

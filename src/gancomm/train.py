@@ -1,12 +1,13 @@
 """Alternating training of transmitter, receiver, and channel GAN.
 
-Each outer iteration runs three phases in order: the GAN fits the channel
-conditioned on the current transmitter's blocks, the receiver trains on
-real channel output, and the transmitter trains end-to-end with the
-frozen generator standing in for the channel (the real channel offers no
-gradient). The GAN and rx phases gather blocks from one codebook per
-transmitter state; the receiver loss is cross-entropy against message
-indices, and the GAN uses the non-saturating logistic losses.
+``TrainConfig.schedule()`` lists the run's phases; ``Trainer.run`` walks
+it. In each outer iteration the GAN fits the channel conditioned on the
+current transmitter's blocks, the receiver trains on real channel output,
+and the transmitter trains end-to-end with the frozen generator standing
+in for the channel, which offers no gradient. The GAN and rx phases gather
+blocks from one codebook per transmitter state; the receiver loss is
+cross-entropy against message indices, and the GAN uses the non-saturating
+logistic losses.
 """
 
 from __future__ import annotations
@@ -197,41 +198,42 @@ class Trainer:
         messages = self._rng_batch.integers(0, self.cfg.M, size=batch)
         return messages, self.channel_model.draw_state(self._rng_batch, batch)
 
-    def _blocks(self, messages: np.ndarray) -> np.ndarray:
-        """The codebook rows of the messages; see the class docstring."""
+    def _observe_batch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray | None]:
+        """A drawn batch sent through the channel: its messages, their
+        codebook rows (see the class docstring), the channel output and the
+        received pilots (None on AWGN)."""
+        messages, state = self._draw_batch()
         if self._codebook is None:
             self._codebook = self.tx.encode_messages(np.arange(self.cfg.M))
-        return np.take(self._codebook, messages, axis=0)
+        x = np.take(self._codebook, messages, axis=0)
+        y, y_p = self.channel_model.observe(x, state, self.noise_std, self._rng_channel)
+        return messages, x, y, y_p
+
+    def _record(self, iteration: int, phase: str, loss: float, **extra) -> float:
+        """Count the step and log it; returns its loss."""
+        self.step += 1
+        self.log.append(StepRecord(self.step, iteration, phase, loss, **extra))
+        return loss
 
     def train_gan_step(self, iteration: int) -> float:
-        messages, state = self._draw_batch()
-        x = self._blocks(messages)
-        real_y, y_p = self.channel_model.observe(
-            x, state, self.noise_std, self._rng_channel
-        )
+        _, x, real_y, y_p = self._observe_batch()
         d_loss_val, g_loss_val, d_acc = gan_update(
             self.generator, self.discriminator, self.g_opt, self.d_opt,
             real_y, gan.conditioning(x, y_p), self._rng_z,
             d_updates=self.cfg.d_updates, tapes=self._tapes,
         )
         self._g_ema.update(self.generator.net)
-        self.step += 1
-        self.log.append(StepRecord(self.step, iteration, "gan", d_loss_val,
-                                   g_loss=g_loss_val, d_accuracy=d_acc))
-        return d_loss_val
+        return self._record(iteration, "gan", d_loss_val, g_loss=g_loss_val,
+                            d_accuracy=d_acc)
 
     def train_receiver_step(self, iteration: int) -> float:
-        messages, state = self._draw_batch()
-        y, y_p = self.channel_model.observe(
-            self._blocks(messages), state, self.noise_std, self._rng_channel
-        )
+        messages, _, y, y_p = self._observe_batch()
         loss, grads = receiver_forward_backward(
             self.rx, messages, y, y_p, self._tapes["rx"]
         )
         nn.adam_step(self.rx.net, grads, self.rx_opt)
-        self.step += 1
-        self.log.append(StepRecord(self.step, iteration, "rx", loss))
-        return loss
+        return self._record(iteration, "rx", loss)
 
     def generator_averaged(self) -> gan.Generator:
         """The parameter-averaged generator; the surrogate worth keeping."""
@@ -247,40 +249,22 @@ class Trainer:
         )
         nn.adam_step(self.tx.net, grads, self.tx_opt)
         self._codebook = self._fixed_codebook
-        self.step += 1
-        self.log.append(StepRecord(self.step, iteration, "tx", loss))
-        return loss
+        return self._record(iteration, "tx", loss)
 
     def run(self, progress=None) -> None:
-        """Warm-up GAN phase, the alternating outer loop, then a receiver
-        polish: extra receiver-only steps on the now-frozen constellation,
-        which the interleaved schedule always leaves slightly stale. The
-        step tapes are dropped on return; later steps make new ones."""
-        cfg = self.cfg
+        """Walk ``cfg.schedule()``, skipping entries with 0 steps: run the
+        phase's step ``steps`` times, then call ``progress(iteration, phase,
+        loss)`` with the mean of the last 100 losses at most. The step tapes
+        are dropped on return; later steps make new ones."""
+        step_fns = {"gan": self.train_gan_step, "rx": self.train_receiver_step,
+                    "tx": self.train_transmitter_step}
         try:
-            if cfg.warmup_gan_steps:
-                losses = [self.train_gan_step(0) for _ in range(cfg.warmup_gan_steps)]
+            for iteration, phase, steps in self.cfg.schedule():
+                if steps == 0:
+                    continue
+                losses = [step_fns[phase](iteration) for _ in range(steps)]
                 if progress:
-                    progress(0, "gan", float(np.mean(losses)))
-            for it in range(1, cfg.outer_iterations + 1):
-                for phase, count, fn in (
-                    ("gan", cfg.gan_steps, self.train_gan_step),
-                    ("rx", cfg.rx_steps, self.train_receiver_step),
-                    ("tx", cfg.tx_steps, self.train_transmitter_step),
-                ):
-                    if count == 0:
-                        continue
-                    losses = [fn(it) for _ in range(count)]
-                    if progress:
-                        progress(it, phase, float(np.mean(losses)))
-            if cfg.final_rx_steps:
-                final_it = cfg.outer_iterations + 1
-                losses = [
-                    self.train_receiver_step(final_it)
-                    for _ in range(cfg.final_rx_steps)
-                ]
-                if progress:
-                    progress(final_it, "rx", float(np.mean(losses[-100:])))
+                    progress(iteration, phase, float(np.mean(losses[-100:])))
         finally:
             self._tapes.clear()
 

@@ -280,6 +280,21 @@ class TestEvalCommand:
             f"error: manifest {ckpt / 'manifest.json'}: must be a JSON object\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, where", [
+        ({"ebn0_db": [4000]}, "ebn0_db: values must lie within"),
+        ({"ebn0_db": [4], "foo": 1}, "unknown SweepSpec keys: foo"),
+    ])
+    def test_bad_sweep_spec_exits_1_naming_the_file(self, trained_dir, tmp_path,
+                                                     capsys, spec, where):
+        sweep = tmp_path / "bad.json"
+        sweep.write_text(json.dumps(spec))
+        out = tmp_path / "bler.csv"
+        rc = cli.main(["eval", "--checkpoint", str(trained_dir), "--sweep",
+                       str(sweep), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: sweep spec {sweep}: {where}")
+        assert not out.exists()
+
     def test_svg_chart_written_on_request(self, trained_dir, tmp_path, capsys):
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps(
@@ -310,6 +325,32 @@ class TestBaselineCommand:
         assert rc == 0
         assert out.exists()
         assert captured.out.startswith("ebn0_db=2")
+
+    def test_svg_of_a_sweep_without_errors_is_a_chart_without_a_curve(
+            self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps(
+            {"ebn0_db": [30], "min_trials": 100, "max_trials": 100,
+             "target_errors": 1}
+        ))
+        out, svg = tmp_path / "h.csv", tmp_path / "h.svg"
+        rc = cli.main(["baseline", "--system", "hamming74-mld-awgn", "--sweep",
+                       str(sweep), "--out", str(out), "--svg", str(svg)])
+        assert rc == 0
+        assert capsys.readouterr().out == "ebn0_db=30 bler=0.000e+00 trials=100 errors=0\n"
+        text = svg.read_text()
+        assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+        assert "hamming74-mld-awgn" in text
+        assert "<polyline" not in text and "<circle" not in text
+
+    def test_bad_sweep_spec_exits_1_naming_the_file(self, tmp_path, capsys):
+        sweep = tmp_path / "bad.json"
+        sweep.write_text(json.dumps({"ebn0_db": [4], "foo": 1}))
+        rc = cli.main(["baseline", "--system", "hamming74-mld-awgn", "--sweep",
+                       str(sweep), "--out", str(tmp_path / "h.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: sweep spec {sweep}: unknown SweepSpec keys: foo\n")
 
     def test_pilot_count_reaches_the_ls_baseline(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.json"
@@ -355,7 +396,7 @@ class TestBaselineCommand:
         rc = cli.main(["baseline", "--system", system, "--sweep", str(sweep),
                        "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: ebn0_db:")
+        assert capsys.readouterr().err.startswith(f"error: sweep spec {sweep}: ebn0_db:")
         assert not out.exists()
 
 

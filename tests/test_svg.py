@@ -56,9 +56,13 @@ class TestLineChart:
                 title="t", xlabel="x", ylabel="y",
             )
 
-    def test_all_points_dropped_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="drawable"):
-            line_chart(
-                str(tmp_path / "c.svg"), [("a", [0.0], [0.0])],
-                title="t", xlabel="x", ylabel="y", log_y=True,
-            )
+    def test_all_points_dropped_draws_the_frame_alone(self, tmp_path):
+        path = tmp_path / "c.svg"
+        line_chart(str(path), [("a", [0.0], [0.0])], title="t", xlabel="x",
+                   ylabel="y", log_y=True)
+        text = path.read_text()
+        assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+        assert "<polyline" not in text and "<circle" not in text
+        # the legend, and the documented 0.1 to 1 log axis
+        assert ">a</text>" in text
+        assert ">1e-1</text>" in text and ">1e0</text>" in text

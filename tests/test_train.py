@@ -331,21 +331,11 @@ class TestTrainer:
         trainer = train.Trainer(cfg)
         trainer.run()
         records = trainer.log.records
-        expected_total = (
-            cfg.warmup_gan_steps
-            + cfg.outer_iterations * (cfg.gan_steps + cfg.rx_steps + cfg.tx_steps)
-            + cfg.final_rx_steps
-        )
-        assert len(records) == expected_total
-        assert [r.phase for r in records[:2]] == ["gan", "gan"]
-        assert all(r.iteration == 0 for r in records[:2])
-        it1 = records[2:8]
-        assert [r.phase for r in it1] == ["gan", "gan", "rx", "rx", "tx", "tx"]
-        assert all(r.iteration == 1 for r in it1)
-        tail = records[-cfg.final_rx_steps:]
-        assert {r.phase for r in tail} == {"rx"}
-        assert all(r.iteration == cfg.outer_iterations + 1 for r in tail)
-        assert [r.step for r in records] == list(range(1, expected_total + 1))
+        # sum(steps) records, each entry's in turn
+        want = [(it, phase) for it, phase, steps in cfg.schedule()
+                for _ in range(steps)]
+        assert [(r.iteration, r.phase) for r in records] == want
+        assert [r.step for r in records] == list(range(1, len(want) + 1))
 
     def test_identical_configs_train_to_identical_parameters(self):
         cfg = tiny_cfg()
@@ -388,6 +378,39 @@ class TestTrainer:
         losses = phase_losses(trainer.log, "rx")
         assert losses[-1] < 0.5 * losses[0]
         assert last_iteration_mean(trainer.log, "rx") < 1.0
+
+
+class TestSchedule:
+    def test_lists_the_run_in_order(self):
+        cfg = tiny_cfg(warmup_gan_steps=4, gan_steps=2, rx_steps=3, tx_steps=1,
+                       final_rx_steps=5)
+        assert cfg.schedule() == [
+            (0, "gan", 4),
+            (1, "gan", 2), (1, "rx", 3), (1, "tx", 1),
+            (2, "gan", 2), (2, "rx", 3), (2, "tx", 1),
+            (3, "rx", 5),
+        ]
+
+    def test_a_phase_with_no_steps_gets_no_record_and_no_progress(self):
+        cfg = tiny_cfg(rx_steps=0, warmup_gan_steps=0)
+        trainer = train.Trainer(cfg)
+        seen = []
+        trainer.run(lambda it, phase, loss: seen.append((it, phase)))
+        assert seen == [(1, "gan"), (1, "tx"), (2, "gan"), (2, "tx"), (3, "rx")]
+        assert [(r.iteration, r.phase) for r in trainer.log.records
+                if r.phase == "rx"] == [(3, "rx")] * cfg.final_rx_steps
+        assert not any(r.iteration == 0 for r in trainer.log.records)
+
+    def test_progress_is_the_mean_of_at_most_the_last_100_losses(self):
+        cfg = tiny_cfg(outer_iterations=1, final_rx_steps=150)
+        trainer = train.Trainer(cfg)
+        seen = {}
+        trainer.run(lambda it, phase, loss: seen.setdefault((it, phase), loss))
+        rx = [r.loss for r in trainer.log.records if r.iteration == 2]
+        assert len(rx) == 150
+        assert seen[(2, "rx")] == float(np.mean(rx[-100:]))
+        gan_warmup = [r.loss for r in trainer.log.records if r.iteration == 0]
+        assert seen[(0, "gan")] == float(np.mean(gan_warmup))
 
 
 def record_steps(trainer, monkeypatch):

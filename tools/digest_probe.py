@@ -13,7 +13,8 @@ the base of a change:
 
 Each line reads ``<name> <sha256 prefix>``. Per channel (awgn, rayleigh)
 it covers a short default-width training run (the four net files,
-config.json and train_log.csv), learned BLER counts at workers 1 and 3,
+config.json and train_log.csv) with the ``(iteration, phase, loss)``
+progress calls it makes, learned BLER counts at workers 1 and 3,
 ``gan_fidelity``, the constellation and GAN-scatter dump CSVs written by
 ``gancomm dump``, and a ``train_channel_gan`` run; then the BLER counts of
 the three baselines. Two checkouts that print the same lines produce the
@@ -70,9 +71,13 @@ def probe_channel(kind: str, tmp: pathlib.Path) -> list[tuple[str, str]]:
     cfg = TrainConfig(channel=kind, seed=SEED, outer_iterations=5, gan_steps=10,
                       rx_steps=5, tx_steps=5, final_rx_steps=100)
     run = tmp / f"run-{kind}"
-    trainer = train.train_full(cfg, out_dir=str(run))
+    calls = []
+    trainer = train.train_full(
+        cfg, out_dir=str(run),
+        progress=lambda it, phase, loss: calls.append((it, phase, repr(loss))))
     for name in (*checkpoint.CHECKPOINT_FILES, "config.json", "train_log.csv"):
         out.append((f"{kind}.{name}", file_digest(run / name)))
+    out.append((f"{kind}.progress", digest(repr(calls))))
 
     spec = evaluate.SweepSpec(**SWEEP)
     for workers in (1, 3):
