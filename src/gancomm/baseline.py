@@ -93,7 +93,6 @@ def hamming74_mld_decode(y: np.ndarray) -> np.ndarray:
 # then the grid is scaled by 1/sqrt(10) for unit average power.
 _GRAY_TO_LEVEL = {(0, 0): -3.0, (0, 1): -1.0, (1, 1): 1.0, (1, 0): 3.0}
 QAM16_SCALE = 1.0 / np.sqrt(10.0)
-QAM16_DEMOD_CHUNK = 4096
 
 
 @functools.lru_cache(maxsize=1)
@@ -129,14 +128,7 @@ def qam16_demod_coherent(y: np.ndarray, h_est: np.ndarray) -> np.ndarray:
     if np.any(h_est == 0):
         raise FloatingPointError("channel estimate is exactly zero; cannot equalize")
     eq = y / h_est
-    decided = np.empty(eq.shape, dtype=np.intp)
-    # the distances to the 16 points, QAM16_DEMOD_CHUNK symbols at a time,
-    # so the (symbols, 16) scratch stays small whatever the batch
-    for start in range(0, eq.size, QAM16_DEMOD_CHUNK):
-        part = slice(start, start + QAM16_DEMOD_CHUNK)
-        dist = np.abs(eq[part, None] - qam16_constellation())
-        np.argmin(dist, axis=1, out=decided[part])
-    return decided
+    return np.argmin(np.abs(eq[:, None] - qam16_constellation()), axis=1)
 
 
 def ls_estimate(y_pilot: np.ndarray) -> np.ndarray:

@@ -111,10 +111,14 @@ def awgn_apply(x: np.ndarray, std: float, rng: np.random.Generator,
 
 def rayleigh_sample(rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw size coefficients h ~ CN(0, 1): independent Gaussian re/im,
-    E[|h|^2] = 1."""
-    re = rng.normal(0.0, np.sqrt(0.5), size=size)
-    im = rng.normal(0.0, np.sqrt(0.5), size=size)
-    return re + 1j * im
+    E[|h|^2] = 1. All real parts are drawn, then all imaginary parts, each
+    through one draw buffer straight into h, so h holds the values
+    ``normal(0, sqrt(0.5))`` would give from the same stream positions."""
+    h = np.empty(size, dtype=np.complex128)
+    draw = np.empty(size)
+    for part in (h.real, h.imag):
+        np.multiply(rng.standard_normal(out=draw), np.sqrt(0.5), out=part)
+    return h
 
 
 def fading_apply(

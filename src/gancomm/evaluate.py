@@ -13,10 +13,15 @@ are merged in index order and the early-stop rule is applied shard by
 shard, so the result is byte-identical no matter how many workers ran the
 shards. Each thread that runs shards keeps one workspace for the whole
 sweep: the codebook rows are gathered into one of its arrays and the
-received blocks and pilots drawn into two more, and the decision rule
-writes its net's pass into its tape. After a thread's first shard, a
-learned shard allocates only its messages, h, the noise scratch, the
-receiver's float32 input and the decisions.
+received blocks and pilots drawn into two more. The decision rule then
+takes the shard DECIDE_ROWS rows at a time and writes its net's pass into
+the workspace's tape, so the receiver's activations, Hamming's scores and
+16-QAM's distances span one block of rows, not the shard. After a
+thread's first shard, a learned shard allocates only its messages, h, the
+noise scratch, and each block's float32 receiver input and decisions.
+
+The fidelity statistics likewise measure pairwise distances into one
+reused (256, n) buffer a few rows at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ from .config import ConfigError, TrainConfig
 from .rng import substream
 
 SHARD_TRIALS = 20_000
+# Rows per decision call; it divides SHARD_TRIALS, so every block of a
+# full shard has the same size and the receiver's tape keeps its arrays.
+DECIDE_ROWS = 2_000
 
 BASELINE_SYSTEMS = (
     "hamming74-mld-awgn",
@@ -134,7 +142,8 @@ class _Workspace(threading.local):
     """One thread's arrays for the shards of a sweep, reused from shard to
     shard: named (trials, width) float64 arrays, grown to the largest shard
     the thread has drawn (a shorter shard takes their leading rows), and
-    the tape the decision rule writes its pass into."""
+    the tape the decision rule writes each block's pass into, sized for
+    DECIDE_ROWS rows."""
 
     def __init__(self):
         self.tape = nn.Tape()
@@ -150,9 +159,9 @@ class _Workspace(threading.local):
 def _sweep(codebook, model, decide, k, n, spec, seed, label, workers):
     """BLER points of one system. Each trial draws a message, the channel
     state, then what the receiver observes of the message's codebook row;
-    decide(y, y_pilot, state, tape) returns the decided message indices and
-    may write a net's pass into tape, the workspace's. Eb/N0 counts k
-    information bits over n complex channel uses."""
+    decide(y, y_pilot, state, tape) returns the decided message indices of
+    a block of rows and may write a net's pass into tape, the workspace's.
+    Eb/N0 counts k information bits over n complex channel uses."""
     if workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
     width, pilot_width = codebook.shape[1], 2 * model.n_pilot
@@ -173,10 +182,20 @@ def _sweep(codebook, model, decide, k, n, spec, seed, label, workers):
                 blocks, state, std, rng,
                 out=(workspace.array("y", n_trials, width),
                      workspace.array("pilots", n_trials, pilot_width)))
-            return int(np.sum(decide(y, y_pilot, state, workspace.tape) != messages))
+            misses = 0
+            for start in range(0, n_trials, DECIDE_ROWS):
+                rows = slice(start, start + DECIDE_ROWS)
+                decided = decide(y[rows], _rows(y_pilot, rows), _rows(state, rows),
+                                 workspace.tape)
+                misses += np.count_nonzero(decided != messages[rows])
+            return misses
 
         points.append(_run_point(trial_fn, ebn0, spec, seed, label, i, workers))
     return points
+
+
+def _rows(a: np.ndarray | None, rows: slice) -> np.ndarray | None:
+    return None if a is None else a[rows]
 
 
 def bler_sweep_learned(
@@ -273,11 +292,22 @@ class ConditionReport:
 
 
 def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> float:
+    """Mean Euclidean distance between the rows of a and of b. The
+    distances of each chunk of a's rows are summed from one (chunk, len(b))
+    buffer, filled 16 rows at a time through one (16, len(b), width)
+    buffer of differences."""
+    rows = 16
+    d = np.empty((min(chunk, a.shape[0]), b.shape[0]))
+    diffs = np.empty((min(rows, a.shape[0]), *b.shape))
     total = 0.0
     for start in range(0, a.shape[0], chunk):
         part = a[start : start + chunk]
-        d = np.sqrt(((part[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
-        total += float(d.sum())
+        for r in range(0, part.shape[0], rows):
+            fill = part[r : r + rows]
+            diff = np.subtract(fill[:, None, :], b[None, :, :], out=diffs[: len(fill)])
+            diff *= diff
+            np.sqrt(diff.sum(axis=2), out=d[r : r + len(fill)])
+        total += float(d[: part.shape[0]].sum())
     return total / (a.shape[0] * b.shape[0])
 
 

@@ -215,3 +215,20 @@ def save_config(cfg, path):
     with open(path, "w") as f:
         json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def reference_energy_distance(a, b, subsample=1024):
+    """evaluate.energy_distance as one (256, n_b, width) difference cube per
+    256-row chunk: the formula the row-block version must match bit for bit."""
+    a = np.asarray(a, dtype=np.float64)[:subsample]
+    b = np.asarray(b, dtype=np.float64)[:subsample]
+
+    def mean_distance(p, q):
+        total = 0.0
+        for start in range(0, p.shape[0], 256):
+            part = p[start:start + 256]
+            d = np.sqrt(((part[:, None, :] - q[None, :, :]) ** 2).sum(axis=2))
+            total += float(d.sum())
+        return total / (p.shape[0] * q.shape[0])
+
+    return 2.0 * mean_distance(a, b) - mean_distance(a, a) - mean_distance(b, b)

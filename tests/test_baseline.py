@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gancomm import baseline, nn
+from gancomm import baseline, evaluate, nn
 from helpers import bits_to_message, hamming74_hard_decode
 
 
@@ -88,6 +88,24 @@ class TestMldDecode:
         ref = baseline.bpsk_modulate(baseline.hamming74_codebook())
         d2 = ((y[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
         assert np.array_equal(baseline.hamming74_mld_decode(y), d2.argmin(axis=1))
+
+    @pytest.mark.parametrize("batch", [1, 7, 1999, 2000, 2001, 4097, 6000])
+    def test_row_blocks_decide_like_the_whole_batch(self, batch):
+        # the BLER sweep decides DECIDE_ROWS rows at a time; the scores, and
+        # so the decisions, must not depend on how many rows a call gets.
+        # Half the rows sit a hair off a midpoint between two codewords,
+        # where a last-bit change in a score would flip the decision
+        rows = evaluate.DECIDE_ROWS
+        rng = np.random.default_rng(batch)
+        ref = baseline.hamming74_bpsk_codebook()
+        pairs = rng.integers(0, 16, (batch, 2))
+        y = np.where(rng.random((batch, 1)) < 0.5,
+                     (ref[pairs[:, 0]] + ref[pairs[:, 1]]) / 2.0
+                     + rng.normal(0.0, 1e-12, (batch, 7)),
+                     ref[pairs[:, 0]] + rng.normal(0.0, 1.0, (batch, 7)))
+        blocks = [baseline.hamming74_mld_decode(y[start:start + rows])
+                  for start in range(0, batch, rows)]
+        assert np.array_equal(np.concatenate(blocks), baseline.hamming74_mld_decode(y))
 
     def test_exact_tie_goes_to_lowest_index(self):
         ref = baseline.bpsk_modulate(baseline.hamming74_codebook())

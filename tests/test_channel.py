@@ -126,6 +126,18 @@ class TestRayleigh:
         h = channel.rayleigh_sample(np.random.default_rng(3), 200_000)
         assert abs(np.mean(h.real * h.imag)) < 0.01
 
+    @pytest.mark.parametrize("size", [0, 1, 20_000])
+    def test_draws_the_two_normal_calls_bit_for_bit(self, size):
+        # all real parts, then all imaginary parts, at std sqrt(0.5); the
+        # stream must end where the two calls leave it
+        rng, ref = np.random.default_rng(size + 4), np.random.default_rng(size + 4)
+        h = channel.rayleigh_sample(rng, size)
+        re = ref.normal(0.0, np.sqrt(0.5), size=size)
+        im = ref.normal(0.0, np.sqrt(0.5), size=size)
+        assert h.dtype == np.complex128 and h.shape == (size,)
+        assert h.tobytes() == (re + 1j * im).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
 
 class TestFading:
     def test_noiseless_is_exact_complex_multiplication(self):

@@ -9,6 +9,7 @@ import pytest
 from gancomm import baseline, channel, evaluate, gan, nn, train, transceiver
 from gancomm.config import ConfigError, TrainConfig
 from gancomm.rng import substream
+from helpers import reference_energy_distance
 
 
 def q_func(x):
@@ -385,6 +386,39 @@ class TestBaselineSweeps:
             )
 
 
+class TestDecideRows:
+    @pytest.mark.parametrize("system", ["learned-awgn", "learned-rayleigh",
+                                        *evaluate.BASELINE_SYSTEMS])
+    def test_blocks_of_seven_rows_match_the_reference(self, system, monkeypatch):
+        # every point runs all 11 shards: ten of 100 trials, each ending in
+        # a 2-row block, and a last one of 50 ending in a 1-row block
+        monkeypatch.setattr(evaluate, "SHARD_TRIALS", 100)
+        monkeypatch.setattr(evaluate, "DECIDE_ROWS", 7)
+        spec = evaluate.SweepSpec(ebn0_db=(2.0, 6.0), min_trials=1050,
+                                  max_trials=1050, target_errors=10**6)
+        if system.startswith("learned-"):
+            cfg = TrainConfig(k=2, n=2, channel=system.removeprefix("learned-"),
+                              tx_hidden=(8,), rx_hidden=(8,))
+            tx, rx, _, _ = train.build_system(cfg)
+            shard_errors = learned_shard(tx, rx, cfg)
+
+            def sweep(workers):
+                return evaluate.bler_sweep_learned(tx, rx, cfg, spec, seed=15,
+                                                   workers=workers)
+        else:
+            shard_errors = {"hamming74-mld-awgn": hamming_shard,
+                            "qam16-rayleigh-perfect-csi": qam16_shard(0),
+                            "qam16-rayleigh-ls": qam16_shard(2)}[system]
+
+            def sweep(workers):
+                return evaluate.bler_sweep_baseline(system, spec, seed=15,
+                                                    workers=workers, n_pilot=2)
+        expected = reference_sweep(system, shard_errors, spec, seed=15)
+        assert [p.trials for p in expected] == [1050, 1050]
+        for workers in (1, 3):
+            assert sweep(workers) == expected
+
+
 class TestCsv:
     def test_round_trip_is_exact(self, tmp_path):
         pts = [
@@ -424,6 +458,19 @@ class TestEnergyDistance:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evaluate.energy_distance(np.zeros((10, 2)), np.zeros((10, 3)))
+
+    @pytest.mark.parametrize("n_a, n_b, width", [
+        (1024, 1024, 14),  # full 256-row chunks of full 16-row fills
+        (300, 70, 1),      # one real dimension; a 44-row last chunk
+        (517, 333, 3),     # uneven chunks and fills on both sides
+        (9, 1500, 2),      # fewer rows than one fill; b cut to 1024
+    ])
+    def test_matches_the_one_cube_formula_bit_for_bit(self, n_a, n_b, width):
+        rng = np.random.default_rng(n_a + width)
+        a = rng.normal(size=(n_a, width))
+        b = rng.normal(0.3, 1.2, size=(n_b, width))
+        assert (repr(evaluate.energy_distance(a, b))
+                == repr(reference_energy_distance(a, b)))
 
 
 class TestGanFidelity:

@@ -1,5 +1,6 @@
-"""Training steps and BLER sweep shards reuse their buffers: what one step
-or shard allocates, and that reuse changes nothing a run writes."""
+"""Training steps and BLER sweep shards reuse their buffers, and sweeps and
+fidelity distances work on bounded blocks of rows: what one step, shard or
+call allocates, and that reuse changes nothing a run writes."""
 
 import math
 import tracemalloc
@@ -87,3 +88,33 @@ def test_a_steady_state_sweep_shard_allocates_under_four_mib(kind, monkeypatch):
     (trial_fn,) = trial_fns
     peak = transient_peak(lambda: trial_fn(shard, np.random.default_rng(1)))
     assert peak < 4 * MIB, peak / MIB
+
+
+@pytest.mark.parametrize("system", ["learned-awgn", "learned-rayleigh",
+                                    *evaluate.BASELINE_SYSTEMS])
+def test_a_one_shard_sweep_call_peaks_within_its_blocks(system):
+    # the whole call, workspace included: the gathered rows and received
+    # blocks span the shard (2.1 MiB each for a learned system at 7 uses),
+    # while the receiver's pass, Hamming's scores and 16-QAM's distances
+    # span DECIDE_ROWS rows; made shard-wide, they peaked near 12 MiB for a
+    # learned system and near 5 MiB for a baseline
+    shard = evaluate.SHARD_TRIALS
+    spec = evaluate.SweepSpec((8.0,), shard, shard)
+    if system.startswith("learned-"):
+        cfg = TrainConfig(channel=system.removeprefix("learned-"))
+        tx, rx, _, _ = train.build_system(cfg)
+        peak = transient_peak(lambda: evaluate.bler_sweep_learned(tx, rx, cfg, spec))
+        assert peak < 7 * MIB, peak / MIB
+    else:
+        peak = transient_peak(lambda: evaluate.bler_sweep_baseline(system, spec))
+        assert peak < 3 * MIB, peak / MIB
+
+
+def test_energy_distance_peaks_under_six_mib():
+    # 1,024 samples of 14 reals a side: one (256, 1024, 14) difference cube
+    # per chunk was 32 MiB
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(2, 1024, 14))
+    peak = transient_peak(lambda: evaluate.energy_distance(a, b))
+    assert peak < 6 * MIB, peak / MIB
+

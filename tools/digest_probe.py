@@ -14,10 +14,12 @@ the base of a change:
 Each line reads ``<name> <sha256 prefix>``. Per channel (awgn, rayleigh)
 it covers a short default-width training run (the four net files,
 config.json and train_log.csv) with the ``(iteration, phase, loss)``
-progress calls it makes, learned BLER counts at workers 1 and 3,
-``gan_fidelity``, the constellation and GAN-scatter dump CSVs written by
-``gancomm dump``, and a ``train_channel_gan`` run; then the BLER counts of
-the three baselines. Two checkouts that print the same lines produce the
+progress calls it makes, learned BLER counts at workers 1 and 3 and of
+one 45,001-trial point, ``gan_fidelity``, the constellation and
+GAN-scatter dump CSVs written by ``gancomm dump``, and a
+``train_channel_gan`` run; then the BLER counts of the three baselines, on
+the sweep and on the 45,001-trial point. That point's last shard is
+short, and so is its last block of decided rows. Two checkouts that print the same lines produce the
 same bits on all of these; a change that moves them on purpose says so.
 BLAS runs on one thread unless the environment says otherwise.
 """
@@ -42,6 +44,7 @@ SEED = 5
 CHANNELS = ("awgn", "rayleigh")
 SWEEP = dict(ebn0_db=(0.0, 4.0), min_trials=20_000, max_trials=60_000,
              target_errors=100)
+TAIL_SWEEP = dict(ebn0_db=(2.0,), min_trials=45_001, max_trials=45_001)
 
 
 def digest(data: bytes | str) -> str:
@@ -84,6 +87,9 @@ def probe_channel(kind: str, tmp: pathlib.Path) -> list[tuple[str, str]]:
         points = evaluate.bler_sweep_learned(trainer.tx, trainer.rx, cfg, spec,
                                              workers=workers)
         out.append((f"{kind}.bler_learned.w{workers}", points_digest(points)))
+    points = evaluate.bler_sweep_learned(trainer.tx, trainer.rx, cfg,
+                                         evaluate.SweepSpec(**TAIL_SWEEP))
+    out.append((f"{kind}.bler_learned.tail", points_digest(points)))
 
     x = trainer.tx.encode_messages(np.arange(cfg.M))
     h = (channel.rayleigh_sample(substream(SEED, "probe", "h"), cfg.M)
@@ -118,10 +124,11 @@ def probe() -> list[tuple[str, str]]:
     with tempfile.TemporaryDirectory() as tmp:
         for kind in CHANNELS:
             lines += probe_channel(kind, pathlib.Path(tmp))
-    spec = evaluate.SweepSpec(**SWEEP)
     for system in evaluate.BASELINE_SYSTEMS:
-        lines.append((f"baseline.{system}",
-                      points_digest(evaluate.bler_sweep_baseline(system, spec, seed=SEED))))
+        for suffix, sweep in (("", SWEEP), (".tail", TAIL_SWEEP)):
+            points = evaluate.bler_sweep_baseline(system, evaluate.SweepSpec(**sweep),
+                                                  seed=SEED)
+            lines.append((f"baseline.{system}{suffix}", points_digest(points)))
     return lines
 
 
