@@ -17,9 +17,10 @@ given and then takes its one path: it writes the noiseless block into
 ``out`` (fading multiplies h onto zero-copy complex views of the
 interleaved blocks) and adds the noise, drawn through a scratch of at most
 ``NOISE_CHUNK`` values and scaled by its std. So no draw allocates a
-block-sized temporary, and a caller that hands the same arrays back, as
-the BLER sweep does, draws the same values as one that does not, from the
-same stream positions.
+block-sized temporary, and a caller that hands the same arrays back draws
+the same values as one that does not, from the same stream positions. The
+BLER sweep does so for each block of rows of a shard, observing one block
+through the channel object before it draws the next.
 """
 
 from __future__ import annotations

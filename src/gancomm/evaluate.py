@@ -11,14 +11,15 @@ Sweeps draw trials in fixed-size shards, each with its own named RNG
 substream keyed by (seed, system label, point index, shard index). Shards
 are merged in index order and the early-stop rule is applied shard by
 shard, so the result is byte-identical no matter how many workers ran the
-shards. Each thread that runs shards keeps one workspace for the whole
-sweep: the codebook rows are gathered into one of its arrays and the
-received blocks and pilots drawn into two more. The decision rule then
-takes the shard DECIDE_ROWS rows at a time and writes its net's pass into
-the workspace's tape, so the receiver's activations, Hamming's scores and
-16-QAM's distances span one block of rows, not the shard. After a
-thread's first shard, a learned shard allocates only its messages, h, the
-noise scratch, and each block's float32 receiver input and decisions.
+shards. A shard draws its messages and channel state in one go, then runs
+as blocks of DECIDE_ROWS rows: each block's codebook rows are gathered,
+observed through the channel and decided, and its misses counted, before
+the next block is touched. Each thread that runs shards keeps one
+workspace for the whole sweep, whose arrays (gathered rows, received
+blocks, pilots, and the tape the decision rule writes a net's pass into)
+span one block, not the shard. After a thread's first shard, a learned
+shard allocates only its messages, h, the noise scratch, and each block's
+float32 receiver input and decisions.
 
 The fidelity statistics likewise measure pairwise distances into one
 reused (256, n) buffer a few rows at a time.
@@ -40,8 +41,12 @@ from .config import ConfigError, TrainConfig
 from .rng import substream
 
 SHARD_TRIALS = 20_000
-# Rows per decision call; it divides SHARD_TRIALS, so every block of a
-# full shard has the same size and the receiver's tape keeps its arrays.
+# Rows per block of a shard: each block is gathered, observed and decided
+# before the next. It divides SHARD_TRIALS, so every block of a full shard
+# has the same size and the workspace keeps its arrays. On a channel with
+# pilots a block draws its block noise and then its pilot noise, so there,
+# like SHARD_TRIALS, it is part of what a seed draws; without pilots the
+# noise is drawn row-major whatever the block size.
 DECIDE_ROWS = 2_000
 
 BASELINE_SYSTEMS = (
@@ -139,11 +144,11 @@ def _run_point(trial_fn, ebn0_db, spec, seed, label, point_index, workers):
 
 
 class _Workspace(threading.local):
-    """One thread's arrays for the shards of a sweep, reused from shard to
-    shard: named (trials, width) float64 arrays, grown to the largest shard
-    the thread has drawn (a shorter shard takes their leading rows), and
-    the tape the decision rule writes each block's pass into, sized for
-    DECIDE_ROWS rows."""
+    """One thread's arrays for the blocks of a sweep's shards, reused from
+    block to block: named (rows, width) float64 arrays, grown to the
+    largest block the thread has run, at most DECIDE_ROWS rows (a shorter
+    block takes their leading rows), and the tape the decision rule writes
+    each block's pass into."""
 
     def __init__(self):
         self.tape = nn.Tape()
@@ -157,11 +162,13 @@ class _Workspace(threading.local):
 
 
 def _sweep(codebook, model, decide, k, n, spec, seed, label, workers):
-    """BLER points of one system. Each trial draws a message, the channel
-    state, then what the receiver observes of the message's codebook row;
-    decide(y, y_pilot, state, tape) returns the decided message indices of
-    a block of rows and may write a net's pass into tape, the workspace's.
-    Eb/N0 counts k information bits over n complex channel uses."""
+    """BLER points of one system. A shard draws its messages and channel
+    state, then, one block of DECIDE_ROWS rows at a time, what the receiver
+    observes of the messages' codebook rows, block noise before pilot
+    noise; decide(y, y_pilot, state, tape) returns the decided message
+    indices of a block and may write a net's pass into tape, the
+    workspace's. Eb/N0 counts k information bits over n complex channel
+    uses."""
     if workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
     width, pilot_width = codebook.shape[1], 2 * model.n_pilot
@@ -173,29 +180,26 @@ def _sweep(codebook, model, decide, k, n, spec, seed, label, workers):
         def trial_fn(n_trials: int, rng: np.random.Generator) -> int:
             messages = rng.integers(0, len(codebook), size=n_trials)
             state = model.draw_state(rng, n_trials)
-            # np.take gathers rows of a narrow 2-D array several times
-            # faster than fancy indexing; the messages are in range, and
-            # mode="clip" writes straight into out where "raise" buffers
-            blocks = np.take(codebook, messages, axis=0, mode="clip",
-                             out=workspace.array("blocks", n_trials, width))
-            y, y_pilot = model.observe(
-                blocks, state, std, rng,
-                out=(workspace.array("y", n_trials, width),
-                     workspace.array("pilots", n_trials, pilot_width)))
             misses = 0
             for start in range(0, n_trials, DECIDE_ROWS):
                 rows = slice(start, start + DECIDE_ROWS)
-                decided = decide(y[rows], _rows(y_pilot, rows), _rows(state, rows),
-                                 workspace.tape)
-                misses += np.count_nonzero(decided != messages[rows])
+                sent = messages[rows]
+                # np.take gathers rows of a narrow 2-D array several times
+                # faster than fancy indexing; the messages are in range, and
+                # mode="clip" writes straight into out where "raise" buffers
+                blocks = np.take(codebook, sent, axis=0, mode="clip",
+                                 out=workspace.array("blocks", len(sent), width))
+                block_state = None if state is None else state[rows]
+                y, y_pilot = model.observe(
+                    blocks, block_state, std, rng,
+                    out=(workspace.array("y", len(sent), width),
+                         workspace.array("pilots", len(sent), pilot_width)))
+                decided = decide(y, y_pilot, block_state, workspace.tape)
+                misses += np.count_nonzero(decided != sent)
             return misses
 
         points.append(_run_point(trial_fn, ebn0, spec, seed, label, i, workers))
     return points
-
-
-def _rows(a: np.ndarray | None, rows: slice) -> np.ndarray | None:
-    return None if a is None else a[rows]
 
 
 def bler_sweep_learned(

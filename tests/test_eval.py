@@ -150,16 +150,28 @@ def reference_sweep(label, shard_errors, spec, seed):
     return points
 
 
+def decide_blocks(size):
+    """The row slices of a shard's blocks of evaluate.DECIDE_ROWS rows."""
+    return [slice(start, start + evaluate.DECIDE_ROWS)
+            for start in range(0, size, evaluate.DECIDE_ROWS)]
+
+
 def learned_shard(tx, rx, cfg):
     """Encode each message, take the receiver's logits, argmax. Draw order:
-    messages, h, block noise, pilot noise."""
+    messages, h, then for each block of evaluate.DECIDE_ROWS rows its block
+    noise and then its pilot noise."""
     model = cfg.make_channel()
 
     def shard_errors(ebn0, size, rng):
         std = channel.noise_std_from_snr(ebn0, cfg.k, cfg.n)
         messages = rng.integers(0, cfg.M, size=size)
         x = np.concatenate([tx.encode(messages[t:t + 1])[0] for t in range(size)])
-        y, y_pilot = model.observe(x, model.draw_state(rng, size), std, rng)
+        h = model.draw_state(rng, size)
+        y, y_pilot = zip(*(model.observe(x[rows], None if h is None else h[rows],
+                                         std, rng)
+                           for rows in decide_blocks(size)))
+        y = np.concatenate(y)
+        y_pilot = None if y_pilot[0] is None else np.concatenate(y_pilot)
         errors = 0
         for t in range(size):
             pilot = None if y_pilot is None else y_pilot[t:t + 1]
@@ -184,20 +196,23 @@ def hamming_shard(ebn0, size, rng):
 
 def qam16_shard(n_pilot):
     """16-QAM over Rayleigh fading, one complex use carrying 4 bits. Draw
-    order: messages, h, block noise, pilot noise. With n_pilot 0 the
-    receiver equalizes by the true h, otherwise by the LS estimate of the
-    received pilots; an exactly-zero estimate is an error."""
+    order: messages, h, then for each block of evaluate.DECIDE_ROWS rows its
+    block noise and then its pilot noise. With n_pilot 0 the receiver
+    equalizes by the true h, otherwise by the LS estimate of the received
+    pilots; an exactly-zero estimate is an error."""
 
     def shard_errors(ebn0, size, rng):
         std = channel.noise_std_from_snr(ebn0, 4, 1)
         messages = rng.integers(0, 16, size=size)
         x = channel.complex_to_iq(baseline.qam16_constellation()[messages][:, None])
         h = channel.rayleigh_sample(rng, size)
-        y = channel.iq_to_complex(channel.fading_apply(x, h, std, rng))[:, 0]
-        h_est = h
-        if n_pilot:
-            pilots = channel.pilot_receive(h, std, n_pilot, rng)
-            h_est = baseline.ls_estimate(channel.iq_to_complex(pilots))
+        y, h_est = np.empty(size, dtype=np.complex128), h.copy()
+        for rows in decide_blocks(size):
+            y[rows] = channel.iq_to_complex(
+                channel.fading_apply(x[rows], h[rows], std, rng))[:, 0]
+            if n_pilot:
+                pilots = channel.pilot_receive(h[rows], std, n_pilot, rng)
+                h_est[rows] = baseline.ls_estimate(channel.iq_to_complex(pilots))
         return sum(
             int(h_est[t] == 0
                 or baseline.qam16_demod_coherent(y[t:t + 1], h_est[t:t + 1])[0]
@@ -417,6 +432,30 @@ class TestDecideRows:
         assert [p.trials for p in expected] == [1050, 1050]
         for workers in (1, 3):
             assert sweep(workers) == expected
+
+    @pytest.mark.parametrize("system", ["learned-awgn", "hamming74-mld-awgn",
+                                        "qam16-rayleigh-perfect-csi"])
+    def test_without_pilots_the_block_size_draws_nothing(self, system, monkeypatch):
+        # the block noise is drawn row-major whatever the block size, so a
+        # channel without pilots gives the same points at 7 rows as at
+        # 2,000; one full shard and a short last one of 5,000 trials
+        spec = evaluate.SweepSpec(ebn0_db=(0.0, 4.0), min_trials=25_000,
+                                  max_trials=25_000, target_errors=10**6)
+        if system == "learned-awgn":
+            cfg = TrainConfig(k=2, n=2, tx_hidden=(8,), rx_hidden=(8,))
+            tx, rx, _, _ = train.build_system(cfg)
+
+            def sweep():
+                return evaluate.bler_sweep_learned(tx, rx, cfg, spec, seed=16)
+        else:
+            def sweep():
+                return evaluate.bler_sweep_baseline(system, spec, seed=16)
+        points = {}
+        for rows in (7, 2_000):
+            monkeypatch.setattr(evaluate, "DECIDE_ROWS", rows)
+            points[rows] = sweep()
+        assert [p.trials for p in points[7]] == [25_000, 25_000]
+        assert points[7] == points[2_000]
 
 
 class TestCsv:

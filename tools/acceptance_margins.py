@@ -1,14 +1,16 @@
-"""Print the margins of acceptance 2 (AWGN) or 5 (Rayleigh) for one seed.
+"""Print the margins of acceptance 2 (AWGN) or 5 (Rayleigh) for given seeds.
 
-Usage: python tools/acceptance_margins.py --channel {awgn,rayleigh} --seed N [--src DIR]
+Usage: python tools/acceptance_margins.py --channel {awgn,rayleigh} --seed N
+       [--seed N ...] [--src DIR]
 
-Trains the default config on the channel with the given seed, then runs
-the sweeps of the acceptance test: the learned link on its Eb/N0 grid
-against the baseline shifted by the test's allowance (Hamming(7,4) MLD at
--1 dB on AWGN, LS 16-QAM at -2 dB on Rayleigh, both with baseline seed 7).
-One line per grid point gives both BLERs and their ratio; the last line
-gives the worst ratio, which passes at most 1. Seed 1 reproduces the
-acceptance test's own numbers.
+For each seed, in the order given, trains the default config on the
+channel with that seed, then runs the sweeps of the acceptance test: the
+learned link on its Eb/N0 grid against the baseline shifted by the test's
+allowance (Hamming(7,4) MLD at -1 dB on AWGN, LS 16-QAM at -2 dB on
+Rayleigh, both with baseline seed 7). One line per grid point gives both
+BLERs and their ratio; each seed's last line gives its worst ratio, which
+passes at most 1. Seed 1 reproduces the acceptance test's own numbers.
+The exit status is 1 if any seed's worst ratio exceeds 1, else 0.
 
 The package is imported from DIR (default: the ``src`` next to this
 script), so the same margins can be taken on another checkout, for
@@ -38,7 +40,8 @@ ACCEPTANCE = {
 BASELINE_SEED = 7
 
 
-def margins(channel_kind: str, seed: int) -> list[str]:
+def margins(channel_kind: str, seed: int) -> tuple[list[str], float]:
+    """The seed's lines and its worst ratio."""
     from gancomm import evaluate, train
     from gancomm.config import TrainConfig
 
@@ -64,13 +67,14 @@ def margins(channel_kind: str, seed: int) -> list[str]:
                      f"vs {system} at {bp.ebn0_db:g} dB {bp.bler:.3e}: ratio {ratio:.3f}")
     worst = max(ratios)
     lines.append(f"worst ratio {worst:.3f} ({'PASS' if worst <= 1.0 else 'FAIL'})")
-    return lines
+    return lines, worst
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--channel", choices=sorted(ACCEPTANCE), required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, action="append", required=True,
+                        help="training seed; give it more than once for several")
     parser.add_argument("--src", default=str(pathlib.Path(__file__).resolve().parents[1]
                                              / "src"),
                         help="directory that holds the gancomm package")
@@ -81,9 +85,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if not os.path.abspath(gancomm.__file__).startswith(src + os.sep):
         raise SystemExit(f"gancomm was imported from {gancomm.__file__}, not {src}")
-    for line in margins(args.channel, args.seed):
-        print(line, flush=True)
-    return 0
+    failed = False
+    for seed in args.seed:
+        lines, worst = margins(args.channel, seed)
+        for line in lines:
+            print(line, flush=True)
+        failed |= worst > 1.0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
