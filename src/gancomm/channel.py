@@ -11,16 +11,11 @@ no gradient path through this module (see ``backward``). ``make_channel``
 wraps them in one object per channel kind, which is where the rest of the
 package learns whether there is a fading state and a pilot.
 
-Each simulator, and each channel object method that observes, takes an
-optional ``out`` array for what it receives. It allocates one when none is
-given and then takes its one path: it writes the noiseless block into
-``out`` (fading multiplies h onto zero-copy complex views of the
-interleaved blocks) and adds the noise, drawn through a scratch of at most
-``NOISE_CHUNK`` values and scaled by its std. So no draw allocates a
-block-sized temporary, and a caller that hands the same arrays back draws
-the same values as one that does not, from the same stream positions. The
-BLER sweep does so for each block of rows of a shard, observing one block
-through the channel object before it draws the next.
+Each simulator returns a new array: it writes the noiseless block into it
+(fading multiplies h onto zero-copy complex views of the interleaved
+blocks), then adds the noise in place, one ``standard_normal`` draw of the
+block's shape, in row-major order, scaled by its std. The caller's blocks
+are never written.
 """
 
 from __future__ import annotations
@@ -67,47 +62,23 @@ def noise_std_from_snr(ebn0_db: float, k: int, n: int) -> float:
     return float(np.sqrt(n0 / 2.0))
 
 
-# Noise values per draw: the noise reaches a block through a scratch of at
-# most this many float64 values, whatever the block's size.
-NOISE_CHUNK = 1 << 15
-
-
-def _output(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
-    """out, checked against the shape the simulator writes, or a new array."""
-    if out is None:
-        return np.empty(shape)
-    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
-    return out
-
-
-def _receive(noiseless: np.ndarray, noise_std: float, rng: np.random.Generator,
-             out: np.ndarray) -> np.ndarray:
-    """Write noiseless + w into out (noiseless may be out itself): w is
-    i.i.d. Gaussian(0, noise_std^2) per real dimension, drawn in row-major
-    order NOISE_CHUNK values at a time and scaled in a scratch of that
-    size. A noise_std of 0 draws nothing; a negative or NaN one raises."""
+def _receive(y: np.ndarray, noise_std: float, rng: np.random.Generator) -> np.ndarray:
+    """Add w onto the simulator's own noiseless y in place and return it:
+    w is i.i.d. Gaussian(0, noise_std^2) per real dimension, drawn in
+    row-major order. A noise_std of 0 draws nothing; a negative or NaN one
+    raises."""
     if not noise_std >= 0:
         raise ValueError(f"noise std must be >= 0, got {noise_std}")
     if noise_std > 0:
-        src, dst = noiseless.reshape(-1), out.reshape(-1)
-        scratch = np.empty(min(dst.size, NOISE_CHUNK))
-        for start in range(0, dst.size, NOISE_CHUNK):
-            stop = min(start + NOISE_CHUNK, dst.size)
-            noise = rng.standard_normal(out=scratch[: stop - start])
-            noise *= noise_std
-            np.add(src[start:stop], noise, out=dst[start:stop])
-    else:
-        np.copyto(out, noiseless)
-    return out
+        noise = rng.standard_normal(y.shape)
+        noise *= noise_std
+        y += noise
+    return y
 
 
-def awgn_apply(x: np.ndarray, std: float, rng: np.random.Generator,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """y = x + w with w i.i.d. Gaussian(0, std^2) per real dimension,
-    written into ``out`` if given."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    return _receive(x, std, rng, _output(out, x.shape))
+def awgn_apply(x: np.ndarray, std: float, rng: np.random.Generator) -> np.ndarray:
+    """y = x + w with w i.i.d. Gaussian(0, std^2) per real dimension."""
+    return _receive(np.array(x, dtype=np.float64), std, rng)
 
 
 def rayleigh_sample(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -123,47 +94,39 @@ def rayleigh_sample(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def fading_apply(
-    x: np.ndarray, h: np.ndarray, noise_std: float,
-    rng: np.random.Generator, out: np.ndarray | None = None,
+    x: np.ndarray, h: np.ndarray, noise_std: float, rng: np.random.Generator,
 ) -> np.ndarray:
     """y_i = h * x_i + w_i; one h multiplies every complex use of a block.
 
     ``h`` holds one coefficient per block of the (batch, 2n) ``x``, shape
-    (batch,); ``noise_std`` is per real dimension. y is written into
-    ``out`` if given, which must not overlap x: numpy's complex multiply
-    rounds differently in place for some shapes.
+    (batch,); ``noise_std`` is per real dimension.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.complex128)
     if x.ndim != 2 or h.shape != x.shape[:1]:
         raise ValueError(f"h {h.shape} must hold one coefficient per block of {x.shape}")
-    out = _output(out, x.shape)
-    if np.may_share_memory(x, out):
-        raise ValueError("out must not overlap x")
     # the interleaved (re, im) pairs of a C-contiguous float64 block are a
     # complex128 array in memory, so h multiplies views, not copies
-    np.multiply(x.view(np.complex128), h[:, None], out=out.view(np.complex128))
-    return _receive(out, noise_std, rng, out)
+    y = np.multiply(x.view(np.complex128), h[:, None]).view(np.float64)
+    return _receive(y, noise_std, rng)
 
 
 def pilot_receive(
-    h: np.ndarray, noise_std: float, n_pilot: int,
-    rng: np.random.Generator, out: np.ndarray | None = None,
+    h: np.ndarray, noise_std: float, n_pilot: int, rng: np.random.Generator,
 ) -> np.ndarray:
     """Receive the known all-ones pilot: y_p = h * 1 + w, per pilot use.
 
     ``h`` holds one coefficient per block, shape (batch,); the pilots come
-    back (batch, 2*n_pilot), written into ``out`` if given.
+    back (batch, 2*n_pilot).
     """
     if n_pilot < 1:
         raise ValueError("n_pilot must be >= 1")
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 1:
         raise ValueError(f"h must hold one coefficient per block, got shape {h.shape}")
-    out = _output(out, (h.shape[0], 2 * n_pilot))
     # h * 1 is h exactly, so every pilot use receives h before the noise
-    out.view(np.complex128)[...] = h[:, None]
-    return _receive(out, noise_std, rng, out)
+    y = np.repeat(h[:, None], n_pilot, axis=1).view(np.float64)
+    return _receive(y, noise_std, rng)
 
 
 class Channel:
@@ -186,29 +149,23 @@ class Channel:
         raise NotImplementedError
 
     def apply(self, x: np.ndarray, state, noise_std: float,
-              rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-        """Received blocks for transmitted blocks x under state, written
-        into ``out`` if given."""
+              rng: np.random.Generator) -> np.ndarray:
+        """Received blocks for transmitted blocks x under state."""
         raise NotImplementedError
 
-    def pilots(self, state, noise_std: float, rng: np.random.Generator,
-               out: np.ndarray | None = None) -> np.ndarray | None:
-        """Received pilots under state, written into ``out`` if given, or
-        None without pilots (``out`` is then left alone)."""
+    def pilots(self, state, noise_std: float,
+               rng: np.random.Generator) -> np.ndarray | None:
+        """Received pilots under state, or None without pilots."""
         if self.n_pilot == 0:
             return None
-        return pilot_receive(state, noise_std, self.n_pilot, rng, out)
+        return pilot_receive(state, noise_std, self.n_pilot, rng)
 
     def observe(self, x: np.ndarray, state, noise_std: float,
-                rng: np.random.Generator,
-                out: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
-                ) -> tuple[np.ndarray, np.ndarray | None]:
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
         """What the receiver sees: the received blocks, then the received
-        pilots (or None), written into the arrays of ``out`` that are given.
-        Block noise is drawn before pilot noise."""
-        y_out, pilot_out = out
-        return (self.apply(x, state, noise_std, rng, y_out),
-                self.pilots(state, noise_std, rng, pilot_out))
+        pilots (or None). Block noise is drawn before pilot noise."""
+        return (self.apply(x, state, noise_std, rng),
+                self.pilots(state, noise_std, rng))
 
 
 class AwgnChannel(Channel):
@@ -219,8 +176,8 @@ class AwgnChannel(Channel):
     def draw_state(self, rng, batch):
         return None
 
-    def apply(self, x, state, noise_std, rng, out=None):
-        return awgn_apply(x, noise_std, rng, out)
+    def apply(self, x, state, noise_std, rng):
+        return awgn_apply(x, noise_std, rng)
 
 
 class RayleighChannel(Channel):
@@ -234,8 +191,8 @@ class RayleighChannel(Channel):
     def draw_state(self, rng, batch):
         return rayleigh_sample(rng, batch)
 
-    def apply(self, x, state, noise_std, rng, out=None):
-        return fading_apply(x, state, noise_std, rng, out)
+    def apply(self, x, state, noise_std, rng):
+        return fading_apply(x, state, noise_std, rng)
 
 
 def make_channel(kind: str, n_pilot: int = 1) -> Channel:

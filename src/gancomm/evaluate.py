@@ -14,12 +14,10 @@ shard, so the result is byte-identical no matter how many workers ran the
 shards. A shard draws its messages and channel state in one go, then runs
 as blocks of DECIDE_ROWS rows: each block's codebook rows are gathered,
 observed through the channel and decided, and its misses counted, before
-the next block is touched. Each thread that runs shards keeps one
-workspace for the whole sweep, whose arrays (gathered rows, received
-blocks, pilots, and the tape the decision rule writes a net's pass into)
-span one block, not the shard. After a thread's first shard, a learned
-shard allocates only its messages, h, the noise scratch, and each block's
-float32 receiver input and decisions.
+the next block is touched. So every array a shard allocates, but its
+messages and h, spans one block, whichever thread runs it: the gathered
+rows, the received blocks and pilots, the noise, and the decision rule's
+own arrays.
 
 The fidelity statistics likewise measure pairwise distances into one
 reused (256, n) buffer a few rows at a time.
@@ -30,23 +28,21 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import baseline, channel, gan, nn, transceiver
+from . import baseline, channel, gan, transceiver
 from .config import ConfigError, TrainConfig
 from .rng import substream
 
 SHARD_TRIALS = 20_000
 # Rows per block of a shard: each block is gathered, observed and decided
-# before the next. It divides SHARD_TRIALS, so every block of a full shard
-# has the same size and the workspace keeps its arrays. On a channel with
-# pilots a block draws its block noise and then its pilot noise, so there,
-# like SHARD_TRIALS, it is part of what a seed draws; without pilots the
-# noise is drawn row-major whatever the block size.
+# before the next. On a channel with pilots a block draws its block noise
+# and then its pilot noise, so there, like SHARD_TRIALS, it is part of what
+# a seed draws; without pilots the noise is drawn row-major whatever the
+# block size.
 DECIDE_ROWS = 2_000
 
 BASELINE_SYSTEMS = (
@@ -143,36 +139,15 @@ def _run_point(trial_fn, ebn0_db, spec, seed, label, point_index, workers):
     return BlerPoint.from_counts(ebn0_db, trials, errors)
 
 
-class _Workspace(threading.local):
-    """One thread's arrays for the blocks of a sweep's shards, reused from
-    block to block: named (rows, width) float64 arrays, grown to the
-    largest block the thread has run, at most DECIDE_ROWS rows (a shorter
-    block takes their leading rows), and the tape the decision rule writes
-    each block's pass into."""
-
-    def __init__(self):
-        self.tape = nn.Tape()
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def array(self, name: str, n: int, width: int) -> np.ndarray:
-        buf = self._arrays.get(name)
-        if buf is None or buf.shape[0] < n:
-            buf = self._arrays[name] = np.empty((n, width))
-        return buf[:n]
-
-
 def _sweep(codebook, model, decide, k, n, spec, seed, label, workers):
     """BLER points of one system. A shard draws its messages and channel
     state, then, one block of DECIDE_ROWS rows at a time, what the receiver
     observes of the messages' codebook rows, block noise before pilot
-    noise; decide(y, y_pilot, state, tape) returns the decided message
-    indices of a block and may write a net's pass into tape, the
-    workspace's. Eb/N0 counts k information bits over n complex channel
+    noise; decide(y, y_pilot, state) returns the decided message indices
+    of a block. Eb/N0 counts k information bits over n complex channel
     uses."""
     if workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
-    width, pilot_width = codebook.shape[1], 2 * model.n_pilot
-    workspace = _Workspace()
     points = []
     for i, ebn0 in enumerate(spec.ebn0_db):
         std = channel.noise_std_from_snr(ebn0, k, n)
@@ -185,16 +160,11 @@ def _sweep(codebook, model, decide, k, n, spec, seed, label, workers):
                 rows = slice(start, start + DECIDE_ROWS)
                 sent = messages[rows]
                 # np.take gathers rows of a narrow 2-D array several times
-                # faster than fancy indexing; the messages are in range, and
-                # mode="clip" writes straight into out where "raise" buffers
-                blocks = np.take(codebook, sent, axis=0, mode="clip",
-                                 out=workspace.array("blocks", len(sent), width))
+                # faster than fancy indexing
+                blocks = np.take(codebook, sent, axis=0)
                 block_state = None if state is None else state[rows]
-                y, y_pilot = model.observe(
-                    blocks, block_state, std, rng,
-                    out=(workspace.array("y", len(sent), width),
-                         workspace.array("pilots", len(sent), pilot_width)))
-                decided = decide(y, y_pilot, block_state, workspace.tape)
+                y, y_pilot = model.observe(blocks, block_state, std, rng)
+                decided = decide(y, y_pilot, block_state)
                 misses += np.count_nonzero(decided != sent)
             return misses
 
@@ -224,7 +194,7 @@ def bler_sweep_learned(
     # the transmitter is deterministic, so its M blocks serve every trial
     codebook = tx.encode_messages(np.arange(cfg.M))
     return _sweep(codebook, cfg.make_channel(),
-                  lambda y, y_pilot, state, tape: rx.decode(y, y_pilot, tape),
+                  lambda y, y_pilot, state: rx.decode(y, y_pilot),
                   cfg.k, cfg.n, spec, seed, f"learned-{cfg.channel}", workers)
 
 
@@ -246,14 +216,13 @@ def bler_sweep_baseline(
         # 4 bits over 7 BPSK uses; a BPSK use carries one real, so the
         # codebook is 7 reals wide and only in-phase noise is drawn
         return _sweep(baseline.hamming74_bpsk_codebook(), channel.make_channel("awgn"),
-                      lambda y, y_pilot, state, tape: baseline.hamming74_mld_decode(y),
+                      lambda y, y_pilot, state: baseline.hamming74_mld_decode(y),
                       4, 7, spec, seed, system, workers)
     # uncoded 16-QAM, one complex use carrying 4 bits; perfect CSI is
     # fading without pilots
     model = channel.make_channel(
         "rayleigh", 0 if system == "qam16-rayleigh-perfect-csi" else n_pilot)
-    return _sweep(baseline.qam16_codebook(), model,
-                  lambda y, y_pilot, h, tape: _qam16_decide(y, y_pilot, h),
+    return _sweep(baseline.qam16_codebook(), model, _qam16_decide,
                   4, 1, spec, seed, system, workers)
 
 

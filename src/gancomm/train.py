@@ -228,7 +228,8 @@ class Trainer:
                             d_accuracy=d_acc)
 
     def train_receiver_step(self, iteration: int) -> float:
-        messages, _, y, y_p = self._observe_batch()
+        messages, x, y, y_p = self._observe_batch()
+        del x  # the gathered rows need not live through the receiver's pass
         loss, grads = receiver_forward_backward(
             self.rx, messages, y, y_p, self._tapes["rx"]
         )

@@ -240,8 +240,7 @@ class TestLearnedSweep:
 
     @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
     def test_a_shorter_last_shard_matches_the_reference(self, kind, monkeypatch):
-        # every point runs all 11 shards, the last one of 50 trials; the
-        # workspaces are then sliced for it and for the next point's shards
+        # every point runs all 11 shards, the last one of 50 trials
         monkeypatch.setattr(evaluate, "SHARD_TRIALS", 100)
         cfg = TrainConfig(k=2, n=2, channel=kind, tx_hidden=(8,), rx_hidden=(8,))
         tx, rx, _, _ = train.build_system(cfg)
