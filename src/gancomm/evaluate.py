@@ -302,6 +302,20 @@ def energy_distance(a: np.ndarray, b: np.ndarray, subsample: int = 1024) -> floa
     )
 
 
+def _conditions(x: np.ndarray, h: np.ndarray | None):
+    """x as float64 (C, 2n) blocks, and h, when given, as C complex
+    coefficients; any other shape of either is refused."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] % 2 != 0:
+        raise ValueError(f"conditions must be (C, 2n), got {x.shape}")
+    if h is not None:
+        h = np.asarray(h, dtype=np.complex128)
+        if h.shape != x.shape[:1]:
+            raise ValueError(
+                f"h {h.shape} must hold one coefficient per condition of {x.shape}")
+    return x, h
+
+
 def _fixed_condition(
     x: np.ndarray, c: int, h: np.ndarray | None, noise_std: float,
     n_samples: int, n_pilot: int,
@@ -319,7 +333,7 @@ def _fixed_condition(
     if h is None:
         model, state = channel.make_channel("awgn"), None
     else:
-        hc = complex(np.asarray(h, dtype=np.complex128).reshape(-1)[c])
+        hc = complex(h[c])
         model, state = channel.make_channel("rayleigh", n_pilot), np.full(n_samples, hc)
         label = f"h={hc:.4g}, {label}"
     noiseless, pilots = model.observe(xc, state, 0.0, None)  # draws nothing
@@ -342,16 +356,14 @@ def gan_fidelity(
     """Compare generator output against the real channel, per condition.
 
     x is (C, 2n): one transmitted block per condition. With h given
-    (length C, complex), the channel is block fading at those fixed
+    (shape (C,), complex), the channel is block fading at those fixed
     coefficients and the generator is conditioned on the noiseless pilot
     observation of h; otherwise the channel is AWGN and the conditioning
     is x alone. g=None runs the calibration mode: a second independent
     set of real samples stands in for the generator, which shows the
     sampling floor of the statistics.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] % 2 != 0:
-        raise ValueError(f"conditions must be (C, 2n), got {x.shape}")
+    x, h = _conditions(x, h)
     reports = []
     for c in range(x.shape[0]):
         rng = substream(seed, "fidelity", c)
@@ -412,7 +424,7 @@ def gan_scatter_dump(
     """
     if n_samples < 1:
         raise ConfigError(f"samples: must be >= 1, got {n_samples}")
-    x = np.asarray(x, dtype=np.float64)
+    x, h = _conditions(x, h)
     n = x.shape[1] // 2
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

@@ -161,6 +161,11 @@ class DenseNet:
     def copy(self) -> "DenseNet":
         return DenseNet(self.layers)
 
+    def __reduce__(self):
+        # pickle and copy.deepcopy rebuild the net from its layers, so the
+        # copy's layer arrays are views of the copy's own params again
+        return (DenseNet, (self.layers,))
+
     def flat_params(self) -> np.ndarray:
         """A copy of ``params``."""
         return self.params.copy()

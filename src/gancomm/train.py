@@ -276,23 +276,26 @@ def train_full(cfg: TrainConfig, out_dir: str | None = None, progress=None) -> T
     checkpoints and the step log are written even if training aborts
     mid-run (the partial state is flushed before the exception
     propagates); then the status reads "completed", or "aborted at step N:
-    <error>" with N the number of steps logged."""
+    <error>" with N the number of steps logged. A Trainer that cannot be
+    built aborts at step 0 and leaves only the manifest."""
     manifest = {} if out_dir is None else _start_manifest(out_dir, cfg)
-    trainer = Trainer(cfg)
+    trainer = None
     try:
+        trainer = Trainer(cfg)
         trainer.run(progress)
         manifest["status"] = "completed"
     except BaseException as exc:
-        manifest["status"] = (
-            f"aborted at step {trainer.step}: {type(exc).__name__}: {exc}")
+        step = 0 if trainer is None else trainer.step
+        manifest["status"] = f"aborted at step {step}: {type(exc).__name__}: {exc}"
         raise
     finally:
         if out_dir is not None:
-            checkpoint.save_system(
-                out_dir, cfg, trainer.tx, trainer.rx,
-                trainer.generator_averaged(), trainer.discriminator,
-            )
-            trainer.log.to_csv(os.path.join(out_dir, "train_log.csv"))
+            if trainer is not None:
+                checkpoint.save_system(
+                    out_dir, cfg, trainer.tx, trainer.rx,
+                    trainer.generator_averaged(), trainer.discriminator,
+                )
+                trainer.log.to_csv(os.path.join(out_dir, "train_log.csv"))
             checkpoint.write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return trainer
 

@@ -553,6 +553,16 @@ class TestGanFidelity:
         with pytest.raises(ValueError):
             evaluate.gan_fidelity(None, np.array([1.0, 0.0]), 0.3, 100, 0)
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_rejects_h_of_another_length_than_the_conditions(self, tmp_path, count):
+        x = np.tile([1.0, 0.0], (3, 1))
+        h = np.ones(count, dtype=np.complex128)
+        g = gan.Generator(nn.DenseNet.create((5, 2), np.random.default_rng(1)), z_dim=1)
+        with pytest.raises(ValueError, match="one coefficient per condition"):
+            evaluate.gan_fidelity(None, x, 0.3, 10, 0, h=h)
+        with pytest.raises(ValueError, match="one coefficient per condition"):
+            evaluate.gan_scatter_dump(g, x, 0.3, str(tmp_path / "s.csv"), 10, 0, h=h)
+
 
 class TestDumps:
     def test_constellation_csv_covers_every_message_and_use(self, tmp_path):

@@ -1,6 +1,8 @@
 """Core dense-net machinery: forward, backward, losses, Adam."""
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -550,6 +552,19 @@ class TestFlatParams:
         clone = net.copy()
         clone.layers[0].w += 1.0
         assert param_checksum(clone) != param_checksum(net)
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_deepcopy_and_pickle_rebuild_the_views(self, how):
+        net = nn.DenseNet.create((3, 5, 2), np.random.default_rng(55))
+        clone = (copy.deepcopy(net) if how == "deepcopy"
+                 else pickle.loads(pickle.dumps(net)))
+        assert_params_layout(clone)
+        assert param_checksum(clone) == param_checksum(net)
+        x = np.random.default_rng(56).normal(size=(4, 3)).astype(net.dtype)
+        before = nn.forward(net, x)[0].copy()
+        clone.params[...] = 0.0
+        assert np.all(nn.forward(clone, x)[0] == 0.0)
+        assert np.array_equal(nn.forward(net, x)[0], before)
 
 
 class TestEmaTracker:

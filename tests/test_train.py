@@ -578,6 +578,17 @@ class TestTrainFull:
         assert manifest["status"] == (
             f"aborted at step {steps}: {type(error).__name__}: {error}")
 
+    def test_a_trainer_that_cannot_be_built_aborts_at_step_zero(self, tmp_path, monkeypatch):
+        def no_memory(cfg):
+            raise MemoryError("no room for the nets")
+
+        monkeypatch.setattr(train, "build_system", no_memory)
+        with pytest.raises(MemoryError):
+            train.train_full(tiny_cfg(), out_dir=str(tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "aborted at step 0: MemoryError: no room for the nets"
+
     def test_progress_sees_the_run_as_running(self, tmp_path):
         seen = []
 
