@@ -10,8 +10,10 @@ float32 range becomes Inf, which loading refuses.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -21,18 +23,8 @@ from .config import ConfigError, TrainConfig, load_config, read_json
 CHECKPOINT_FILES = ("transmitter.json", "receiver.json", "generator.json",
                     "discriminator.json")
 
-
-def net_to_dict(net: nn.DenseNet) -> dict:
-    return {
-        "layers": [
-            {
-                "activation": layer.activation,
-                "w": layer.w.tolist(),
-                "b": layer.b.tolist(),
-            }
-            for layer in net.layers
-        ]
-    }
+# how write_json's json.dumps writes a list of floats or a string
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 
 def net_from_dict(data: dict) -> nn.DenseNet:
@@ -56,7 +48,26 @@ def net_from_dict(data: dict) -> nn.DenseNet:
 
 
 def save_net(net: nn.DenseNet, path: str) -> None:
-    write_json(net_to_dict(net), path)
+    """Write a net as the compact, key-sorted JSON ``{"layers":
+    [{"activation", "b", "w"}, ...]}``, w as a list of rows: the bytes
+    write_json would write for it, streamed one weight row at a time. A NaN
+    or Inf parameter raises a ValueError naming the file before anything is
+    written."""
+    if not np.isfinite(net.params).all():
+        raise ValueError(f"cannot write {path}: the net holds non-finite parameters")
+    _write_atomic(_net_chunks(net), path)
+
+
+def _net_chunks(net: nn.DenseNet) -> Iterator[str]:
+    """The text of a net's file, in pieces of at most one weight row."""
+    yield '{"layers":['
+    for i, layer in enumerate(net.layers):
+        yield (("," if i else "") + '{"activation":' + _ENCODER.encode(layer.activation)
+               + ',"b":' + _ENCODER.encode(layer.b.tolist()) + ',"w":[')
+        for j, row in enumerate(layer.w):
+            yield ("," if j else "") + _ENCODER.encode(row.tolist())
+        yield "]}"
+    yield "]}\n"
 
 
 def load_net(path: str) -> nn.DenseNet:
@@ -72,17 +83,28 @@ def load_net(path: str) -> nn.DenseNet:
 def write_json(data: dict, path: str) -> None:
     """Write data as compact, key-sorted, standard JSON. A value JSON cannot
     hold (NaN, Inf) raises a ValueError naming the file before anything is
-    written; a reader never sees a partly written file, because it is
-    renamed into place when complete."""
+    written."""
     try:
         text = json.dumps(data, sort_keys=True, separators=(",", ":"),
                           allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from None
+    _write_atomic((text, "\n"), path)
+
+
+def _write_atomic(chunks: Iterable[str], path: str) -> None:
+    """Write the text chunks to path + ".tmp" and rename it into place, so a
+    reader never sees a partly written file; on any error the temporary file
+    is removed and a file already at path keeps its bytes."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(text + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def wrap_nets(

@@ -267,9 +267,9 @@ class ConditionReport:
 def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> float:
     """Mean Euclidean distance between the rows of a and of b. The
     distances of each chunk of a's rows are summed from one (chunk, len(b))
-    buffer, filled 16 rows at a time through one (16, len(b), width)
-    buffer of differences."""
-    rows = 16
+    buffer, filled 2 rows at a time through one (2, len(b), width) buffer
+    of differences."""
+    rows = 2
     d = np.empty((min(chunk, a.shape[0]), b.shape[0]))
     diffs = np.empty((min(rows, a.shape[0]), *b.shape))
     total = 0.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, baseline, channel, checkpoint, gan, nn, transceiver
+from . import __version__, channel, checkpoint, gan, nn, transceiver
 from .config import ConfigError, TrainConfig
 from .rng import substream
 
@@ -321,21 +321,3 @@ def _start_manifest(out_dir: str, cfg: TrainConfig) -> dict:
     checkpoint.write_json(manifest, path)
     return manifest
 
-
-def train_channel_gan(
-    channel_kind: str, ebn0_db: float, steps: int, seed: int, **overrides
-) -> tuple[gan.Generator, gan.Discriminator, TrainLog]:
-    """GAN-only training against a fixed 16-QAM alphabet (one channel use).
-
-    This isolates the surrogate: no transmitter or receiver learning, just
-    the generator chasing the channel's conditional output distribution.
-    Eb/N0 is interpreted at 4 bits per channel use; overrides are further
-    TrainConfig fields (batch size, GAN nets and optimizers). The returned
-    generator carries the parameter average, not the last snapshot.
-    """
-    cfg = TrainConfig(k=4, n=1, channel=channel_kind, train_ebn0_db=ebn0_db,
-                      seed=seed, **overrides)
-    trainer = Trainer(cfg, codebook=baseline.qam16_codebook())
-    for _ in range(steps):
-        trainer.train_gan_step(0)
-    return trainer.generator_averaged(), trainer.discriminator, trainer.log

@@ -7,7 +7,8 @@ import json
 
 import numpy as np
 
-from gancomm import baseline, nn
+from gancomm import baseline, nn, train
+from gancomm.config import TrainConfig
 
 
 def central_difference(loss_fn, params, indices, eps=1e-6):
@@ -232,3 +233,21 @@ def reference_energy_distance(a, b, subsample=1024):
         return total / (p.shape[0] * q.shape[0])
 
     return 2.0 * mean_distance(a, b) - mean_distance(a, a) - mean_distance(b, b)
+
+
+def train_channel_gan(channel_kind, ebn0_db, steps, seed, **overrides):
+    """GAN-only training against a fixed 16-QAM alphabet (one channel use):
+    (averaged generator, discriminator, TrainLog).
+
+    This isolates the surrogate: no transmitter or receiver learning, just
+    the generator chasing the channel's conditional output distribution.
+    Eb/N0 is interpreted at 4 bits per channel use; overrides are further
+    TrainConfig fields (batch size, GAN nets and optimizers). The returned
+    generator carries the parameter average, not the last snapshot.
+    """
+    cfg = TrainConfig(k=4, n=1, channel=channel_kind, train_ebn0_db=ebn0_db,
+                      seed=seed, **overrides)
+    trainer = train.Trainer(cfg, codebook=baseline.qam16_codebook())
+    for _ in range(steps):
+        trainer.train_gan_step(0)
+    return trainer.generator_averaged(), trainer.discriminator, trainer.log

@@ -1,5 +1,6 @@
 """Checkpoint save/load: exact float round trips and dimension checks."""
 
+import errno
 import json
 import os
 import re
@@ -76,6 +77,65 @@ class TestNetRoundTrip:
         net = nn.DenseNet.create((2, 2), np.random.default_rng(3))
         checkpoint.save_net(net, str(tmp_path / "net.json"))
         assert sorted(os.listdir(tmp_path)) == ["net.json"]
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (1, 4, 1), (1, 1), (3, 5)],
+                             ids=["extremes", "one-row-then-one-column", "one-by-one",
+                                  "one-layer"])
+    def test_streamed_file_equals_the_one_string_dump(self, tmp_path, dims):
+        f32 = np.finfo(np.float32)
+        values = [-0.0, f32.tiny, f32.smallest_subnormal, f32.max, 1.0 / 3.0,
+                  -f32.max, 0.0, -1e-16]
+        net = nn.DenseNet.create(dims, np.random.default_rng(4))
+        net.params[: len(values)] = values[: net.n_params]
+        path = tmp_path / "net.json"
+        checkpoint.save_net(net, str(path))
+        want = json.dumps(
+            {"layers": [{"activation": l.activation, "w": l.w.tolist(), "b": l.b.tolist()}
+                        for l in net.layers]},
+            sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        assert path.read_text() == want
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameter_refused_before_anything_is_written(self, tmp_path,
+                                                                     value):
+        net = nn.DenseNet.create((3, 4, 2), np.random.default_rng(5))
+        net.layers[1].w[2, 1] = value
+        path = tmp_path / "net.json"
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            checkpoint.save_net(net, str(path))
+        assert os.listdir(tmp_path) == []
+
+    def test_refused_net_keeps_the_previous_file(self, tmp_path):
+        net = nn.DenseNet.create((3, 4, 2), np.random.default_rng(6))
+        path = tmp_path / "net.json"
+        checkpoint.save_net(net, str(path))
+        before = path.read_bytes()
+        net.layers[0].b[0] = float("nan")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            checkpoint.save_net(net, str(path))
+        assert os.listdir(tmp_path) == ["net.json"]
+        assert path.read_bytes() == before
+
+    def test_write_failing_mid_stream_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        net = nn.DenseNet.create((3, 4, 2), np.random.default_rng(7))
+        path = tmp_path / "net.json"
+        path.write_bytes(b"previous")
+        encode, on_disk = checkpoint._ENCODER.encode, []
+
+        def failing(value):
+            # the fourth encoding, layer 0's second weight row, fails while the
+            # temporary file is open and partly written
+            if len(on_disk) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            on_disk.append(sorted(os.listdir(tmp_path)))
+            return encode(value)
+
+        monkeypatch.setattr(checkpoint._ENCODER, "encode", failing)
+        with pytest.raises(OSError, match="No space left"):
+            checkpoint.save_net(net, str(path))
+        assert on_disk[-1] == ["net.json", "net.json.tmp"]
+        assert os.listdir(tmp_path) == ["net.json"]
+        assert path.read_bytes() == b"previous"
 
     @pytest.mark.parametrize("content", [None, b'{"layers": [', b"\xff{}"],
                              ids=["missing", "truncated", "not-utf8"])

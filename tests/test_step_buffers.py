@@ -1,6 +1,7 @@
-"""Training steps reuse their buffers, and BLER sweeps and fidelity
-distances work on bounded blocks of rows: what one step, shard or call
-allocates, and that reuse changes nothing a run writes."""
+"""Training steps reuse their buffers, BLER sweeps and fidelity distances
+work on bounded blocks of rows, and a net is saved one row at a time: what
+one step, shard or call allocates, and that reuse changes nothing a run
+writes."""
 
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gancomm import checkpoint, evaluate, train
+from gancomm import checkpoint, evaluate, nn, train
 from gancomm.config import TrainConfig
 
 MIB = 1 << 20
@@ -143,11 +144,20 @@ def test_two_shards_on_two_workers_peak_within_their_blocks():
     assert peak < 5 * MIB, peak / MIB
 
 
-def test_energy_distance_peaks_under_six_mib():
-    # 1,024 samples of 14 reals a side: one (256, 1024, 14) difference cube
-    # per chunk was 32 MiB
+def test_energy_distance_peaks_under_three_mib():
+    # 1,024 samples of 14 reals a side: the (256, 1024) distance buffer is
+    # 2 MiB; one (256, 1024, 14) difference cube per chunk was 32 MiB
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(2, 1024, 14))
     peak = transient_peak(lambda: evaluate.energy_distance(a, b))
-    assert peak < 6 * MIB, peak / MIB
+    assert peak < 3 * MIB, peak / MIB
+
+
+def test_saving_a_wide_net_holds_under_one_mib(tmp_path):
+    # 548,366 parameters: the bound admits the finite check's 0.5 MiB of
+    # bools and one row as text, not the net as Python floats (about 50 MiB)
+    net = nn.DenseNet.create((30, 512, 512, 512, 14), np.random.default_rng(0))
+    path = str(tmp_path / "generator.json")
+    peak = transient_peak(lambda: checkpoint.save_net(net, path))
+    assert peak < MIB, peak / MIB
 

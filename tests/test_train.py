@@ -18,6 +18,7 @@ from helpers import (
     last_iteration_mean,
     phase_losses,
     relative_error,
+    train_channel_gan,
 )
 
 
@@ -479,8 +480,8 @@ class TestCodebook:
                 self.steps = record_steps(self, monkeypatch)
 
         monkeypatch.setattr(train, "Trainer", Recording)
-        train.train_channel_gan("rayleigh", 10.0, steps=3, seed=0, batch_size=8,
-                                gen_hidden=(8,), disc_hidden=(8,), z_dim=3)
+        train_channel_gan("rayleigh", 10.0, steps=3, seed=0, batch_size=8,
+                          gen_hidden=(8,), disc_hidden=(8,), z_dim=3)
         (trainer,) = trainers
         assert trainer._codebook is baseline.qam16_codebook()
         assert len(trainer.steps) == 3
@@ -608,7 +609,7 @@ class TestTrainFull:
 
 class TestChannelOnlyGan:
     def test_awgn_surrogate_conditions_on_the_block_alone(self):
-        g, d, log = train.train_channel_gan(
+        g, d, log = train_channel_gan(
             "awgn", 6.0, steps=3, seed=0, batch_size=8,
             gen_hidden=(8,), disc_hidden=(8,), z_dim=3,
         )
@@ -618,7 +619,7 @@ class TestChannelOnlyGan:
         assert len(log.records) == 3
 
     def test_fading_surrogate_sees_the_pilot(self):
-        g, _, _ = train.train_channel_gan(
+        g, _, _ = train_channel_gan(
             "rayleigh", 10.0, steps=3, seed=0, batch_size=8,
             gen_hidden=(8,), disc_hidden=(8,), z_dim=3,
         )
@@ -626,11 +627,11 @@ class TestChannelOnlyGan:
 
     def test_unknown_channel_rejected(self):
         with pytest.raises(ValueError, match="unknown channel"):
-            train.train_channel_gan("rician", 6.0, steps=1, seed=0)
+            train_channel_gan("rician", 6.0, steps=1, seed=0)
 
     def test_same_seed_reproduces_the_surrogate(self):
         kwargs = dict(steps=4, seed=9, batch_size=8, gen_hidden=(8,),
                       disc_hidden=(8,), z_dim=3)
-        g1, _, _ = train.train_channel_gan("awgn", 6.0, **kwargs)
-        g2, _, _ = train.train_channel_gan("awgn", 6.0, **kwargs)
+        g1, _, _ = train_channel_gan("awgn", 6.0, **kwargs)
+        g2, _, _ = train_channel_gan("awgn", 6.0, **kwargs)
         assert np.array_equal(g1.net.flat_params(), g2.net.flat_params())

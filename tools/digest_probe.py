@@ -4,7 +4,8 @@ Usage: python tools/digest_probe.py [--src DIR]
 
 The package is imported from DIR (default: the ``src`` next to this
 script), so the same probe can run against another checkout, for example
-the base of a change:
+the base of a change; the ``train_channel_gan`` test helper always comes
+from the ``tests`` next to this script:
 
     git worktree add --detach ../base <base commit>
     python tools/digest_probe.py --src ../base/src > base.txt
@@ -66,6 +67,7 @@ def nets_digest(*nets) -> str:
 
 
 def probe_channel(kind: str, tmp: pathlib.Path) -> list[tuple[str, str]]:
+    import helpers
     from gancomm import channel, checkpoint, cli, evaluate, train
     from gancomm.config import TrainConfig
     from gancomm.rng import substream
@@ -110,7 +112,7 @@ def probe_channel(kind: str, tmp: pathlib.Path) -> list[tuple[str, str]]:
             raise RuntimeError(f"gancomm dump --what {what} exited {rc}")
         out.append((f"{kind}.dump.{what}", file_digest(csv_path)))
 
-    g, d, log = train.train_channel_gan(kind, 8.0, steps=100, seed=SEED)
+    g, d, log = helpers.train_channel_gan(kind, 8.0, steps=100, seed=SEED)
     out.append((f"{kind}.train_channel_gan", digest(
         nets_digest(g.net, d.net)
         + repr([(r.loss, r.g_loss, r.d_accuracy) for r in log.records]))))
@@ -134,12 +136,12 @@ def probe() -> list[tuple[str, str]]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(pathlib.Path(__file__).resolve().parents[1]
-                                             / "src"),
+    root = pathlib.Path(__file__).resolve().parents[1]
+    parser.add_argument("--src", default=str(root / "src"),
                         help="directory that holds the gancomm package")
     args = parser.parse_args(argv)
     src = os.path.abspath(args.src)
-    sys.path.insert(0, src)
+    sys.path[:0] = [src, str(root / "tests")]
     import gancomm
 
     if not os.path.abspath(gancomm.__file__).startswith(src + os.sep):
