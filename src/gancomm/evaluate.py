@@ -17,7 +17,7 @@ observed through the channel and decided, and its misses counted, before
 the next block is touched. So every array a shard allocates, but its
 messages and h, spans one block, whichever thread runs it: the gathered
 rows, the received blocks and pilots, the noise, and the decision rule's
-own arrays.
+own arrays. At 500 rows one shard of any system peaks under 1 MiB.
 
 The fidelity statistics likewise measure pairwise distances into one
 reused (256, n) buffer a few rows at a time.
@@ -39,11 +39,16 @@ from .rng import substream
 
 SHARD_TRIALS = 20_000
 # Rows per block of a shard: each block is gathered, observed and decided
-# before the next. On a channel with pilots a block draws its block noise
-# and then its pilot noise, so there, like SHARD_TRIALS, it is part of what
-# a seed draws; without pilots the noise is drawn row-major whatever the
-# block size.
-DECIDE_ROWS = 2_000
+# before the next. The size is small for two reasons. A sweep at workers=2
+# peaks where two threads hold their block arrays at once (0.3-0.9 MiB a
+# shard at 500 rows, 0.65-1.7 MiB at 2,000). And a block's arrays, once
+# freed, must stay under glibc's trim threshold: at 2,000 rows they did
+# not, so every block faulted the same pages in again (0.06-0.08 minor
+# faults a learned trial, against under 0.01 at 500 rows). On a channel
+# with pilots a block draws its block noise and then its pilot noise, so
+# there, like SHARD_TRIALS, the size is part of what a seed draws; without
+# pilots the noise is drawn row-major whatever the block size.
+DECIDE_ROWS = 500
 
 BASELINE_SYSTEMS = (
     "hamming74-mld-awgn",
@@ -264,17 +269,24 @@ class ConditionReport:
     n_samples: int
 
 
-def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> float:
+# Rows of each set that energy_distance compares, and the rows of the first
+# set whose distances are summed as one float64 sum: together they define
+# the statistic's bits.
+ENERGY_ROWS = 1024
+_DISTANCE_CHUNK = 256
+
+
+def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Mean Euclidean distance between the rows of a and of b. The
-    distances of each chunk of a's rows are summed from one (chunk, len(b))
-    buffer, filled 2 rows at a time through one (2, len(b), width) buffer
-    of differences."""
+    distances of each _DISTANCE_CHUNK of a's rows are summed from one
+    (chunk, len(b)) buffer, filled 2 rows at a time through one
+    (2, len(b), width) buffer of differences."""
     rows = 2
-    d = np.empty((min(chunk, a.shape[0]), b.shape[0]))
+    d = np.empty((min(_DISTANCE_CHUNK, a.shape[0]), b.shape[0]))
     diffs = np.empty((min(rows, a.shape[0]), *b.shape))
     total = 0.0
-    for start in range(0, a.shape[0], chunk):
-        part = a[start : start + chunk]
+    for start in range(0, a.shape[0], _DISTANCE_CHUNK):
+        part = a[start : start + _DISTANCE_CHUNK]
         for r in range(0, part.shape[0], rows):
             fill = part[r : r + rows]
             diff = np.subtract(fill[:, None, :], b[None, :, :], out=diffs[: len(fill)])
@@ -284,14 +296,14 @@ def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> f
     return total / (a.shape[0] * b.shape[0])
 
 
-def energy_distance(a: np.ndarray, b: np.ndarray, subsample: int = 1024) -> float:
+def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample energy distance 2 E|X-Y| - E|X-X'| - E|Y-Y'|.
 
-    V-statistic over the first `subsample` rows of each set; zero iff the
+    V-statistic over the first ENERGY_ROWS rows of each set; zero iff the
     distributions match (asymptotically), and always >= 0 in expectation.
     """
-    a = np.asarray(a, dtype=np.float64)[:subsample]
-    b = np.asarray(b, dtype=np.float64)[:subsample]
+    a = np.asarray(a, dtype=np.float64)[:ENERGY_ROWS]
+    b = np.asarray(b, dtype=np.float64)[:ENERGY_ROWS]
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"sample sets must be 2-D with equal width, "
                          f"got {a.shape} and {b.shape}")

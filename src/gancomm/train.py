@@ -157,16 +157,14 @@ def build_system(
 class Trainer:
     """Holds nets, optimizers, and RNG streams for one training run.
 
-    The GAN and receiver phases gather their blocks from an (M, 2n)
-    codebook: a given ``codebook``, fixed for the run, or else the
-    transmitter's M blocks, encoded when a step first needs them and
-    dropped after each transmitter update. The steps reuse one ``nn.Tape``
-    per net (two for the discriminator: 2B rows in its update, B rows in
-    the generator's), so a step allocates almost nothing; ``run`` drops
-    them when it returns.
+    The GAN and receiver phases gather their blocks from the transmitter's
+    M blocks, encoded when a step first needs them and dropped after each
+    transmitter update. The steps reuse one ``nn.Tape`` per net (two for
+    the discriminator: 2B rows in its update, B rows in the generator's),
+    so a step allocates almost nothing; ``run`` drops them when it returns.
     """
 
-    def __init__(self, cfg: TrainConfig, codebook: np.ndarray | None = None):
+    def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
         self.channel_model = cfg.make_channel()
         self.noise_std = channel.noise_std_from_snr(cfg.train_ebn0_db, cfg.k, cfg.n)
@@ -180,7 +178,7 @@ class Trainer:
             self.discriminator.net, cfg.lr_disc, beta1=cfg.gan_beta1
         )
         self._g_ema = nn.EmaTracker(self.generator.net, cfg.ema_decay)
-        self._fixed_codebook = self._codebook = codebook
+        self._codebook: np.ndarray | None = None
         self._rng_batch = substream(cfg.seed, "train", "batch")
         self._rng_channel = substream(cfg.seed, "train", "channel")
         self._rng_z = substream(cfg.seed, "train", "z")
@@ -249,7 +247,7 @@ class Trainer:
             self.tx, self.rx, self.generator, messages, z, y_p, self._tapes
         )
         nn.adam_step(self.tx.net, grads, self.tx_opt)
-        self._codebook = self._fixed_codebook
+        self._codebook = None
         return self._record(iteration, "tx", loss)
 
     def run(self, progress=None) -> None:

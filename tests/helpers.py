@@ -218,11 +218,12 @@ def save_config(cfg, path):
         f.write("\n")
 
 
-def reference_energy_distance(a, b, subsample=1024):
+def reference_energy_distance(a, b):
     """evaluate.energy_distance as one (256, n_b, width) difference cube per
-    256-row chunk: the formula the row-block version must match bit for bit."""
-    a = np.asarray(a, dtype=np.float64)[:subsample]
-    b = np.asarray(b, dtype=np.float64)[:subsample]
+    256-row chunk of the first 1024 rows of each set: the formula the
+    row-block version must match bit for bit."""
+    a = np.asarray(a, dtype=np.float64)[:1024]
+    b = np.asarray(b, dtype=np.float64)[:1024]
 
     def mean_distance(p, q):
         total = 0.0
@@ -247,7 +248,10 @@ def train_channel_gan(channel_kind, ebn0_db, steps, seed, **overrides):
     """
     cfg = TrainConfig(k=4, n=1, channel=channel_kind, train_ebn0_db=ebn0_db,
                       seed=seed, **overrides)
-    trainer = train.Trainer(cfg, codebook=baseline.qam16_codebook())
+    trainer = train.Trainer(cfg)
+    # the GAN step gathers from the cached codebook; only the transmitter
+    # step, never run here, would drop it
+    trainer._codebook = baseline.qam16_codebook()
     for _ in range(steps):
         trainer.train_gan_step(0)
     return trainer.generator_averaged(), trainer.discriminator, trainer.log

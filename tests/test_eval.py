@@ -436,8 +436,9 @@ class TestDecideRows:
                                         "qam16-rayleigh-perfect-csi"])
     def test_without_pilots_the_block_size_draws_nothing(self, system, monkeypatch):
         # the block noise is drawn row-major whatever the block size, so a
-        # channel without pilots gives the same points at 7 rows as at
-        # 2,000; one full shard and a short last one of 5,000 trials
+        # channel without pilots gives the same points at 7 rows as at the
+        # shipped DECIDE_ROWS; one full shard and a short last one of 5,000
+        # trials
         spec = evaluate.SweepSpec(ebn0_db=(0.0, 4.0), min_trials=25_000,
                                   max_trials=25_000, target_errors=10**6)
         if system == "learned-awgn":
@@ -449,12 +450,13 @@ class TestDecideRows:
         else:
             def sweep():
                 return evaluate.bler_sweep_baseline(system, spec, seed=16)
+        shipped = evaluate.DECIDE_ROWS
         points = {}
-        for rows in (7, 2_000):
+        for rows in (7, shipped):
             monkeypatch.setattr(evaluate, "DECIDE_ROWS", rows)
             points[rows] = sweep()
         assert [p.trials for p in points[7]] == [25_000, 25_000]
-        assert points[7] == points[2_000]
+        assert points[7] == points[shipped]
 
 
 class TestCsv:
@@ -498,10 +500,10 @@ class TestEnergyDistance:
             evaluate.energy_distance(np.zeros((10, 2)), np.zeros((10, 3)))
 
     @pytest.mark.parametrize("n_a, n_b, width", [
-        (1024, 1024, 14),  # full 256-row chunks of full 16-row fills
+        (1024, 1024, 14),  # full 256-row chunks of full 2-row fills
         (300, 70, 1),      # one real dimension; a 44-row last chunk
         (517, 333, 3),     # uneven chunks and fills on both sides
-        (9, 1500, 2),      # fewer rows than one fill; b cut to 1024
+        (9, 1500, 2),      # under one chunk, a 1-row last fill; b cut to 1024
     ])
     def test_matches_the_one_cube_formula_bit_for_bit(self, n_a, n_b, width):
         rng = np.random.default_rng(n_a + width)
