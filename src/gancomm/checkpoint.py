@@ -13,7 +13,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
+from typing import TextIO
 
 import numpy as np
 
@@ -55,7 +56,8 @@ def save_net(net: nn.DenseNet, path: str) -> None:
     written."""
     if not np.isfinite(net.params).all():
         raise ValueError(f"cannot write {path}: the net holds non-finite parameters")
-    _write_atomic(_net_chunks(net), path)
+    with atomic_open(path) as f:
+        f.writelines(_net_chunks(net))
 
 
 def _net_chunks(net: nn.DenseNet) -> Iterator[str]:
@@ -89,17 +91,21 @@ def write_json(data: dict, path: str) -> None:
                           allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from None
-    _write_atomic((text, "\n"), path)
+    with atomic_open(path) as f:
+        f.write(text + "\n")
 
 
-def _write_atomic(chunks: Iterable[str], path: str) -> None:
-    """Write the text chunks to path + ".tmp" and rename it into place, so a
-    reader never sees a partly written file; on any error the temporary file
-    is removed and a file already at path keeps its bytes."""
+@contextlib.contextmanager
+def atomic_open(path: str) -> Iterator[TextIO]:
+    """The text file every gancomm output is written through: the block
+    writes path + ".tmp", which is renamed into place when the block ends,
+    so a reader never sees a partly written file. On any error the
+    temporary file is removed and a file already at path keeps its bytes.
+    Line endings are written as given (newline="")."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as f:
-            f.writelines(chunks)
+        with open(tmp, "w", newline="") as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

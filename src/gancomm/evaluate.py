@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baseline, channel, gan, transceiver
+from .checkpoint import atomic_open
 from .config import ConfigError, TrainConfig
 from .rng import substream
 
@@ -245,7 +246,7 @@ def _qam16_decide(y, y_pilot, h):
 
 
 def bler_to_csv(points: list[BlerPoint], path: str) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(["ebn0_db", "trials", "errors", "bler", "ci95_halfwidth"])
         for p in points:
@@ -408,7 +409,7 @@ def constellation_dump(tx: transceiver.Transmitter, path: str) -> None:
     """All M learned blocks as CSV: message, use index, re, im."""
     x = tx.encode_messages(np.arange(tx.m_count))
     symbols = channel.iq_to_complex(x)
-    with open(path, "w", newline="") as f:
+    with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(["message", "use_index", "re", "im"])
         for msg in range(tx.m_count):
@@ -438,7 +439,7 @@ def gan_scatter_dump(
         raise ConfigError(f"samples: must be >= 1, got {n_samples}")
     x, h = _conditions(x, h)
     n = x.shape[1] // 2
-    with open(path, "w", newline="") as f:
+    with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(["condition", "source", "sample", "use_index", "re", "im"])
 

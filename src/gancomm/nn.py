@@ -166,10 +166,6 @@ class DenseNet:
         # copy's layer arrays are views of the copy's own params again
         return (DenseNet, (self.layers,))
 
-    def flat_params(self) -> np.ndarray:
-        """A copy of ``params``."""
-        return self.params.copy()
-
     def set_flat_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=self.dtype)
         if flat.shape != (self.n_params,):
@@ -439,7 +435,7 @@ class EmaTracker:
         if not 0.0 <= decay < 1.0:
             raise ValueError("decay must lie in [0, 1)")
         self.decay = decay
-        self._avg = net.flat_params()
+        self._avg = net.params.copy()
         self._diff = np.empty_like(self._avg)
 
     def update(self, net: DenseNet) -> None:

@@ -1,9 +1,9 @@
-"""Tiny self-contained SVG line charts (no plotting dependency).
+"""The BLER chart of ``--svg``: standalone SVG text, no plotting dependency.
 
-Good enough for BLER-vs-SNR curves: linear x, optionally log y, markers,
-and a legend. Points that cannot be drawn on a log axis (y <= 0, e.g. a
-zero-error BLER estimate) are skipped; a chart left with none still draws
-its frame, axes and legend.
+One labelled BLER-vs-Eb/N0 curve with markers on a log y axis, 720x480.
+Points that cannot be drawn on a log axis (BLER <= 0, a zero-error
+estimate) are skipped; a chart left with none still draws its frame, axes
+and legend.
 """
 
 from __future__ import annotations
@@ -11,152 +11,88 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
-PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+WIDTH, HEIGHT = 720, 480
+_LEFT, _TOP = 64, 36
+_PLOT_W, _PLOT_H = WIDTH - _LEFT - 16, HEIGHT - _TOP - 48
+_COLOR = "#1f77b4"
 
-_MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 36, 48
 
-
-def _nice_ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    raw = (hi - lo) / max(count - 1, 1)
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About six round values from lo to hi (lo < hi)."""
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
         if step >= raw:
             break
-    start = math.ceil(lo / step) * step
     ticks = []
-    v = start
+    v = math.ceil(lo / step) * step
     while v <= hi + 1e-9 * step:
         ticks.append(round(v, 10))
         v += step
-    return ticks or [lo]
+    return ticks
 
 
-def line_chart(
-    path: str,
-    series: list[tuple[str, list[float], list[float]]],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    log_y: bool = False,
-    width: int = 720,
-    height: int = 480,
-) -> None:
-    """Write a line chart. series is a list of (label, xs, ys). With no
-    drawable y the chart has no curve and its y axis spans 0.1 to 1 (log)
-    or 0 to 1 (linear); with no x at all, the x axis spans 0 to 1."""
-    if not series:
-        raise ValueError("need at least one series")
-    xs_all, ys_all = [], []
-    for _, xs, ys in series:
-        if len(xs) != len(ys):
-            raise ValueError("series x and y lengths differ")
-        xs_all.extend(float(v) for v in xs)
-        ys_all.extend(float(v) for v in ys if (v > 0 or not log_y))
-
-    x_lo, x_hi = (min(xs_all), max(xs_all)) if xs_all else (0.0, 1.0)
+def bler_chart(label: str, ebn0_db: list[float], bler: list[float]) -> str:
+    """The chart's SVG text, one BLER per Eb/N0. The x axis spans every
+    Eb/N0 given (0 to 1 with none, 1 dB either side of a single one); the
+    y axis spans the decades of the drawable BLERs, 0.1 to 1 with none."""
+    xs = [float(x) for x in ebn0_db]
+    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if not ys_all:
-        y_lo, y_hi = (-1, 0) if log_y else (0.0, 1.0)
-    elif log_y:
-        y_lo = math.floor(math.log10(min(ys_all)))
-        y_hi = math.ceil(math.log10(max(ys_all)))
+    drawable = [(x, float(y)) for x, y in zip(xs, bler) if y > 0]
+    ys = [y for _, y in drawable]
+    y_lo, y_hi = -1, 0
+    if ys:
+        y_lo, y_hi = math.floor(math.log10(min(ys))), math.ceil(math.log10(max(ys)))
         if y_hi == y_lo:
             y_hi += 1
-    else:
-        y_lo, y_hi = min(ys_all), max(ys_all)
-        if y_hi == y_lo:
-            y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _LEFT + (x - x_lo) / (x_hi - x_lo) * _PLOT_W
 
     def py(y: float) -> float:
-        v = math.log10(y) if log_y else y
-        return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
+        return _TOP + (y_hi - math.log10(y)) / (y_hi - y_lo) * _PLOT_H
 
+    bottom, mid_y = _TOP + _PLOT_H, _TOP + _PLOT_H / 2
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}" '
         f'font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" '
-        f'height="{plot_h}" fill="none" stroke="#333"/>',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<rect x="{_LEFT}" y="{_TOP}" width="{_PLOT_W}" height="{_PLOT_H}" '
+        f'fill="none" stroke="#333"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-size="14">Block error rate</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14">{escape(title)}</text>'
-        )
-
     for tick in _nice_ticks(x_lo, x_hi):
-        tx = px(tick)
-        parts.append(
-            f'<line x1="{tx:.1f}" y1="{_MARGIN_T}" x2="{tx:.1f}" '
-            f'y2="{_MARGIN_T + plot_h}" stroke="#ddd"/>'
-        )
-        parts.append(
-            f'<text x="{tx:.1f}" y="{_MARGIN_T + plot_h + 16}" '
-            f'text-anchor="middle">{tick:g}</text>'
-        )
-    y_ticks = (
-        [10.0**e for e in range(int(y_lo), int(y_hi) + 1)]
-        if log_y
-        else _nice_ticks(y_lo, y_hi)
-    )
-    for tick in y_ticks:
-        ty = py(tick)
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{ty:.1f}" x2="{_MARGIN_L + plot_w}" '
-            f'y2="{ty:.1f}" stroke="#ddd"/>'
-        )
-        label = f"1e{int(math.log10(tick))}" if log_y else f"{tick:g}"
-        parts.append(
-            f'<text x="{_MARGIN_L - 6}" y="{ty + 4:.1f}" '
-            f'text-anchor="end">{label}</text>'
-        )
-    if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 10}" '
-            f'text-anchor="middle">{escape(xlabel)}</text>'
-        )
-    if ylabel:
-        cy = _MARGIN_T + plot_h / 2
-        parts.append(
-            f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {cy:.1f})">{escape(ylabel)}</text>'
-        )
+        x = px(tick)
+        parts.append(f'<line x1="{x:.1f}" y1="{_TOP}" x2="{x:.1f}" y2="{bottom}" '
+                     f'stroke="#ddd"/>')
+        parts.append(f'<text x="{x:.1f}" y="{bottom + 16}" '
+                     f'text-anchor="middle">{tick:g}</text>')
+    for e in range(y_lo, y_hi + 1):
+        y = py(10.0**e)
+        parts.append(f'<line x1="{_LEFT}" y1="{y:.1f}" x2="{_LEFT + _PLOT_W}" '
+                     f'y2="{y:.1f}" stroke="#ddd"/>')
+        parts.append(f'<text x="{_LEFT - 6}" y="{y + 4:.1f}" '
+                     f'text-anchor="end">1e{e}</text>')
+    parts.append(f'<text x="{_LEFT + _PLOT_W / 2:.1f}" y="{HEIGHT - 10}" '
+                 f'text-anchor="middle">Eb/N0 (dB)</text>')
+    parts.append(f'<text x="16" y="{mid_y:.1f}" text-anchor="middle" '
+                 f'transform="rotate(-90 16 {mid_y:.1f})">BLER</text>')
 
-    for idx, (label, xs, ys) in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
-        pts = [
-            (px(float(x)), py(float(y)))
-            for x, y in zip(xs, ys)
-            if (float(y) > 0 or not log_y)
-        ]
-        if pts:
-            poly = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
-            parts.append(
-                f'<polyline points="{poly}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5"/>'
-            )
-            for x, y in pts:
-                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" '
-                             f'fill="{color}"/>')
-        ly = _MARGIN_T + 14 + 16 * idx
-        lx = _MARGIN_L + plot_w - 150
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(f'<text x="{lx + 28}" y="{ly}">{escape(label)}</text>')
-
+    pts = [(px(x), py(y)) for x, y in drawable]
+    if pts:
+        poly = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
+        parts.append(f'<polyline points="{poly}" fill="none" stroke="{_COLOR}" '
+                     f'stroke-width="1.5"/>')
+        parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{_COLOR}"/>'
+                  for x, y in pts]
+    lx, ly = _LEFT + _PLOT_W - 150, _TOP + 14
+    parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+                 f'stroke="{_COLOR}" stroke-width="1.5"/>')
+    parts.append(f'<text x="{lx + 28}" y="{ly}">{escape(label)}</text>')
     parts.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

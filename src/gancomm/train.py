@@ -45,7 +45,7 @@ class TrainLog:
         self.records.append(record)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as f:
+        with checkpoint.atomic_open(path) as f:
             writer = csv.writer(f)
             writer.writerow(["step", "iteration", "phase", "loss", "g_loss",
                              "d_accuracy"])
@@ -268,15 +268,15 @@ class Trainer:
             self._tapes.clear()
 
 
-def train_full(cfg: TrainConfig, out_dir: str | None = None, progress=None) -> Trainer:
-    """Run the whole schedule. With out_dir set, the run is recorded there:
-    ``manifest.json`` reads status "running" from the start; the
-    checkpoints and the step log are written even if training aborts
-    mid-run (the partial state is flushed before the exception
-    propagates); then the status reads "completed", or "aborted at step N:
-    <error>" with N the number of steps logged. A Trainer that cannot be
-    built aborts at step 0 and leaves only the manifest."""
-    manifest = {} if out_dir is None else _start_manifest(out_dir, cfg)
+def train_full(cfg: TrainConfig, out_dir: str, progress=None) -> Trainer:
+    """Run the whole schedule, recorded in out_dir: ``manifest.json`` reads
+    status "running" from the start; the checkpoints and the step log are
+    written even if training aborts mid-run (the partial state is flushed
+    before the exception propagates); then the status reads "completed",
+    or "aborted at step N: <error>" with N the number of steps logged. A
+    Trainer that cannot be built aborts at step 0 and leaves only the
+    manifest."""
+    manifest = _start_manifest(out_dir, cfg)
     trainer = None
     try:
         trainer = Trainer(cfg)
@@ -287,14 +287,13 @@ def train_full(cfg: TrainConfig, out_dir: str | None = None, progress=None) -> T
         manifest["status"] = f"aborted at step {step}: {type(exc).__name__}: {exc}"
         raise
     finally:
-        if out_dir is not None:
-            if trainer is not None:
-                checkpoint.save_system(
-                    out_dir, cfg, trainer.tx, trainer.rx,
-                    trainer.generator_averaged(), trainer.discriminator,
-                )
-                trainer.log.to_csv(os.path.join(out_dir, "train_log.csv"))
-            checkpoint.write_json(manifest, os.path.join(out_dir, "manifest.json"))
+        if trainer is not None:
+            checkpoint.save_system(
+                out_dir, cfg, trainer.tx, trainer.rx,
+                trainer.generator_averaged(), trainer.discriminator,
+            )
+            trainer.log.to_csv(os.path.join(out_dir, "train_log.csv"))
+        checkpoint.write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return trainer
 
 

@@ -48,7 +48,7 @@ def check_net_gradients(net, loss_fn, analytic, count=40, eps=1e-6):
     loss_fn() recomputes the scalar loss from the net's current parameters;
     analytic is a Gradients for those parameters.
     """
-    flat = net.flat_params()
+    flat = net.params.copy()
     idx = spread_indices(flat.size, count)
 
     def at(params):
@@ -83,7 +83,7 @@ def gradients_for(net, weights, biases):
 
 def assert_params_layout(net):
     """Every layer's w and b are contiguous views of net.params, at the
-    offsets of flat_params order: row-major w, then b, layer by layer."""
+    offsets of params order: row-major w, then b, layer by layer."""
     base, pos = net.params.ctypes.data, 0
     for layer in net.layers:
         for p in (layer.w, layer.b):
@@ -199,7 +199,7 @@ def reference_sigmoid(z):
 
 def reference_ema_update(avg, net, decay):
     """The EMA update on a flat average, as one array expression."""
-    avg += (1.0 - decay) * (net.flat_params() - avg)
+    avg += (1.0 - decay) * (net.params - avg)
 
 
 def bits_to_message(bits):

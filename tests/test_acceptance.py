@@ -55,14 +55,16 @@ def pytest_generate_tests(metafunc):
 def awgn_run(seed):
     cfg = TrainConfig(seed=seed)
     t0 = time.monotonic()
-    trainer = train.train_full(cfg)
+    trainer = train.Trainer(cfg)
+    trainer.run()
     return cfg, trainer, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def rayleigh_run(seed):
     cfg = TrainConfig(channel="rayleigh", seed=seed)
-    trainer = train.train_full(cfg)
+    trainer = train.Trainer(cfg)
+    trainer.run()
     return cfg, trainer
 
 
@@ -76,7 +78,7 @@ def test_1_gradient_suite_full_size_nets():
 
     def fd_check(net, loss_fn, analytic, count=40):
         nonlocal worst
-        flat = net.flat_params()
+        flat = net.params.copy()
         idx = np.linspace(0, flat.size - 1, count).astype(int)
 
         def at(params):

@@ -1,5 +1,7 @@
-"""Checkpoint save/load: exact float round trips and dimension checks."""
+"""Checkpoint save/load: exact float round trips and dimension checks, and
+the atomic writes every output file goes through."""
 
+import builtins
 import errno
 import json
 import os
@@ -8,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from gancomm import checkpoint, nn, train
+from gancomm import checkpoint, cli, evaluate, nn, train
 from gancomm.config import ConfigError, TrainConfig
 from helpers import assert_params_layout
 
@@ -26,7 +28,7 @@ class TestNetRoundTrip:
         path = str(tmp_path / "net.json")
         checkpoint.save_net(net, path)
         again = checkpoint.load_net(path)
-        assert np.array_equal(net.flat_params(), again.flat_params())
+        assert np.array_equal(net.params, again.params)
         assert [l.activation for l in again.layers] == [
             l.activation for l in net.layers
         ]
@@ -46,7 +48,7 @@ class TestNetRoundTrip:
         assert w[1, 0] == np.float32(1.0 / 3.0)
         assert w[1, 1] == f32.max
         assert again.layers[0].b[0] == f32.smallest_subnormal
-        assert again.flat_params().tobytes() == net.flat_params().tobytes()
+        assert again.params.tobytes() == net.params.tobytes()
 
     def write_net(self, path, w, b):
         path.write_text(json.dumps({"layers": [{"activation": "linear", "w": w, "b": b}]}))
@@ -175,7 +177,7 @@ class TestSystemRoundTrip:
         assert cfg2 == cfg
         for before, after in ((tx.net, tx2.net), (rx.net, rx2.net),
                               (g.net, g2.net), (d.net, d2.net)):
-            assert np.array_equal(before.flat_params(), after.flat_params())
+            assert np.array_equal(before.params, after.params)
         assert rx2.net.input_dim == 2 * cfg.n + 2 * cfg.n_pilot
         assert g2.z_dim == cfg.z_dim
 
@@ -289,6 +291,94 @@ class TestWriteJson:
             checkpoint.write_json({"x": float("nan")}, path)
         assert os.listdir(tmp_path) == ["out.json"]
         assert json.loads(open(path).read()) == {"x": 1.5}
+
+
+class _FullDisk:
+    """A text file that takes `room` characters, then fails as a full disk
+    does, with what it took already on disk."""
+
+    def __init__(self, f, room):
+        self._f, self._room, self.failed = f, room, False
+
+    def write(self, text):
+        if len(text) > self._room:
+            self._f.write(text[:self._room])
+            self._f.flush()
+            self.failed = True
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._room -= len(text)
+        return self._f.write(text)
+
+    def writelines(self, lines):
+        for text in lines:
+            self.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+def _write_sweep_chart(path):
+    sweep = os.path.join(os.path.dirname(path), "sweep.json")
+    checkpoint.write_json({"ebn0_db": [2.0, 4.0], "min_trials": 100,
+                           "max_trials": 100}, sweep)
+    rc = cli.main(["baseline", "--system", "hamming74-mld-awgn", "--sweep", sweep,
+                   "--out", path + ".csv", "--svg", path])
+    assert rc == 1
+
+
+def _writers():
+    tx, _, g, _ = train.build_system(tiny_cfg())
+    points = evaluate.bler_sweep_baseline(
+        "hamming74-mld-awgn", evaluate.SweepSpec((2.0, 4.0), 100, 100), seed=0)
+    log = train.TrainLog()
+    for step in range(3):
+        log.append(train.StepRecord(step, 1, "rx", 0.5 / (step + 1)))
+    x = tx.encode_messages(np.arange(tx.m_count))
+    return {
+        "bler_to_csv": lambda path: evaluate.bler_to_csv(points, path),
+        "train_log": log.to_csv,
+        "constellation_dump": lambda path: evaluate.constellation_dump(tx, path),
+        "gan_scatter_dump": lambda path: evaluate.gan_scatter_dump(g, x, 0.3, path, 5),
+        "svg_chart": _write_sweep_chart,
+        "save_net": lambda path: checkpoint.save_net(tx.net, path),
+        "write_json": lambda path: checkpoint.write_json({"x": [1.5, 2.5, 3.5]}, path),
+    }
+
+
+class TestInterruptedWrite:
+    # a write that fails mid-file: a full disk rather than a row source that
+    # raises, because the chart's text is whole before its file is opened
+    @pytest.mark.parametrize("writer", [
+        "bler_to_csv", "train_log", "constellation_dump", "gan_scatter_dump",
+        "svg_chart", "save_net", "write_json"])
+    def test_full_disk_keeps_the_previous_file(self, tmp_path, monkeypatch, writer):
+        write = _writers()[writer]
+        path = tmp_path / "out"
+        path.write_bytes(b"previous\n")
+        real_open, disks = builtins.open, []
+
+        def open_on_a_full_disk(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and str(file) in (str(path), f"{path}.tmp"):
+                disks.append(_FullDisk(f, 16))
+                return disks[-1]
+            return f
+
+        monkeypatch.setattr(builtins, "open", open_on_a_full_disk)
+        try:
+            write(str(path))
+        except OSError as exc:
+            assert exc.errno == errno.ENOSPC
+        monkeypatch.undo()
+        assert [disk.failed for disk in disks] == [True]
+        assert not os.path.exists(str(path) + ".tmp")
+        assert path.read_bytes() == b"previous\n"
 
 
 class TestOlderRunDirectory:

@@ -3,12 +3,16 @@
 import csv
 import importlib.metadata
 import json
+import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import gancomm
 from gancomm import checkpoint, cli, train
 from gancomm.config import ConfigError, TrainConfig
 from gancomm.evaluate import BASELINE_SYSTEMS
@@ -100,6 +104,20 @@ class TestParsing:
         rc = cli.main(["baseline", "--system", "ldpc", "--sweep", "s",
                        "--out", "o"])
         assert rc == 2
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("given, seen", [(None, "1"), ("3", "3")])
+    def test_one_thread_unless_the_environment_says(self, given, seen):
+        env = {key: value for key, value in os.environ.items() if key not in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(gancomm.__file__))
+        code = "import os, gancomm.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == seen + "\n"
 
 
 class TestTrainCommand:

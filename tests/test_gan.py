@@ -110,7 +110,7 @@ class TestDiscriminatorLoss:
             _, grads, acc = gan.d_loss(d, real, fake, m)
             if acc == 1.0:
                 break
-            flat = d.net.flat_params() - 0.5 * grads.flat
+            flat = d.net.params - 0.5 * grads.flat
             d.net.set_flat_params(flat)
         assert acc == 1.0
 
@@ -122,7 +122,7 @@ class TestDiscriminatorLoss:
         fake, _ = gan.generate(g, gan.sample_z(rng, 6, 3), m)
 
         _, grads, _ = gan.d_loss(d, real, fake, m)
-        flat = d.net.flat_params()
+        flat = d.net.params.copy()
         idx = np.linspace(0, flat.size - 1, 30).astype(int)
 
         def at(params):
@@ -150,7 +150,7 @@ class TestDiscriminatorLoss:
             return float(np.mean(np.logaddexp(0.0, -logits_r))
                          + np.mean(np.logaddexp(0.0, logits_f)))
 
-        flat = d.net.flat_params()
+        flat = d.net.params.copy()
         loss, grads, _ = gan.d_loss(d, real, fake, m)
         assert loss == pytest.approx(two_bces(flat), rel=1e-12)
         fd = central_difference(two_bces, flat, np.arange(flat.size))
@@ -170,7 +170,7 @@ class TestGeneratorLoss:
         m = rng.normal(size=(6, 4))
 
         _, grads = gan.g_loss(g, d, *gan.generate(g, z, m), m)
-        flat = g.net.flat_params()
+        flat = g.net.params.copy()
         idx = np.linspace(0, flat.size - 1, 30).astype(int)
 
         def at(params):
@@ -185,10 +185,10 @@ class TestGeneratorLoss:
     def test_discriminator_parameters_are_left_alone(self):
         g, d = small_gan(seed=19)
         rng = np.random.default_rng(20)
-        before = d.net.flat_params().copy()
+        before = d.net.params.copy()
         z, m = gan.sample_z(rng, 4, 3), rng.normal(size=(4, 4))
         gan.g_loss(g, d, *gan.generate(g, z, m), m)
-        assert np.array_equal(d.net.flat_params(), before)
+        assert np.array_equal(d.net.params, before)
 
     def test_loss_falls_when_fakes_start_fooling(self):
         g, d = small_gan(seed=21)
@@ -198,7 +198,7 @@ class TestGeneratorLoss:
         first, _ = gan.g_loss(g, d, *gan.generate(g, z, m), m)
         for _ in range(100):
             _, grads = gan.g_loss(g, d, *gan.generate(g, z, m), m)
-            g.net.set_flat_params(g.net.flat_params() - 0.1 * grads.flat)
+            g.net.set_flat_params(g.net.params - 0.1 * grads.flat)
         last, _ = gan.g_loss(g, d, *gan.generate(g, z, m), m)
         assert last < first
 

@@ -468,7 +468,7 @@ class TestAdam:
             )
             nn.adam_step(net, grads, state)
             reference_adam_step(ref_net, grads, ref_state)
-            assert same_bytes(net.flat_params(), ref_net.flat_params())
+            assert same_bytes(net.params, ref_net.params)
             assert same_bytes(state.m, ref_state.m) and same_bytes(state.v, ref_state.v)
 
     def test_descends_a_quadratic(self):
@@ -519,7 +519,7 @@ class TestFlatParams:
     def test_round_trip(self):
         rng = np.random.default_rng(51)
         net = nn.DenseNet.create((3, 5, 2), rng)
-        flat = net.flat_params()
+        flat = net.params.copy()
         assert flat.size == net.n_params
         other = nn.DenseNet.create((3, 5, 2), np.random.default_rng(52))
         other.set_flat_params(flat)
@@ -594,12 +594,12 @@ class TestEmaTracker:
         rng = np.random.default_rng(seed)
         net = nn.DenseNet.create(dims, rng)
         tracker = nn.EmaTracker(net, decay)
-        avg = net.flat_params()
+        avg = net.params.copy()
         for _ in range(5):
-            net.set_flat_params(net.flat_params() + rng.normal(size=net.n_params))
+            net.set_flat_params(net.params + rng.normal(size=net.n_params))
             tracker.update(net)
             reference_ema_update(avg, net, decay)
-        assert same_bytes(tracker.averaged_net(net).flat_params(), avg)
+        assert same_bytes(tracker.averaged_net(net).params, avg)
 
     def test_rejects_bad_decay(self):
         net = nn.DenseNet.create((2, 2), np.random.default_rng(0))
@@ -651,6 +651,6 @@ class TestDtype:
             arrays = [
                 out, upstream, bce_grad, input_grad, *tape.acts, grads.flat,
                 state.m, state.v, state.step, state.candidate, net.params,
-                ema.averaged_net(net).flat_params(),
+                ema.averaged_net(net).params,
             ]
             assert {a.dtype for a in arrays} == {np.dtype(np.float32)}

@@ -96,7 +96,7 @@ class TestGradientPaths:
         y = rng.normal(size=(6, 4))
 
         _, grads = train.receiver_forward_backward(rx, messages, y)
-        flat = rx.net.flat_params()
+        flat = rx.net.params.copy()
         idx = np.linspace(0, flat.size - 1, 30).astype(int)
 
         def at(params):
@@ -120,7 +120,7 @@ class TestGradientPaths:
         z = gan.sample_z(rng, 5, cfg.z_dim)
 
         _, grads = train.transmitter_forward_backward(tx, rx, g, messages, z)
-        flat = tx.net.flat_params()
+        flat = tx.net.params.copy()
         idx = np.linspace(0, flat.size - 1, 40).astype(int)
 
         def at(params):
@@ -138,11 +138,11 @@ class TestGradientPaths:
         rng = np.random.default_rng(5)
         messages = rng.integers(0, 4, size=5)
         z = gan.sample_z(rng, 5, cfg.z_dim)
-        rx_before = rx.net.flat_params().copy()
-        g_before = g.net.flat_params().copy()
+        rx_before = rx.net.params.copy()
+        g_before = g.net.params.copy()
         train.transmitter_forward_backward(tx, rx, g, messages, z)
-        assert np.array_equal(rx.net.flat_params(), rx_before)
-        assert np.array_equal(g.net.flat_params(), g_before)
+        assert np.array_equal(rx.net.params, rx_before)
+        assert np.array_equal(g.net.params, g_before)
 
     def test_fading_composite_path_passes_finite_differences(self):
         cfg = tiny_cfg(channel="rayleigh")
@@ -155,7 +155,7 @@ class TestGradientPaths:
         y_p = rng.normal(size=(5, 2))
 
         _, grads = train.transmitter_forward_backward(tx, rx, g, messages, z, y_p)
-        flat = tx.net.flat_params()
+        flat = tx.net.params.copy()
         idx = np.linspace(0, flat.size - 1, 30).astype(int)
 
         def at(params):
@@ -239,11 +239,11 @@ class TestGanUpdate:
         rng = np.random.default_rng(7)
         real_y = rng.normal(size=(8, 4))
         m = rng.normal(size=(8, 4))
-        g_before = g.net.flat_params().copy()
-        d_before = d.net.flat_params().copy()
+        g_before = g.net.params.copy()
+        d_before = d.net.params.copy()
         train.gan_update(g, d, g_opt, d_opt, real_y, m, rng, d_updates=3)
-        assert not np.array_equal(g.net.flat_params(), g_before)
-        assert not np.array_equal(d.net.flat_params(), d_before)
+        assert not np.array_equal(g.net.params, g_before)
+        assert not np.array_equal(d.net.params, d_before)
         assert d_opt.step_count == 3
         assert g_opt.step_count == 1
 
@@ -349,7 +349,7 @@ class TestTrainer:
             (a.generator.net, b.generator.net),
             (a.discriminator.net, b.discriminator.net),
         ):
-            assert np.array_equal(na.flat_params(), nb.flat_params())
+            assert np.array_equal(na.params, nb.params)
 
     def test_progress_callback_sees_every_phase(self):
         seen = []
@@ -363,8 +363,8 @@ class TestTrainer:
         trainer = train.Trainer(tiny_cfg())
         for _ in range(5):
             trainer.train_gan_step(1)
-        live = trainer.generator.net.flat_params()
-        averaged = trainer.generator_averaged().net.flat_params()
+        live = trainer.generator.net.params
+        averaged = trainer.generator_averaged().net.params
         assert not np.array_equal(live, averaged)
         assert trainer.generator_averaged().net.dims == trainer.generator.net.dims
         assert trainer.generator_averaged().z_dim == trainer.generator.z_dim
@@ -533,11 +533,11 @@ class TestTrainFull:
         trainer = train.train_full(cfg, out_dir=str(tmp_path))
         _, _, _, g_loaded, _ = checkpoint.load_system(str(tmp_path))
         assert np.array_equal(
-            g_loaded.net.flat_params(),
-            trainer.generator_averaged().net.flat_params(),
+            g_loaded.net.params,
+            trainer.generator_averaged().net.params,
         )
         assert not np.array_equal(
-            g_loaded.net.flat_params(), trainer.generator.net.flat_params()
+            g_loaded.net.params, trainer.generator.net.params
         )
 
     def test_aborted_run_still_flushes_partial_state(self, tmp_path):
@@ -634,4 +634,4 @@ class TestChannelOnlyGan:
                       disc_hidden=(8,), z_dim=3)
         g1, _, _ = train_channel_gan("awgn", 6.0, **kwargs)
         g2, _, _ = train_channel_gan("awgn", 6.0, **kwargs)
-        assert np.array_equal(g1.net.flat_params(), g2.net.flat_params())
+        assert np.array_equal(g1.net.params, g2.net.params)

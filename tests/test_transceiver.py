@@ -98,7 +98,7 @@ class TestTransmitter:
         x, tape = tx.encode(messages)
         grads = tx.backward(tape, x - target)
 
-        flat = tx.net.flat_params()
+        flat = tx.net.params.copy()
         idx = np.linspace(0, flat.size - 1, 40).astype(int)
 
         def at(params):

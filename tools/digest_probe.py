@@ -17,8 +17,9 @@ it covers a short default-width training run (the four net files,
 config.json and train_log.csv) with the ``(iteration, phase, loss)``
 progress calls it makes, learned BLER counts at workers 1 and 3 and of
 one 45,001-trial point, ``gan_fidelity``, the constellation and
-GAN-scatter dump CSVs written by ``gancomm dump``, and a
-``train_channel_gan`` run; then the BLER counts of the three baselines, on
+GAN-scatter dump CSVs written by ``gancomm dump``, the CSV and SVG chart
+written by ``gancomm eval`` on the sweep and on a 30 dB point (no errors
+on AWGN), and a ``train_channel_gan`` run; then the BLER counts of the three baselines, on
 the sweep and on the 45,001-trial point. That point's last shard is
 short, and so is its last block of decided rows. Two checkouts that print the same lines produce the
 same bits on all of these; a change that moves them on purpose says so.
@@ -31,6 +32,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import pathlib
 import sys
@@ -46,6 +48,7 @@ CHANNELS = ("awgn", "rayleigh")
 SWEEP = dict(ebn0_db=(0.0, 4.0), min_trials=20_000, max_trials=60_000,
              target_errors=100)
 TAIL_SWEEP = dict(ebn0_db=(2.0,), min_trials=45_001, max_trials=45_001)
+HIGH_SNR_SWEEP = dict(ebn0_db=(30.0,), min_trials=20_000, max_trials=20_000)
 
 
 def digest(data: bytes | str) -> str:
@@ -63,7 +66,7 @@ def points_digest(points) -> str:
 
 
 def nets_digest(*nets) -> str:
-    return digest(b"".join(net.flat_params().tobytes() for net in nets))
+    return digest(b"".join(net.params.tobytes() for net in nets))
 
 
 def probe_channel(kind: str, tmp: pathlib.Path) -> list[tuple[str, str]]:
@@ -111,6 +114,21 @@ def probe_channel(kind: str, tmp: pathlib.Path) -> list[tuple[str, str]]:
         if rc != 0:
             raise RuntimeError(f"gancomm dump --what {what} exited {rc}")
         out.append((f"{kind}.dump.{what}", file_digest(csv_path)))
+
+    # the CSV and chart of ``gancomm eval`` on the sweep, and on one 30 dB
+    # point that the AWGN link decides without an error: a chart with no curve
+    for name, sweep in (("sweep", SWEEP), ("30db", HIGH_SNR_SWEEP)):
+        sweep_path, csv_path, svg_path = (tmp / f"{kind}-{name}.{ext}"
+                                          for ext in ("json", "csv", "svg"))
+        sweep_path.write_text(json.dumps(sweep))
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["eval", "--checkpoint", str(run), "--sweep", str(sweep_path),
+                           "--out", str(csv_path), "--svg", str(svg_path),
+                           "--seed", str(SEED)])
+        if rc != 0:
+            raise RuntimeError(f"gancomm eval of the {name} sweep exited {rc}")
+        out.append((f"{kind}.eval.{name}.csv", file_digest(csv_path)))
+        out.append((f"{kind}.eval.{name}.svg", file_digest(svg_path)))
 
     g, d, log = helpers.train_channel_gan(kind, 8.0, steps=100, seed=SEED)
     out.append((f"{kind}.train_channel_gan", digest(
