@@ -27,6 +27,11 @@ CHANNELS = ("awgn", "rayleigh")
 # Training Eb/N0 when the config does not name one.
 DEFAULT_TRAIN_EBN0_DB = {"awgn": 4.0, "rayleigh": 10.0}
 
+# GAN steps per outer iteration when the config does not name them. With
+# the conditioning jitter (see train.COND_JITTER) an AWGN link keeps its
+# acceptance margin at half the steps Rayleigh takes.
+DEFAULT_GAN_STEPS = {"awgn": 10, "rayleigh": 20}
+
 # Keys of removed TrainConfig fields, with the one value every run used.
 # Older run directories still load; any other value is refused.
 RETIRED_KEYS = {"hidden_activation": "relu", "label_smoothing": 0.0}
@@ -52,7 +57,7 @@ class TrainConfig:
     outer_iterations: int = 600
     rx_steps: int = 10
     tx_steps: int = 10
-    gan_steps: int = 20
+    gan_steps: int | None = None  # resolved per channel in __post_init__
     warmup_gan_steps: int | None = None  # resolved to 10 * gan_steps
     final_rx_steps: int = 2000
     seed: int = 1
@@ -66,10 +71,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name in ("tx_hidden", "rx_hidden", "gen_hidden", "disc_hidden"):
             setattr(self, name, tuple(int(v) for v in getattr(self, name)))
-        if self.channel in CHANNELS and self.train_ebn0_db is None:
-            self.train_ebn0_db = DEFAULT_TRAIN_EBN0_DB[self.channel]
-        if self.warmup_gan_steps is None:
-            self.warmup_gan_steps = 10 * self.gan_steps
+        if self.channel in CHANNELS:
+            if self.train_ebn0_db is None:
+                self.train_ebn0_db = DEFAULT_TRAIN_EBN0_DB[self.channel]
+            if self.gan_steps is None:
+                self.gan_steps = DEFAULT_GAN_STEPS[self.channel]
+            if self.warmup_gan_steps is None:
+                self.warmup_gan_steps = 10 * self.gan_steps
         if self.lr_disc is None:
             self.lr_disc = 4.0 * self.lr_gan
         self.validate()

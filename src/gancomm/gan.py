@@ -107,8 +107,8 @@ def d_loss(
     if not np.isfinite(loss):
         raise nn.NonFiniteError("discriminator loss is not finite")
     # before backward, which overwrites the logits
-    accuracy = float(0.5 * (np.mean(logits[:batch] > 0.0)
-                            + np.mean(logits[batch:] <= 0.0)))
+    accuracy = float(0.5 * (np.count_nonzero(logits[:batch] > 0.0) / batch
+                            + np.count_nonzero(logits[batch:] <= 0.0) / batch))
     grads, _ = nn.backward(d.net, tape, np.concatenate([grad_r, grad_f]),
                            inputs=False)
     return loss, grads, accuracy

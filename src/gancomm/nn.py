@@ -304,10 +304,22 @@ def backward(
         dz = _preact_grad(g, tape.acts[i + 1], layer.activation)
         if grads is not None:
             np.matmul(tape.acts[i].T, dz, out=grads.weights[i])
-            np.sum(dz, axis=0, out=grads.biases[i])
+            # einsum sums the rows in np.sum's order, with less overhead;
+            # on one column np.sum sums pairwise, so it stays
+            if dz.shape[1] > 1:
+                np.einsum("ij->j", dz, out=grads.biases[i])
+            else:
+                np.sum(dz, axis=0, out=grads.biases[i])
         if i == 0 and not inputs:
             return grads, None
-        g = np.matmul(dz, layer.w.T, out=tape._input_grad(layer.w.shape[0]))
+        g = tape._input_grad(layer.w.shape[0])
+        if dz.shape[1] == 1:
+            # a one-term product: matmul's bits, but matmul adds to +0.0, so
+            # a -0.0 product comes out +0.0, and so it does after += 0.0
+            np.multiply(dz, layer.w.T, out=g)
+            g += 0.0
+        else:
+            np.matmul(dz, layer.w.T, out=g)
     return grads, g
 
 
@@ -345,12 +357,24 @@ def sigmoid_bce(logits: np.ndarray, real: bool) -> tuple[float, np.ndarray]:
     The gradient comes back in the logits' dtype.
     """
     z = np.asarray(logits)
-    t = z.dtype.type(1.0 if real else 0.0)
-    e = np.exp(-np.abs(z))
-    per_sample = np.maximum(z, 0.0) - z * t + np.log1p(e)
-    loss = float(per_sample.mean())
+    # the operations of that formula in its order, in place; z * t is z for
+    # t = 1 and a zero for t = 0, which the positive log1p term absorbs
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    per_sample = np.maximum(z, 0.0)
+    if real:
+        per_sample -= z
+    scratch = np.log1p(e)
+    per_sample += scratch
+    loss = float(np.add.reduce(per_sample, axis=None) / z.size)
     # sigmoid(z) is 1 / (1 + e) for z >= 0 and e / (1 + e) below
-    grad = (np.where(z >= 0, 1.0, e) / (1.0 + e) - t) / z.size
+    np.add(1.0, e, out=scratch)
+    grad = np.where(z >= 0, 1.0, e)
+    grad /= scratch
+    if real:
+        grad -= 1.0
+    grad /= z.size
     return loss, grad
 
 

@@ -8,6 +8,15 @@ in for the channel, which offers no gradient. The GAN and rx phases gather
 blocks from one codebook per transmitter state; the receiver loss is
 cross-entropy against message indices, and the GAN uses the non-saturating
 logistic losses.
+
+The GAN phase jitters the blocks it sends: each real dimension gets
+``COND_JITTER`` times a standard normal draw, the jittered block goes
+through the real channel, and the generator and discriminator are
+conditioned on it. So the GAN fits p(y | x) around the codewords, not only
+at them, and the transmitter phase reads dG/dx, which depends on that
+neighbourhood (instance noise, Sonderby et al. arXiv:1610.04490; a
+perturbed transmitter, Aoudia and Hoydis arXiv:1804.02276). The receiver
+and transmitter phases send clean blocks.
 """
 
 from __future__ import annotations
@@ -24,6 +33,11 @@ import numpy as np
 from . import __version__, channel, checkpoint, gan, nn, transceiver
 from .config import ConfigError, TrainConfig
 from .rng import substream
+
+# Standard deviation of the GAN phase's jitter per real dimension of a block
+# of unit average power per complex use (see the module docstring).
+COND_JITTER = 0.5
+
 
 @dataclass
 class StepRecord:
@@ -182,6 +196,7 @@ class Trainer:
         self._rng_batch = substream(cfg.seed, "train", "batch")
         self._rng_channel = substream(cfg.seed, "train", "channel")
         self._rng_z = substream(cfg.seed, "train", "z")
+        self._rng_jitter = substream(cfg.seed, "train", "jitter")
         # one tape per net, by role: each step's passes through a net run one
         # after another. The discriminator's 2B-row pass has its own,
         # "disc.pair", so neither tape is reallocated for the other's rows
@@ -196,15 +211,20 @@ class Trainer:
         messages = self._rng_batch.integers(0, self.cfg.M, size=batch)
         return messages, self.channel_model.draw_state(self._rng_batch, batch)
 
-    def _observe_batch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                      np.ndarray | None]:
-        """A drawn batch sent through the channel: its messages, their
-        codebook rows (see the class docstring), the channel output and the
-        received pilots (None on AWGN)."""
+    def _observe_batch(self, jitter: bool = False) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """A drawn batch sent through the channel: its messages, the blocks
+        sent (their codebook rows, see the class docstring, plus
+        ``COND_JITTER`` times a draw from the jitter stream if ``jitter``),
+        the channel output and the received pilots (None on AWGN)."""
         messages, state = self._draw_batch()
         if self._codebook is None:
             self._codebook = self.tx.encode_messages(np.arange(self.cfg.M))
         x = np.take(self._codebook, messages, axis=0)
+        if jitter:
+            noise = self._rng_jitter.standard_normal(x.shape)
+            noise *= COND_JITTER
+            x += noise
         y, y_p = self.channel_model.observe(x, state, self.noise_std, self._rng_channel)
         return messages, x, y, y_p
 
@@ -215,7 +235,7 @@ class Trainer:
         return loss
 
     def train_gan_step(self, iteration: int) -> float:
-        _, x, real_y, y_p = self._observe_batch()
+        _, x, real_y, y_p = self._observe_batch(jitter=True)
         d_loss_val, g_loss_val, d_acc = gan_update(
             self.generator, self.discriminator, self.g_opt, self.d_opt,
             real_y, gan.conditioning(x, y_p), self._rng_z,

@@ -241,7 +241,8 @@ def train_channel_gan(channel_kind, ebn0_db, steps, seed, **overrides):
     (averaged generator, discriminator, TrainLog).
 
     This isolates the surrogate: no transmitter or receiver learning, just
-    the generator chasing the channel's conditional output distribution.
+    the generator chasing the channel's conditional output distribution
+    around the alphabet (the GAN step jitters the points it sends).
     Eb/N0 is interpreted at 4 bits per channel use; overrides are further
     TrainConfig fields (batch size, GAN nets and optimizers). The returned
     generator carries the parameter average, not the last snapshot.

@@ -4,10 +4,12 @@ Every test prints a single PASS/FAIL line with its measured margins (run
 pytest with -s to watch them stream). The suite trains real systems, so it
 takes a few minutes end to end; everything is seeded and deterministic.
 
-Acceptance 2 and 5 also print one line per grid point, and train once per
-``--acceptance-seed N`` (repeatable; seed 1 by default).
+Acceptance 2, 5 and 9 also print one line per grid point, and train once
+per ``--acceptance-seed N`` (repeatable; seed 1 by default). The GAN links
+and their sweeps are module fixtures, shared by the three tests.
 """
 
+import dataclasses
 import math
 import time
 
@@ -23,14 +25,15 @@ def report(ok: bool, name: str, detail: str) -> None:
     print(f"acceptance {name}: {'PASS' if ok else 'FAIL'} ({detail})", flush=True)
 
 
-def report_margins(test: int, cfg, learned, shifted, system: str) -> float:
+def report_margins(test: int, cfg, learned, shifted, system: str,
+                   name: str = "learned") -> float:
     """Print a line per grid point (both BLERs, the learned errors and their
     ratio) and return the worst ratio, which passes at most 1."""
     head = f"acceptance {test}, {cfg.channel}, seed {cfg.seed}"
     ratios = []
     for lp, bp in zip(learned, shifted):
         ratios.append(lp.bler / bp.bler if bp.bler else math.inf)
-        print(f"{head}: {lp.ebn0_db:g} dB: learned {lp.bler:.3e} ({lp.errors} errors) "
+        print(f"{head}: {lp.ebn0_db:g} dB: {name} {lp.bler:.3e} ({lp.errors} errors) "
               f"vs {system} at {bp.ebn0_db:g} dB {bp.bler:.3e}: ratio {ratios[-1]:.3f}",
               flush=True)
     return max(ratios)
@@ -45,27 +48,57 @@ def fresh_line():
 
 
 def pytest_generate_tests(metafunc):
-    # acceptance 2 and 5 train once per --acceptance-seed, seed 1 by default
+    # acceptance 2, 5 and 9 train once per --acceptance-seed, seed 1 by default
     if "seed" in metafunc.fixturenames:
         metafunc.parametrize(
             "seed", metafunc.config.getoption("acceptance_seed") or [1], scope="module")
+
+
+# the grids and trial caps of acceptance 2 (AWGN, against Hamming MLD 1 dB
+# lower) and 5 (Rayleigh, against LS 16-QAM 2 dB lower); acceptance 9 sweeps
+# its control arm over the same
+AWGN_SPEC = evaluate.SweepSpec(
+    ebn0_db=(2.0, 4.0, 6.0, 8.0), min_trials=2000, max_trials=32_000_000,
+    target_errors=200,
+)
+RAYLEIGH_SPEC = evaluate.SweepSpec(
+    ebn0_db=(0.0, 4.0, 8.0, 12.0, 16.0, 20.0), min_trials=2000,
+    max_trials=4_000_000, target_errors=200,
+)
+
+
+def trained(cfg):
+    trainer = train.Trainer(cfg)
+    trainer.run()
+    return trainer
 
 
 @pytest.fixture(scope="module")
 def awgn_run(seed):
     cfg = TrainConfig(seed=seed)
     t0 = time.monotonic()
-    trainer = train.Trainer(cfg)
-    trainer.run()
+    trainer = trained(cfg)
     return cfg, trainer, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def rayleigh_run(seed):
     cfg = TrainConfig(channel="rayleigh", seed=seed)
-    trainer = train.Trainer(cfg)
-    trainer.run()
-    return cfg, trainer
+    return cfg, trained(cfg)
+
+
+@pytest.fixture(scope="module")
+def awgn_sweep(awgn_run):
+    # the GAN link's BLER over acceptance 2's grid
+    cfg, trainer, _ = awgn_run
+    return evaluate.bler_sweep_learned(trainer.tx, trainer.rx, cfg, AWGN_SPEC)
+
+
+@pytest.fixture(scope="module")
+def rayleigh_sweep(rayleigh_run):
+    # the GAN link's BLER over acceptance 5's grid
+    cfg, trainer = rayleigh_run
+    return evaluate.bler_sweep_learned(trainer.tx, trainer.rx, cfg, RAYLEIGH_SPEC)
 
 
 def test_1_gradient_suite_full_size_nets():
@@ -139,17 +172,11 @@ def test_1_gradient_suite_full_size_nets():
     assert elapsed < 60.0
 
 
-def test_2_awgn_end_to_end_tracks_hamming_within_one_db(awgn_run):
-    cfg, trainer, train_seconds = awgn_run
-    grid = (2.0, 4.0, 6.0, 8.0)
-    spec = evaluate.SweepSpec(
-        ebn0_db=grid, min_trials=2000, max_trials=8_000_000, target_errors=200
-    )
-    shifted = evaluate.SweepSpec(
-        ebn0_db=tuple(x - 1.0 for x in grid), min_trials=2000,
-        max_trials=8_000_000, target_errors=200,
-    )
-    learned = evaluate.bler_sweep_learned(trainer.tx, trainer.rx, cfg, spec)
+def test_2_awgn_end_to_end_tracks_hamming_within_one_db(awgn_run, awgn_sweep):
+    cfg, _, train_seconds = awgn_run
+    shifted = dataclasses.replace(
+        AWGN_SPEC, ebn0_db=tuple(x - 1.0 for x in AWGN_SPEC.ebn0_db))
+    learned = awgn_sweep
     oracle = evaluate.bler_sweep_baseline("hamming74-mld-awgn", shifted, seed=7)
     worst = report_margins(2, cfg, learned, oracle, "hamming74-mld-awgn")
     ok_points = all(lp.bler <= op.bler for lp, op in zip(learned, oracle))
@@ -200,17 +227,11 @@ def test_4_fading_surrogate_follows_the_pilot():
     assert mean_dist <= 0.15
 
 
-def test_5_rayleigh_end_to_end_within_two_db_of_ls(rayleigh_run):
-    cfg, trainer = rayleigh_run
-    grid = (0.0, 4.0, 8.0, 12.0, 16.0, 20.0)
-    spec = evaluate.SweepSpec(
-        ebn0_db=grid, min_trials=2000, max_trials=4_000_000, target_errors=200
-    )
-    shifted = evaluate.SweepSpec(
-        ebn0_db=tuple(x - 2.0 for x in grid), min_trials=2000,
-        max_trials=4_000_000, target_errors=200,
-    )
-    learned = evaluate.bler_sweep_learned(trainer.tx, trainer.rx, cfg, spec)
+def test_5_rayleigh_end_to_end_within_two_db_of_ls(rayleigh_run, rayleigh_sweep):
+    cfg, _ = rayleigh_run
+    shifted = dataclasses.replace(
+        RAYLEIGH_SPEC, ebn0_db=tuple(x - 2.0 for x in RAYLEIGH_SPEC.ebn0_db))
+    learned = rayleigh_sweep
     ls = evaluate.bler_sweep_baseline("qam16-rayleigh-ls", shifted, seed=7)
     worst = report_margins(5, cfg, learned, ls, "qam16-rayleigh-ls")
     ok = all(lp.bler <= op.bler for lp, op in zip(learned, ls))
@@ -338,3 +359,24 @@ def test_8_identical_rayleigh_runs_are_byte_identical(tmp_path):
            "all checkpoint and csv bytes equal across two runs"
            if ok else f"files differ: {', '.join(mismatched)}")
     assert not mismatched, f"files differ: {mismatched}"
+
+
+def test_9_the_gan_link_beats_the_receiver_only_arm(seed, awgn_sweep, rayleigh_sweep):
+    # the control arm: no GAN and no transmitter steps, so the transmitter
+    # keeps its random initialization and only the receiver trains, on the
+    # real channel. Swept on the same trials as the GAN link (the sweep
+    # seed is the training seed), it must do no better at any grid point
+    worse = []
+    worst = {}
+    for kind, gan_points, spec in (("awgn", awgn_sweep, AWGN_SPEC),
+                                   ("rayleigh", rayleigh_sweep, RAYLEIGH_SPEC)):
+        cfg = TrainConfig(channel=kind, seed=seed, tx_steps=0, gan_steps=0,
+                          warmup_gan_steps=0)
+        arm = trained(cfg)
+        rx_only = evaluate.bler_sweep_learned(arm.tx, arm.rx, cfg, spec)
+        worst[kind] = report_margins(9, cfg, gan_points, rx_only, "rx-only", "GAN")
+        worse += [f"{kind} at {gp.ebn0_db:g} dB: GAN {gp.bler:.3e} > rx-only {rp.bler:.3e}"
+                  for gp, rp in zip(gan_points, rx_only) if gp.bler > rp.bler]
+    report(not worse, f"9 gan beats rx-only, seed {seed}",
+           ", ".join(f"{kind} worst ratio {ratio:.3f}" for kind, ratio in worst.items()))
+    assert not worse, "; ".join(worse)

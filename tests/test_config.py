@@ -32,6 +32,14 @@ class TestDefaults:
         assert TrainConfig(channel="rayleigh").train_ebn0_db == 10.0
         assert TrainConfig(train_ebn0_db=7.5).train_ebn0_db == 7.5
 
+    def test_gan_steps_resolve_per_channel(self):
+        assert TrainConfig().gan_steps == 10
+        assert TrainConfig(channel="rayleigh").gan_steps == 20
+        assert TrainConfig(channel="rayleigh", gan_steps=7).gan_steps == 7
+        assert TrainConfig.from_dict({"gan_steps": None}).gan_steps == 10
+        assert TrainConfig().warmup_gan_steps == 100
+        assert TrainConfig(channel="rayleigh").warmup_gan_steps == 200
+
     def test_warmup_defaults_to_ten_gan_phases(self):
         assert TrainConfig().warmup_gan_steps == 10 * TrainConfig().gan_steps
         assert TrainConfig(gan_steps=3).warmup_gan_steps == 30

@@ -114,6 +114,27 @@ class TestDiscriminatorLoss:
             d.net.set_flat_params(flat)
         assert acc == 1.0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_accuracy_is_the_mean_of_the_right_calls(self, seed):
+        # the accuracy counts the right calls; it equals the mean of the
+        # boolean arrays bit for bit, ties at logit 0 included
+        g, d = small_gan(seed=seed)
+        rng = np.random.default_rng(seed)
+        batch = int(rng.integers(1, 400))
+        if seed == 0:
+            for layer in d.net.layers:  # every logit exactly 0
+                layer.w[...] = 0.0
+                layer.b[...] = 0.0
+        m = rng.normal(size=(batch, 4))
+        real = rng.normal(size=(batch, 4))
+        fake, _ = gan.generate(g, gan.sample_z(rng, batch, 3), m)
+        logits, _ = gan.discriminate(d, np.concatenate([real, fake]),
+                                     np.concatenate([m, m]))
+        want = float(0.5 * (np.mean(logits[:batch] > 0.0)
+                            + np.mean(logits[batch:] <= 0.0)))
+        _, _, acc = gan.d_loss(d, real, fake, m)
+        assert repr(acc) == repr(want)
+
     def test_parameter_gradients_match_finite_differences(self):
         g, d = small_gan(seed=11, float64=True)
         rng = np.random.default_rng(12)

@@ -242,6 +242,40 @@ class TestTapeReuse:
         assert same_bytes(out, nn.forward(net, x)[0])
 
 
+def with_signed_zeros(a, rng, share=0.2):
+    """a with about share of its entries set to +0.0 or -0.0, in place."""
+    mask = rng.random(a.shape) < share
+    a[mask] = np.where(rng.random(int(mask.sum())) < 0.5, 0.0, -0.0)
+    return a
+
+
+class TestBackwardAtTrainingShapes:
+    @given(rows=st.integers(1, 1000),
+           fan_in=st.integers(1, 128),
+           fan_out=st.one_of(st.just(1), st.integers(2, 128)),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_bias_and_input_gradients_keep_the_plain_expressions_bits(
+            self, rows, fan_in, fan_out, dtype, seed):
+        # the bias gradient (einsum over more than one column) is dz.sum(axis=0),
+        # and a one-column layer's input gradient (a multiply) is dz @ w.T,
+        # bit for bit at the batch sizes and widths training runs, with
+        # signed zeros in the weights and the upstream gradient
+        rng = np.random.default_rng(seed)
+        net = net_of_layers((fan_in, fan_out), ("linear",), rng)
+        if dtype is np.float64:
+            net = float64_copy(net)
+        with_signed_zeros(net.layers[0].w, rng)
+        x = rng.normal(size=(rows, fan_in))
+        upstream = with_signed_zeros(rng.normal(size=(rows, fan_out)).astype(dtype), rng)
+        _, want_w, want_b, want_input = reference_forward_backward(net, x, upstream)
+        _, tape = nn.forward(net, x)
+        grads, input_grad = nn.backward(net, tape, upstream)
+        assert same_gradients(grads, want_w, want_b)
+        assert same_bytes(input_grad, want_input)
+
+
 class TestSoftmaxCrossEntropy:
     def test_frozen_single_row(self):
         # p = softmax([1,2,3]); loss = -log p[2]
@@ -367,6 +401,30 @@ class TestSigmoidBce:
             assert loss == float(ref.mean())
             assert grad.dtype == z.dtype
             assert grad.tobytes() == ((reference_sigmoid(z) - t) / z.size).tobytes()
+
+
+def reference_sigmoid_bce(z, real):
+    """sigmoid_bce as one expression per output, making new arrays: the
+    in-place function must keep its bits."""
+    t = z.dtype.type(1.0 if real else 0.0)
+    e = np.exp(-np.abs(z))
+    per_sample = np.maximum(z, 0.0) - z * t + np.log1p(e)
+    grad = (np.where(z >= 0, 1.0, e) / (1.0 + e) - t) / z.size
+    return float(per_sample.mean()), grad
+
+
+class TestSigmoidBceInPlace:
+    @given(rows=st.integers(1, 640), scale=st.sampled_from([0.1, 3.0, 100.0]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           real=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_expression_bit_for_bit(self, rows, scale, dtype, real, seed):
+        rng = np.random.default_rng(seed)
+        z = with_signed_zeros((rng.normal(size=(rows, 1)) * scale).astype(dtype), rng)
+        want_loss, want_grad = reference_sigmoid_bce(z, real)
+        loss, grad = nn.sigmoid_bce(z, real)
+        assert repr(loss) == repr(want_loss)
+        assert same_bytes(grad, want_grad)
 
 
 class TestAdam:

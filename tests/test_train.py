@@ -445,6 +445,8 @@ class TestCodebook:
     @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
     def test_blocks_after_a_transmitter_step_are_the_new_encoding(self, kind,
                                                                   monkeypatch):
+        # the codebook rows themselves: TestJitter covers the GAN step's jitter
+        monkeypatch.setattr(train, "COND_JITTER", 0.0)
         trainer = train.Trainer(tiny_cfg(channel=kind))
         steps = record_steps(trainer, monkeypatch)
         trainer.train_gan_step(1)
@@ -480,6 +482,7 @@ class TestCodebook:
                 self.steps = record_steps(self, monkeypatch)
 
         monkeypatch.setattr(train, "Trainer", Recording)
+        monkeypatch.setattr(train, "COND_JITTER", 0.0)
         train_channel_gan("rayleigh", 10.0, steps=3, seed=0, batch_size=8,
                           gen_hidden=(8,), disc_hidden=(8,), z_dim=3)
         (trainer,) = trainers
@@ -502,6 +505,56 @@ class TestCodebook:
         messages = np.random.default_rng(batch).integers(0, cfg.M, size=batch)
         gathered = np.take(codebook, messages, axis=0)
         assert gathered.tobytes() == tx.encode(messages)[0].tobytes()
+
+
+def stream_state(rng):
+    return rng.bit_generator.state
+
+
+class TestJitter:
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_gan_step_sends_and_conditions_on_jittered_blocks(self, kind, monkeypatch):
+        cfg = tiny_cfg(channel=kind)
+        trainer = train.Trainer(cfg)
+        steps = record_steps(trainer, monkeypatch)
+        seen = {}
+        update = train.gan_update
+
+        def recording_update(g, d, g_opt, d_opt, real_y, m, *args, **kwargs):
+            seen["m"] = m.copy()
+            return update(g, d, g_opt, d_opt, real_y, m, *args, **kwargs)
+
+        monkeypatch.setattr(train, "gan_update", recording_update)
+        trainer.train_gan_step(1)
+        (step,) = steps
+        clean = trainer.tx.encode(step["messages"])[0]
+        draw = substream(cfg.seed, "train", "jitter").standard_normal(clean.shape)
+        want = clean + train.COND_JITTER * draw
+        assert step["blocks"].tobytes() == want.tobytes()
+        assert seen["m"][:, :clean.shape[1]].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_only_the_gan_step_draws_and_from_its_own_stream(self, kind):
+        # a GAN step draws from the batch and channel streams what a receiver
+        # step draws, and from the z stream what d_updates passes need; the
+        # jitter comes from a stream of its own, which no other step touches
+        cfg = tiny_cfg(channel=kind, d_updates=2)
+        gan_step, rx_step = train.Trainer(cfg), train.Trainer(cfg)
+        gan_step.train_gan_step(1)
+        rx_step.train_receiver_step(1)
+        for name in ("_rng_batch", "_rng_channel"):
+            assert stream_state(getattr(gan_step, name)) == stream_state(getattr(rx_step, name))
+        z = substream(cfg.seed, "train", "z")
+        for _ in range(cfg.d_updates):
+            gan.sample_z(z, cfg.batch_size, cfg.z_dim)
+        assert stream_state(gan_step._rng_z) == stream_state(z)
+        jitter = substream(cfg.seed, "train", "jitter")
+        untouched = stream_state(jitter)
+        jitter.standard_normal((cfg.batch_size, 2 * cfg.n))
+        assert stream_state(gan_step._rng_jitter) == stream_state(jitter)
+        rx_step.train_transmitter_step(1)
+        rx_step.train_receiver_step(1)
+        assert stream_state(rx_step._rng_jitter) == untouched
 
 
 class TestNetDims:
