@@ -2,7 +2,8 @@
 
 These give the learned system something honest to be measured against:
 coded BPSK with maximum-likelihood decoding on AWGN, and uncoded 16-QAM
-with least-squares channel estimation on Rayleigh fading.
+with least-squares channel estimation on Rayleigh fading. Both decide by
+``nearest_codeword`` on their codebook, 16-QAM after equalization.
 """
 
 from __future__ import annotations
@@ -72,18 +73,19 @@ def hamming74_bpsk_codebook() -> np.ndarray:
     return cb
 
 
-def hamming74_mld_decode(y: np.ndarray) -> np.ndarray:
-    """Soft-decision MLD of noisy BPSK codeword observations.
+def nearest_codeword(y: np.ndarray, codebook: np.ndarray) -> np.ndarray:
+    """The index of each row of y's nearest codebook row in Euclidean
+    distance, lowest index on ties: maximum-likelihood decoding on AWGN.
 
-    y is (B, 7) real (the in-phase part of the received symbols). Under
-    equal-power BPSK, minimizing Euclidean distance to a codeword equals
-    maximizing correlation, so this scores y against all 16 candidates.
-    Ties resolve to the lowest message index. Returns (B,) indices.
+    y is (B, width) real, codebook (M, width). |y - c|^2 = |y|^2 - 2 (y.c -
+    |c|^2 / 2), so this takes the argmax of y.c - |c|^2 / 2 over the rows c.
+    Returns (B,) indices.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != 7:
-        raise nn.ShapeError(f"observations must be (batch, 7), got {y.shape}")
-    scores = y @ hamming74_bpsk_codebook().T
+    if y.ndim != 2 or y.shape[1] != codebook.shape[1]:
+        raise nn.ShapeError(f"observations {y.shape} must be (batch, {codebook.shape[1]})")
+    scores = y @ codebook.T
+    scores -= np.square(codebook).sum(axis=1) / 2.0
     return np.argmax(scores, axis=1)
 
 
@@ -115,20 +117,6 @@ def qam16_codebook() -> np.ndarray:
     cb = channel.complex_to_iq(qam16_constellation()[:, None])
     cb.setflags(write=False)
     return cb
-
-
-def qam16_demod_coherent(y: np.ndarray, h_est: np.ndarray) -> np.ndarray:
-    """Equalize the (B,) y by the (B,) h_est, then take each symbol's nearest
-    constellation point (lowest index on ties). A zero channel estimate
-    cannot be equalized and raises."""
-    y = np.asarray(y, dtype=np.complex128)
-    h_est = np.asarray(h_est, dtype=np.complex128)
-    if y.ndim != 1 or h_est.shape != y.shape:
-        raise nn.ShapeError(f"y {y.shape} and h_est {h_est.shape} must both be (batch,)")
-    if np.any(h_est == 0):
-        raise FloatingPointError("channel estimate is exactly zero; cannot equalize")
-    eq = y / h_est
-    return np.argmin(np.abs(eq[:, None] - qam16_constellation()), axis=1)
 
 
 def ls_estimate(y_pilot: np.ndarray) -> np.ndarray:

@@ -221,8 +221,9 @@ def bler_sweep_baseline(
     if system == "hamming74-mld-awgn":
         # 4 bits over 7 BPSK uses; a BPSK use carries one real, so the
         # codebook is 7 reals wide and only in-phase noise is drawn
-        return _sweep(baseline.hamming74_bpsk_codebook(), channel.make_channel("awgn"),
-                      lambda y, y_pilot, state: baseline.hamming74_mld_decode(y),
+        codebook = baseline.hamming74_bpsk_codebook()
+        return _sweep(codebook, channel.make_channel("awgn"),
+                      lambda y, y_pilot, state: baseline.nearest_codeword(y, codebook),
                       4, 7, spec, seed, system, workers)
     # uncoded 16-QAM, one complex use carrying 4 bits; perfect CSI is
     # fading without pilots
@@ -234,14 +235,15 @@ def bler_sweep_baseline(
 
 def _qam16_decide(y, y_pilot, h):
     """Equalize by the LS estimate of the received pilots, or by the true h
-    on a channel without pilots, then take the nearest 16-QAM point. An
-    exactly-zero estimate cannot be equalized; its block decides -1, an
-    error."""
+    on a channel without pilots, then take the nearest 16-QAM point of the
+    equalized symbols as I/Q rows. An exactly-zero estimate cannot be
+    equalized; its block decides -1, an error."""
     h_est = h if y_pilot is None else baseline.ls_estimate(channel.iq_to_complex(y_pilot))
     usable = h_est != 0
-    decided = np.full(h_est.shape, -1)
-    decided[usable] = baseline.qam16_demod_coherent(
-        channel.iq_to_complex(y)[:, 0][usable], h_est[usable])
+    eq = channel.iq_to_complex(y)  # (B, 1), so its float64 view is (B, 2) I/Q
+    np.divide(eq, h_est[:, None], out=eq, where=usable[:, None])
+    decided = baseline.nearest_codeword(eq.view(np.float64), baseline.qam16_codebook())
+    decided[~usable] = -1
     return decided
 
 
@@ -315,9 +317,12 @@ def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
     )
 
 
-def _conditions(x: np.ndarray, h: np.ndarray | None):
+def _conditions(x: np.ndarray, h: np.ndarray | None, n_samples: int):
     """x as float64 (C, 2n) blocks, and h, when given, as C complex
-    coefficients; any other shape of either is refused."""
+    coefficients; any other shape of either, and fewer than one sample per
+    condition, is refused."""
+    if n_samples < 1:
+        raise ConfigError(f"samples: must be >= 1, got {n_samples}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] % 2 != 0:
         raise ValueError(f"conditions must be (C, 2n), got {x.shape}")
@@ -376,7 +381,7 @@ def gan_fidelity(
     set of real samples stands in for the generator, which shows the
     sampling floor of the statistics.
     """
-    x, h = _conditions(x, h)
+    x, h = _conditions(x, h, n_samples)
     reports = []
     for c in range(x.shape[0]):
         rng = substream(seed, "fidelity", c)
@@ -435,9 +440,7 @@ def gan_scatter_dump(
     Rows carry source='condition' (the conditioning block itself, one row
     per use), then 'real' and 'fake' sample rows.
     """
-    if n_samples < 1:
-        raise ConfigError(f"samples: must be >= 1, got {n_samples}")
-    x, h = _conditions(x, h)
+    x, h = _conditions(x, h, n_samples)
     n = x.shape[1] // 2
     with atomic_open(path) as f:
         writer = csv.writer(f)

@@ -128,6 +128,23 @@ def hamming74_hard_decode(y):
     return np.argmin(dist, axis=1)
 
 
+def reference_correlation_decode(y):
+    """Hamming(7,4) MLD as the argmax of y's correlation with each BPSK
+    codeword, lowest index on ties: the rule baseline.nearest_codeword
+    must match on this equal-energy codebook."""
+    return np.argmax(np.asarray(y, dtype=np.float64) @ baseline.hamming74_bpsk_codebook().T,
+                     axis=1)
+
+
+def reference_qam16_demod(y, h_est):
+    """16-QAM detection as the argmin of |y / h_est - point| over the
+    complex constellation, lowest index on ties: (B,) complex y and
+    estimates -> (B,) indices. baseline.nearest_codeword on the equalized
+    I/Q rows must match it."""
+    eq = np.asarray(y, dtype=np.complex128) / h_est
+    return np.argmin(np.abs(eq[:, None] - baseline.qam16_constellation()), axis=1)
+
+
 def reference_adam_step(net, grads, state):
     """Adam as plain array expressions, each making new arrays; the
     in-place nn.adam_step must match it bit for bit."""

@@ -5,8 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gancomm import baseline, evaluate, nn
-from helpers import bits_to_message, hamming74_hard_decode
+from gancomm import baseline, channel, evaluate, nn
+from helpers import (bits_to_message, hamming74_hard_decode, reference_correlation_decode,
+                     reference_qam16_demod)
+
+
+def mld_decode(y):
+    """Hamming(7,4) MLD: the nearest BPSK codeword."""
+    return baseline.nearest_codeword(y, baseline.hamming74_bpsk_codebook())
+
+
+def qam16_decide(y, h):
+    """The 16-QAM sweeps' decision on (B,) complex symbols equalized by the
+    (B,) channel coefficients h."""
+    return evaluate._qam16_decide(channel.complex_to_iq(np.asarray(y)[:, None]), None,
+                                  np.asarray(h, dtype=np.complex128))
 
 
 class TestHammingEncode:
@@ -69,7 +82,7 @@ class TestMldDecode:
     def test_noiseless_round_trip(self):
         cb = baseline.hamming74_codebook()
         y = baseline.bpsk_modulate(cb)
-        assert np.array_equal(baseline.hamming74_mld_decode(y), np.arange(16))
+        assert np.array_equal(mld_decode(y), np.arange(16))
 
     def test_any_single_symbol_flip_is_corrected(self):
         cb = baseline.hamming74_codebook()
@@ -77,7 +90,7 @@ class TestMldDecode:
             for pos in range(7):
                 y = baseline.bpsk_modulate(cb[msg : msg + 1]).copy()
                 y[0, pos] *= -1.0
-                assert baseline.hamming74_mld_decode(y)[0] == msg
+                assert mld_decode(y)[0] == msg
 
     def test_matches_exhaustive_euclidean_search(self):
         rng = np.random.default_rng(2)
@@ -87,7 +100,7 @@ class TestMldDecode:
         # independent oracle: brute-force nearest codeword in Euclidean norm
         ref = baseline.bpsk_modulate(baseline.hamming74_codebook())
         d2 = ((y[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
-        assert np.array_equal(baseline.hamming74_mld_decode(y), d2.argmin(axis=1))
+        assert np.array_equal(mld_decode(y), d2.argmin(axis=1))
 
     @pytest.mark.parametrize("batch", [1, 7, 1999, 2000, 2001, 4097, 6000])
     def test_row_blocks_decide_like_the_whole_batch(self, batch):
@@ -103,22 +116,22 @@ class TestMldDecode:
                      (ref[pairs[:, 0]] + ref[pairs[:, 1]]) / 2.0
                      + rng.normal(0.0, 1e-12, (batch, 7)),
                      ref[pairs[:, 0]] + rng.normal(0.0, 1.0, (batch, 7)))
-        blocks = [baseline.hamming74_mld_decode(y[start:start + rows])
+        blocks = [mld_decode(y[start:start + rows])
                   for start in range(0, batch, rows)]
-        assert np.array_equal(np.concatenate(blocks), baseline.hamming74_mld_decode(y))
+        assert np.array_equal(np.concatenate(blocks), mld_decode(y))
 
     def test_exact_tie_goes_to_lowest_index(self):
         ref = baseline.bpsk_modulate(baseline.hamming74_codebook())
         for other in (3, 8, 15):
             midpoint = (ref[0] + ref[other]) / 2.0
-            assert baseline.hamming74_mld_decode(midpoint[None, :])[0] == 0
+            assert mld_decode(midpoint[None, :])[0] == 0
 
     def test_soft_beats_hard_decisions(self):
         rng = np.random.default_rng(3)
         messages = rng.integers(0, 16, 100_000)
         clean = baseline.bpsk_modulate(baseline.hamming74_codebook()[messages])
         y = clean + rng.normal(0.0, 0.8, clean.shape)
-        soft_errs = int(np.sum(baseline.hamming74_mld_decode(y) != messages))
+        soft_errs = int(np.sum(mld_decode(y) != messages))
         hard_errs = int(np.sum(hamming74_hard_decode(y) != messages))
         assert soft_errs <= hard_errs
         assert soft_errs < hard_errs  # strictly better at this noise level
@@ -196,15 +209,13 @@ class TestQam16:
     def test_noiseless_round_trip(self):
         msgs = np.arange(16)
         x = baseline.qam16_constellation()[msgs]
-        assert np.array_equal(baseline.qam16_demod_coherent(x, np.ones(16)), msgs)
+        assert np.array_equal(qam16_decide(x, np.ones(16)), msgs)
 
     def test_equalizes_known_rotation(self):
         msgs = np.arange(16)
         h = 0.5 - 0.5j
         y = h * baseline.qam16_constellation()[msgs]
-        assert np.array_equal(
-            baseline.qam16_demod_coherent(y, np.full(16, h)), msgs
-        )
+        assert np.array_equal(qam16_decide(y, np.full(16, h)), msgs)
 
     def test_matches_brute_force_nearest_point(self):
         rng = np.random.default_rng(4)
@@ -213,20 +224,63 @@ class TestQam16:
         y = h * baseline.qam16_constellation()[msgs] + 0.2 * (
             rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
         )
-        got = baseline.qam16_demod_coherent(y, np.full(5000, h))
+        got = qam16_decide(y, np.full(5000, h))
         eq = y / h
         ref = np.abs(eq[:, None] - baseline.qam16_constellation()[None, :]).argmin(1)
         assert np.array_equal(got, ref)
 
-    def test_zero_estimate_raises(self):
-        with pytest.raises(FloatingPointError):
-            baseline.qam16_demod_coherent(np.array([1.0 + 0j]), np.array([0.0 + 0j]))
+    def test_zero_estimate_decides_minus_one(self):
+        # an exactly-zero estimate cannot be equalized; its block decides -1,
+        # which no message matches, and the other blocks decide as usual
+        points = baseline.qam16_constellation()
+        decided = qam16_decide(points[[3, 9, 12]], np.array([1.0, 0.0, 1.0]))
+        assert decided.tolist() == [3, -1, 12]
 
-    def test_takes_only_one_estimate_per_symbol(self):
-        for y, h_est in ((1.0 + 0j, 1.0 + 0j), (np.ones(3), 1.0 + 0j),
-                         (np.ones(3), np.ones(2)), (np.ones((3, 1)), np.ones((3, 1)))):
+
+class TestNearestCodeword:
+    @pytest.mark.parametrize("ebn0_db", [-4.0, 0.0, 4.0, 8.0, 12.0])
+    def test_matches_the_correlation_rule_on_hamming(self, ebn0_db):
+        rng = np.random.default_rng(int(ebn0_db) + 100)
+        cb = baseline.hamming74_bpsk_codebook()
+        y = cb[rng.integers(0, 16, 50_000)] + rng.normal(
+            0.0, channel.noise_std_from_snr(ebn0_db, 4, 7), (50_000, 7))
+        assert np.array_equal(mld_decode(y), reference_correlation_decode(y))
+
+    @pytest.mark.parametrize("ebn0_db", [-4.0, 0.0, 4.0, 8.0, 12.0])
+    @pytest.mark.parametrize("estimate", ["true", "noisy"])
+    def test_matches_the_distance_rule_on_equalized_qam16(self, ebn0_db, estimate):
+        rng = np.random.default_rng(int(ebn0_db) + 200)
+        size = 50_000
+        std = channel.noise_std_from_snr(ebn0_db, 4, 1)
+        h = channel.rayleigh_sample(rng, size)
+        y = h * baseline.qam16_constellation()[rng.integers(0, 16, size)] + std * (
+            rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        h_est = h if estimate == "true" else h + std * (
+            rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        assert np.array_equal(qam16_decide(y, h_est), reference_qam16_demod(y, h_est))
+
+    def test_exact_tie_goes_to_lowest_index(self):
+        # rows 1, 2 and 3 lie at distance 1 from (0, 1), and row 3 repeats
+        # row 1; the values are exact in binary, so the scores tie exactly
+        cb = np.array([[3.0, 0.0], [1.0, 1.0], [-1.0, 1.0], [1.0, 1.0]])
+        y = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 1.0], [3.0, 0.1]])
+        assert baseline.nearest_codeword(y, cb).tolist() == [1, 1, 2, 0]
+
+    def test_four_way_tie_on_the_qam16_grid_goes_to_lowest_index(self):
+        # the origin is equally far from the four inner points of the
+        # unscaled grid, and (-2, 2) from the four around it
+        grid = np.round(baseline.qam16_codebook() * np.sqrt(10.0))
+        for y in ((0.0, 0.0), (-2.0, 2.0)):
+            d2 = ((grid - y) ** 2).sum(axis=1)
+            nearest = np.flatnonzero(d2 == d2.min())
+            assert len(nearest) == 4
+            assert baseline.nearest_codeword(np.array([y]), grid)[0] == nearest.min()
+
+    def test_rejects_observations_of_another_width(self):
+        cb = baseline.hamming74_bpsk_codebook()
+        for y in (np.ones(7), np.ones((3, 6)), np.ones((2, 3, 7))):
             with pytest.raises(nn.ShapeError):
-                baseline.qam16_demod_coherent(y, h_est)
+                baseline.nearest_codeword(y, cb)
 
 
 class TestLsEstimate:

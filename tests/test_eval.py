@@ -9,7 +9,7 @@ import pytest
 from gancomm import baseline, channel, evaluate, gan, nn, train, transceiver
 from gancomm.config import ConfigError, TrainConfig
 from gancomm.rng import substream
-from helpers import reference_energy_distance
+from helpers import reference_correlation_decode, reference_energy_distance, reference_qam16_demod
 
 
 def q_func(x):
@@ -184,13 +184,13 @@ def learned_shard(tx, rx, cfg):
 
 def hamming_shard(ebn0, size, rng):
     """Encode each message's bits, BPSK over AWGN (in-phase noise only, 4
-    bits over 7 uses), MLD one block at a time."""
+    bits over 7 uses), MLD one block at a time by correlation."""
     std = channel.noise_std_from_snr(ebn0, 4, 7)
     messages = rng.integers(0, 16, size=size)
     bits = baseline.message_to_bits(messages, 4)
     y = channel.awgn_apply(baseline.bpsk_modulate(baseline.hamming74_encode(bits)),
                            std, rng)
-    return sum(int(baseline.hamming74_mld_decode(y[t:t + 1])[0] != messages[t])
+    return sum(int(reference_correlation_decode(y[t:t + 1])[0] != messages[t])
                for t in range(size))
 
 
@@ -199,7 +199,8 @@ def qam16_shard(n_pilot):
     order: messages, h, then for each block of evaluate.DECIDE_ROWS rows its
     block noise and then its pilot noise. With n_pilot 0 the receiver
     equalizes by the true h, otherwise by the LS estimate of the received
-    pilots; an exactly-zero estimate is an error."""
+    pilots, and takes the constellation point nearest in |eq - point|; an
+    exactly-zero estimate is an error."""
 
     def shard_errors(ebn0, size, rng):
         std = channel.noise_std_from_snr(ebn0, 4, 1)
@@ -215,7 +216,7 @@ def qam16_shard(n_pilot):
                 h_est[rows] = baseline.ls_estimate(channel.iq_to_complex(pilots))
         return sum(
             int(h_est[t] == 0
-                or baseline.qam16_demod_coherent(y[t:t + 1], h_est[t:t + 1])[0]
+                or reference_qam16_demod(y[t:t + 1], h_est[t:t + 1])[0]
                 != messages[t])
             for t in range(size)
         )
@@ -554,6 +555,15 @@ class TestGanFidelity:
     def test_rejects_flat_condition_array(self):
         with pytest.raises(ValueError):
             evaluate.gan_fidelity(None, np.array([1.0, 0.0]), 0.3, 100, 0)
+
+    def test_zero_samples_are_refused_by_both_functions(self, tmp_path):
+        x = np.tile([1.0, 0.0], (2, 1))
+        g = gan.Generator(nn.DenseNet.create((5, 2), np.random.default_rng(1)), z_dim=3)
+        with pytest.raises(ConfigError, match="samples: must be >= 1"):
+            evaluate.gan_fidelity(None, x, 0.3, n_samples=0, seed=0)
+        with pytest.raises(ConfigError, match="samples: must be >= 1"):
+            evaluate.gan_scatter_dump(g, x, 0.3, str(tmp_path / "s.csv"), n_samples=0)
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_rejects_h_of_another_length_than_the_conditions(self, tmp_path, count):
