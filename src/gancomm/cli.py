@@ -36,18 +36,12 @@ def load_sweep(path: str) -> SweepSpec:
     return read_json(path, "sweep spec", lambda data: from_dict(SweepSpec, data))
 
 
-def _use_color() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
-
-
 def _progress_printer(quiet: bool):
     if quiet:
         return None
-    color = _use_color()
 
     def emit(iteration: int, phase: str, loss: float) -> None:
-        shown = f"\x1b[36m{phase}\x1b[0m" if color else phase
-        print(f"iter={iteration} phase={shown} loss={loss:.6f}", flush=True)
+        print(f"iter={iteration} phase={phase} loss={loss:.6f}", flush=True)
 
     return emit
 

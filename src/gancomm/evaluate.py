@@ -19,8 +19,12 @@ messages and h, spans one block, whichever thread runs it: the gathered
 rows, the received blocks and pilots, the noise, and the decision rule's
 own arrays. At 500 rows one shard of any system peaks under 1 MiB.
 
-The fidelity statistics likewise measure pairwise distances into one
-reused (256, n) buffer a few rows at a time.
+The surrogate diagnostics loop over one per-condition draw: each fixed
+transmitted block (and fading coefficient) gets its own substream, which
+gives the real channel's received blocks first and the generator's noise
+z after. ``gan_fidelity`` reduces the two sets to statistics, whose
+pairwise distances go into one reused (256, n) buffer a few rows at a
+time; ``gan_scatter_dump`` writes them as CSV rows.
 """
 
 from __future__ import annotations
@@ -317,10 +321,16 @@ def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
     )
 
 
-def _conditions(x: np.ndarray, h: np.ndarray | None, n_samples: int):
-    """x as float64 (C, 2n) blocks, and h, when given, as C complex
-    coefficients; any other shape of either, and fewer than one sample per
-    condition, is refused."""
+def _condition_draws(
+    g: gan.Generator, x: np.ndarray, h: np.ndarray | None, noise_std: float,
+    n_samples: int, seed: int, stream: str, n_pilot: int,
+):
+    """An iterator over the conditions c of x: each gives its label, its
+    noiseless received block, and n_samples real received blocks, then
+    n_samples generated ones (float64), both drawn from
+    ``substream(seed, stream, c)`` in that order. x, h and n_pilot are as
+    in ``gan_fidelity``; any other shape of x or h, and fewer than one
+    sample per condition, is refused here, before anything is drawn."""
     if n_samples < 1:
         raise ConfigError(f"samples: must be >= 1, got {n_samples}")
     x = np.asarray(x, dtype=np.float64)
@@ -331,39 +341,32 @@ def _conditions(x: np.ndarray, h: np.ndarray | None, n_samples: int):
         if h.shape != x.shape[:1]:
             raise ValueError(
                 f"h {h.shape} must hold one coefficient per condition of {x.shape}")
-    return x, h
+    model = channel.make_channel("awgn" if h is None else "rayleigh", n_pilot)
 
+    def draws():
+        for c in range(x.shape[0]):
+            rng = substream(seed, stream, c)
+            blocks = np.tile(x[c], (n_samples, 1))
+            label = f"x={x[c].round(4).tolist()}"
+            state = None
+            if h is not None:
+                state = np.full(n_samples, h[c])
+                label = f"h={complex(h[c]):.4g}, {label}"
+            noiseless, pilots = model.observe(blocks, state, 0.0, None)  # draws nothing
+            target = noiseless[0].copy()
+            real = model.apply(blocks, state, noise_std, rng)
+            z = gan.sample_z(rng, n_samples, g.z_dim)
+            # the statistics run in float64, whatever the net's dtype
+            fake = gan.generate(g, z, gan.conditioning(blocks, pilots))[0].astype(np.float64)
+            # only what is yielded stays alive while the caller works on it
+            del blocks, state, noiseless, pilots, z
+            yield label, target, real, fake
 
-def _fixed_condition(
-    x: np.ndarray, c: int, h: np.ndarray | None, noise_std: float,
-    n_samples: int, n_pilot: int,
-):
-    """The real channel at condition c: a sampler of n_samples received
-    blocks, the generator conditioning for them, the noiseless received
-    block and a label.
-
-    With h None the channel is AWGN, otherwise block fading with every
-    block at h[c]. The channel object gives the noiseless output and
-    pilots; ``gan.conditioning`` appends the pilots, as in training.
-    """
-    xc = np.tile(x[c], (n_samples, 1))
-    label = f"x={x[c].round(4).tolist()}"
-    if h is None:
-        model, state = channel.make_channel("awgn"), None
-    else:
-        hc = complex(h[c])
-        model, state = channel.make_channel("rayleigh", n_pilot), np.full(n_samples, hc)
-        label = f"h={hc:.4g}, {label}"
-    noiseless, pilots = model.observe(xc, state, 0.0, None)  # draws nothing
-
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return model.apply(xc, state, noise_std, rng)
-
-    return sample, gan.conditioning(xc, pilots), noiseless[0].copy(), label
+    return draws()
 
 
 def gan_fidelity(
-    g: gan.Generator | None,
+    g: gan.Generator,
     x: np.ndarray,
     noise_std: float,
     n_samples: int,
@@ -377,52 +380,39 @@ def gan_fidelity(
     (shape (C,), complex), the channel is block fading at those fixed
     coefficients and the generator is conditioned on the noiseless pilot
     observation of h; otherwise the channel is AWGN and the conditioning
-    is x alone. g=None runs the calibration mode: a second independent
-    set of real samples stands in for the generator, which shows the
-    sampling floor of the statistics.
+    is x alone. Condition c draws its real blocks, then z, from
+    ``substream(seed, "fidelity", c)``.
     """
-    x, h = _conditions(x, h, n_samples)
-    reports = []
-    for c in range(x.shape[0]):
-        rng = substream(seed, "fidelity", c)
-        sample, m, target, label = _fixed_condition(x, c, h, noise_std, n_samples,
-                                                    n_pilot)
-        real = sample(rng)
-        real2 = sample(rng)
-        if g is None:
-            fake = real2
-        else:
-            z = gan.sample_z(rng, n_samples, g.z_dim)
-            # the statistics run in float64, whatever the net's dtype
-            fake = gan.generate(g, z, m)[0].astype(np.float64)
-        reports.append(
-            ConditionReport(
-                label=label,
-                target_mean=target,
-                real_mean=real.mean(axis=0),
-                fake_mean=fake.mean(axis=0),
-                real_var=real.var(axis=0),
-                fake_var=fake.var(axis=0),
-                energy_distance=energy_distance(real, fake),
-                n_samples=n_samples,
-            )
+    return [
+        ConditionReport(
+            label=label,
+            target_mean=target,
+            real_mean=real.mean(axis=0),
+            fake_mean=fake.mean(axis=0),
+            real_var=real.var(axis=0),
+            fake_var=fake.var(axis=0),
+            energy_distance=energy_distance(real, fake),
+            n_samples=n_samples,
         )
-    return reports
+        for label, target, real, fake in _condition_draws(
+            g, x, h, noise_std, n_samples, seed, "fidelity", n_pilot)
+    ]
+
+
+def _write_symbols(writer, lead: list, blocks: np.ndarray) -> None:
+    """One CSV row per complex use of each (2n,) row of blocks: lead, the
+    row index, the use index, then the symbol's re and im."""
+    for row, symbols in enumerate(channel.iq_to_complex(blocks)):
+        for use, s in enumerate(symbols):
+            writer.writerow([*lead, row, use, repr(float(s.real)), repr(float(s.imag))])
 
 
 def constellation_dump(tx: transceiver.Transmitter, path: str) -> None:
     """All M learned blocks as CSV: message, use index, re, im."""
-    x = tx.encode_messages(np.arange(tx.m_count))
-    symbols = channel.iq_to_complex(x)
     with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(["message", "use_index", "re", "im"])
-        for msg in range(tx.m_count):
-            for use in range(tx.n):
-                writer.writerow(
-                    [msg, use, repr(float(symbols[msg, use].real)),
-                     repr(float(symbols[msg, use].imag))]
-                )
+        _write_symbols(writer, [], tx.encode_messages(np.arange(tx.m_count)))
 
 
 def gan_scatter_dump(
@@ -438,29 +428,14 @@ def gan_scatter_dump(
     """Real and generated samples per condition as CSV, for scatter plots.
 
     Rows carry source='condition' (the conditioning block itself, one row
-    per use), then 'real' and 'fake' sample rows.
+    per use), then 'real' and 'fake' sample rows. Condition c draws as in
+    ``gan_fidelity``, from ``substream(seed, "scatter", c)``.
     """
-    x, h = _conditions(x, h, n_samples)
-    n = x.shape[1] // 2
+    draws = _condition_draws(g, x, h, noise_std, n_samples, seed, "scatter", n_pilot)
     with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(["condition", "source", "sample", "use_index", "re", "im"])
-
-        def emit(cond: int, source: str, rows: np.ndarray) -> None:
-            symbols = channel.iq_to_complex(rows)
-            for s in range(symbols.shape[0]):
-                for use in range(n):
-                    writer.writerow(
-                        [cond, source, s, use,
-                         repr(float(symbols[s, use].real)),
-                         repr(float(symbols[s, use].imag))]
-                    )
-
-        for c in range(x.shape[0]):
-            rng = substream(seed, "scatter", c)
-            sample, m, _, _ = _fixed_condition(x, c, h, noise_std, n_samples, n_pilot)
-            real = sample(rng)
-            fake, _ = gan.generate(g, gan.sample_z(rng, n_samples, g.z_dim), m)
-            emit(c, "condition", x[c][None, :])
-            emit(c, "real", real)
-            emit(c, "fake", fake)
+        for c, (_, _, real, fake) in enumerate(draws):
+            _write_symbols(writer, [c, "condition"], x[c : c + 1])
+            _write_symbols(writer, [c, "real"], real)
+            _write_symbols(writer, [c, "fake"], fake)

@@ -4,8 +4,9 @@ Every test prints a single PASS/FAIL line with its measured margins (run
 pytest with -s to watch them stream). The suite trains real systems, so it
 takes a few minutes end to end; everything is seeded and deterministic.
 
-Acceptance 2, 5 and 9 also print one line per grid point (9 prints two),
-and train once per ``--acceptance-seed N`` (repeatable; seed 1 by default).
+Acceptance 2, 5 and 9 also print one line per grid point (9 prints two,
+then a pooled efficiency per channel), and train once per
+``--acceptance-seed N`` (repeatable; seed 1 by default).
 The GAN links and their sweeps are module fixtures, shared by the three
 tests.
 """
@@ -394,15 +395,37 @@ def surrogate_efficiency(rx_only: float, gan_link: float, known: float) -> str:
     return f"{math.log(rx_only / gan_link) / math.log(rx_only / known):.3f}"
 
 
+def pooled_efficiency(gan_points, rx_only, known) -> float:
+    """sum ln(B_rx-only / B_GAN) / sum ln(B_rx-only / B_known) over the grid
+    points where all three BLERs are above 0; NaN, which fails any bound,
+    where no point counts or the known arm does no better than rx-only in
+    the sum."""
+    gained = possible = 0.0
+    for gp, rp, kp in zip(gan_points, rx_only, known):
+        if min(gp.bler, rp.bler, kp.bler) > 0.0:
+            gained += math.log(rp.bler / gp.bler)
+            possible += math.log(rp.bler / kp.bler)
+    return gained / possible if possible > 0.0 else math.nan
+
+
+# the least pooled surrogate efficiency acceptance 9 accepts on either
+# channel; per-point efficiencies on seeds 1, 3 and 4 read 0.807-0.975 on
+# AWGN and 0.636-1.014 on Rayleigh. Fixed before any held-out seed ran
+# under it; not to be moved to pass a seed
+POOLED_EFFICIENCY_BOUND = 0.6
+
+
 def test_9_the_gan_link_beats_the_receiver_only_arm(seed, awgn_sweep, rayleigh_sweep):
     # the control arm: no GAN and no transmitter steps, so the transmitter
     # keeps its random initialization and only the receiver trains, on the
     # real channel. Swept on the same trials as the GAN link (the sweep
     # seed is the training seed), it must do no better at any grid point.
     # The known-channel arm, on the same trials, gives each point's
-    # surrogate efficiency, which is reported with no bound
+    # surrogate efficiency, reported with no bound, and each channel's
+    # pooled efficiency, which must reach POOLED_EFFICIENCY_BOUND
     worse = []
     worst = {}
+    pooled = {}
     for kind, gan_points, spec in (("awgn", awgn_sweep, AWGN_SPEC),
                                    ("rayleigh", rayleigh_sweep, RAYLEIGH_SPEC)):
         cfg = TrainConfig(channel=kind, seed=seed, tx_steps=0, gan_steps=0,
@@ -418,8 +441,15 @@ def test_9_the_gan_link_beats_the_receiver_only_arm(seed, awgn_sweep, rayleigh_s
             print(f"acceptance 9, {kind}, seed {seed}: {kp.ebn0_db:g} dB: known channel "
                   f"{kp.bler:.3e} ({kp.errors} errors): efficiency "
                   f"{surrogate_efficiency(rp.bler, gp.bler, kp.bler)}", flush=True)
+        pooled[kind] = pooled_efficiency(gan_points, rx_only, known)
+        print(f"acceptance 9, {kind}, seed {seed}: pooled efficiency {pooled[kind]:.3f}",
+              flush=True)
         worse += [f"{kind} at {gp.ebn0_db:g} dB: GAN {gp.bler:.3e} > rx-only {rp.bler:.3e}"
                   for gp, rp in zip(gan_points, rx_only) if gp.bler > rp.bler]
+        if not pooled[kind] >= POOLED_EFFICIENCY_BOUND:
+            worse.append(f"{kind} pooled efficiency {pooled[kind]:.3f} "
+                         f"< {POOLED_EFFICIENCY_BOUND}")
     report(not worse, f"9 gan beats rx-only, seed {seed}",
-           ", ".join(f"{kind} worst ratio {ratio:.3f}" for kind, ratio in worst.items()))
+           ", ".join(f"{kind} worst ratio {worst[kind]:.3f}, pooled efficiency "
+                     f"{pooled[kind]:.3f} >= {POOLED_EFFICIENCY_BOUND}" for kind in worst))
     assert not worse, "; ".join(worse)

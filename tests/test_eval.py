@@ -514,22 +514,27 @@ class TestEnergyDistance:
                 == repr(reference_energy_distance(a, b)))
 
 
+def untrained_generator(width, cond_dim):
+    """A generator of width outputs over 3 noise and cond_dim conditioning
+    inputs, at its random initialization."""
+    net = nn.DenseNet.create((3 + cond_dim, 8, width), np.random.default_rng(1))
+    return gan.Generator(net, z_dim=3)
+
+
 class TestGanFidelity:
-    def test_calibration_mode_hits_the_true_channel_stats(self):
+    def test_real_blocks_hit_the_true_channel_stats(self):
         x = np.array([[1.0, -1.0]])
-        reports = evaluate.gan_fidelity(None, x, 0.5, n_samples=4000, seed=0)
-        (r,) = reports
+        g = untrained_generator(2, 2)
+        (r,) = evaluate.gan_fidelity(g, x, 0.5, n_samples=4000, seed=0)
         assert np.abs(r.real_mean - r.target_mean).max() < 0.04
-        assert np.abs(r.fake_mean - r.target_mean).max() < 0.04
-        assert np.all(r.fake_var / r.real_var > 0.85)
-        assert np.all(r.fake_var / r.real_var < 1.15)
-        assert abs(r.energy_distance) < 0.05
+        assert np.all(np.abs(r.real_var / 0.5**2 - 1.0) < 0.15)
 
     def test_fading_target_is_h_times_x(self):
         # (0.5 - 0.5j) * (1 + 1j) = 1 + 0j
         x = np.array([[1.0, 1.0]])
+        g = untrained_generator(2, 4)
         reports = evaluate.gan_fidelity(
-            None, x, 0.1, n_samples=2000, seed=1, h=np.array([0.5 - 0.5j])
+            g, x, 0.1, n_samples=2000, seed=1, h=np.array([0.5 - 0.5j])
         )
         (r,) = reports
         assert r.target_mean == pytest.approx([1.0, 0.0], abs=1e-15)
@@ -540,38 +545,90 @@ class TestGanFidelity:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(8, 4))
         h = channel.rayleigh_sample(rng, 8) if kind == "rayleigh" else None
-        reports = evaluate.gan_fidelity(None, x, 0.1, n_samples=4, seed=3, h=h)
         model = channel.make_channel(kind)
+        g = untrained_generator(4, model.cond_dim(2))
+        reports = evaluate.gan_fidelity(g, x, 0.1, n_samples=4, seed=3, h=h)
         for c, r in enumerate(reports):
             state = None if h is None else h[c:c + 1]
             noiseless = model.apply(x[c][None, :], state, 0.0, None)[0]
             assert r.target_mean.tobytes() == noiseless.tobytes()
 
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_both_diagnostics_draw_real_blocks_then_z_per_condition(self, kind, tmp_path):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(3, 4))
+        h = channel.rayleigh_sample(rng, 3) if kind == "rayleigh" else None
+        model = channel.make_channel(kind, n_pilot=2)
+        g = untrained_generator(4, model.cond_dim(2))
+        std, samples, seed = 0.3, 6, 9
+
+        def reference(stream, c):
+            draw = substream(seed, stream, c)
+            blocks = np.tile(x[c], (samples, 1))
+            state = None if h is None else np.full(samples, h[c])
+            real = model.apply(blocks, state, std, draw)
+            m = gan.conditioning(blocks, model.pilots(state, 0.0, None))
+            fake, _ = gan.generate(g, gan.sample_z(draw, samples, g.z_dim), m)
+            return real, fake.astype(np.float64)
+
+        reports = evaluate.gan_fidelity(g, x, std, samples, seed, h=h, n_pilot=2)
+        assert len(reports) == 3
+        for c, r in enumerate(reports):
+            real, fake = reference("fidelity", c)
+            assert [a.tobytes() for a in (r.real_mean, r.real_var, r.fake_mean, r.fake_var)] == [
+                a.tobytes() for a in (real.mean(axis=0), real.var(axis=0),
+                                      fake.mean(axis=0), fake.var(axis=0))]
+            assert r.energy_distance == evaluate.energy_distance(real, fake)
+
+        path = tmp_path / "scatter.csv"
+        evaluate.gan_scatter_dump(g, x, std, str(path), samples, seed, h=h, n_pilot=2)
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        for c in range(3):
+            for source, blocks in zip(("real", "fake"), reference("scatter", c)):
+                written = [[float(v) for v in row[4:]] for row in rows
+                           if row[:2] == [str(c), source]]
+                symbols = channel.iq_to_complex(blocks).ravel()
+                assert written == np.stack([symbols.real, symbols.imag], axis=1).tolist()
+
     def test_one_report_per_condition(self):
         x = np.tile([1.0, 0.0], (5, 1))
-        reports = evaluate.gan_fidelity(None, x, 0.3, n_samples=500, seed=2)
+        reports = evaluate.gan_fidelity(untrained_generator(2, 2), x, 0.3,
+                                        n_samples=500, seed=2)
         assert len(reports) == 5
 
     def test_rejects_flat_condition_array(self):
         with pytest.raises(ValueError):
-            evaluate.gan_fidelity(None, np.array([1.0, 0.0]), 0.3, 100, 0)
+            evaluate.gan_fidelity(untrained_generator(2, 2), np.array([1.0, 0.0]),
+                                  0.3, 100, 0)
 
     def test_zero_samples_are_refused_by_both_functions(self, tmp_path):
         x = np.tile([1.0, 0.0], (2, 1))
-        g = gan.Generator(nn.DenseNet.create((5, 2), np.random.default_rng(1)), z_dim=3)
+        g = untrained_generator(2, 2)
         with pytest.raises(ConfigError, match="samples: must be >= 1"):
-            evaluate.gan_fidelity(None, x, 0.3, n_samples=0, seed=0)
+            evaluate.gan_fidelity(g, x, 0.3, n_samples=0, seed=0)
         with pytest.raises(ConfigError, match="samples: must be >= 1"):
             evaluate.gan_scatter_dump(g, x, 0.3, str(tmp_path / "s.csv"), n_samples=0)
         assert not (tmp_path / "s.csv").exists()
+
+    def test_scatter_dump_refuses_bad_arguments_before_opening_its_file(self, tmp_path):
+        # the path's directory does not exist, so an open would raise OSError
+        x = np.tile([1.0, 0.0], (2, 1))
+        g = untrained_generator(2, 2)
+        path = str(tmp_path / "missing" / "s.csv")
+        with pytest.raises(ConfigError, match="samples: must be >= 1"):
+            evaluate.gan_scatter_dump(g, x, 0.3, path, n_samples=0)
+        with pytest.raises(ValueError, match="conditions must be"):
+            evaluate.gan_scatter_dump(g, x[0], 0.3, path, n_samples=5)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_rejects_h_of_another_length_than_the_conditions(self, tmp_path, count):
         x = np.tile([1.0, 0.0], (3, 1))
         h = np.ones(count, dtype=np.complex128)
-        g = gan.Generator(nn.DenseNet.create((5, 2), np.random.default_rng(1)), z_dim=1)
+        g = untrained_generator(2, 4)
         with pytest.raises(ValueError, match="one coefficient per condition"):
-            evaluate.gan_fidelity(None, x, 0.3, 10, 0, h=h)
+            evaluate.gan_fidelity(g, x, 0.3, 10, 0, h=h)
         with pytest.raises(ValueError, match="one coefficient per condition"):
             evaluate.gan_scatter_dump(g, x, 0.3, str(tmp_path / "s.csv"), 10, 0, h=h)
 

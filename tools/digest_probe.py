@@ -15,14 +15,16 @@ from the ``tests`` next to this script:
 Each line reads ``<name> <sha256 prefix>``. Per channel (awgn, rayleigh)
 it covers a short default-width training run (the four net files,
 config.json and train_log.csv) with the ``(iteration, phase, loss)``
-progress calls it makes, learned BLER counts at workers 1 and 3 and of
-one 45,001-trial point, ``gan_fidelity``, the constellation and
-GAN-scatter dump CSVs written by ``gancomm dump``, the CSV and SVG chart
-written by ``gancomm eval`` on the sweep and on a 30 dB point (no errors
-on AWGN), and a ``train_channel_gan`` run; then the BLER counts of the three baselines, on
-the sweep and on the 45,001-trial point. That point's last shard is
-short, and so is its last block of decided rows. Two checkouts that print the same lines produce the
-same bits on all of these; a change that moves them on purpose says so.
+progress calls it makes, learned BLER counts at workers 1 and 3 and of one
+45,001-trial point, ``gan_fidelity`` (each report's label, energy
+distance, target, and real and generated means and variances), the
+constellation and GAN-scatter dump CSVs written by ``gancomm dump``, the
+CSV and SVG chart written by ``gancomm eval`` on the sweep and on a 30 dB
+point (no errors on AWGN), and a ``train_channel_gan`` run; then the BLER
+counts of the three baselines, on the sweep and on the 45,001-trial point.
+That point's last shard is short, and so is its last block of decided
+rows. Two checkouts that print the same lines produce the same bits on all
+of these; a change that moves them on purpose says so.
 BLAS runs on one thread unless the environment says otherwise.
 """
 
@@ -102,8 +104,9 @@ def probe_channel(kind: str, tmp: pathlib.Path) -> list[tuple[str, str]]:
     reports = evaluate.gan_fidelity(trainer.generator_averaged(), x, trainer.noise_std,
                                     200, SEED, h=h, n_pilot=cfg.n_pilot)
     out.append((f"{kind}.gan_fidelity", digest(repr([
-        (r.label, r.energy_distance, r.real_mean.tobytes(), r.fake_mean.tobytes(),
-         r.real_var.tobytes(), r.fake_var.tobytes()) for r in reports]))))
+        (r.label, r.energy_distance, r.target_mean.tobytes(), r.real_mean.tobytes(),
+         r.fake_mean.tobytes(), r.real_var.tobytes(), r.fake_var.tobytes())
+        for r in reports]))))
 
     for what in ("constellation", "gan-scatter"):
         csv_path = tmp / f"{kind}-{what}.csv"
