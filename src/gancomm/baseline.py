@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from . import channel, nn
+from . import nn
 
 # Systematic Hamming(7,4): codeword = [u1 u2 u3 u4 p1 p2 p3] with
 #   p1 = u1 + u3 + u4,  p2 = u1 + u2 + u3,  p3 = u2 + u3 + u4  (mod 2).
@@ -27,48 +27,14 @@ _PARITY = np.array(
 )
 
 
-def message_to_bits(messages: np.ndarray, k: int) -> np.ndarray:
-    """(B,) indices -> (B, k) bits, most significant bit first."""
-    messages = np.asarray(messages, dtype=np.int64)
-    if messages.ndim != 1:
-        raise nn.ShapeError(f"messages must be 1-D, got shape {messages.shape}")
-    if messages.size and (messages.min() < 0 or messages.max() >= 2**k):
-        raise ValueError(f"message index out of range [0, {2**k})")
-    shifts = np.arange(k - 1, -1, -1)
-    return (messages[:, None] >> shifts) & 1
-
-
-def hamming74_encode(bits: np.ndarray) -> np.ndarray:
-    """(B, 4) data bits -> (B, 7) codewords, systematic bits first."""
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 2 or bits.shape[1] != 4:
-        raise nn.ShapeError(f"data bits must be (batch, 4), got {bits.shape}")
-    if bits.size and not np.all((bits == 0) | (bits == 1)):
-        raise ValueError("data bits must be 0 or 1")
-    parity = (bits @ _PARITY) % 2
-    return np.concatenate([bits, parity], axis=1)
-
-
-@functools.lru_cache(maxsize=1)
-def hamming74_codebook() -> np.ndarray:
-    """All 16 codewords, row i encoding message index i. Read-only."""
-    messages = np.arange(16)
-    cb = hamming74_encode(message_to_bits(messages, 4))
-    cb.setflags(write=False)
-    return cb
-
-
-def bpsk_modulate(bits: np.ndarray) -> np.ndarray:
-    """Bits -> unit-power real symbols, 0 -> +1 and 1 -> -1."""
-    bits = np.asarray(bits)
-    return 1.0 - 2.0 * bits.astype(np.float64)
-
-
 @functools.lru_cache(maxsize=1)
 def hamming74_bpsk_codebook() -> np.ndarray:
-    """All 16 codewords as BPSK symbols, (16, 7), row i for message i.
+    """All 16 codewords as BPSK symbols (bit 0 -> +1, bit 1 -> -1), (16, 7),
+    row i for message i, whose bits are taken most significant first.
     Read-only."""
-    cb = bpsk_modulate(hamming74_codebook())
+    bits = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
+    word = np.concatenate([bits, bits @ _PARITY % 2], axis=1)
+    cb = 1.0 - 2.0 * word
     cb.setflags(write=False)
     return cb
 
@@ -91,30 +57,18 @@ def nearest_codeword(y: np.ndarray, codebook: np.ndarray) -> np.ndarray:
 
 # 16-QAM with per-axis Gray labeling. Bits (b0 b1 b2 b3), MSB first:
 # (b0, b1) pick the I level and (b2, b3) the Q level via
-#   00 -> -3, 01 -> -1, 11 -> +1, 10 -> +3,
+#   00 -> -3, 01 -> -1, 10 -> +3, 11 -> +1,
 # then the grid is scaled by 1/sqrt(10) for unit average power.
-_GRAY_TO_LEVEL = {(0, 0): -3.0, (0, 1): -1.0, (1, 1): 1.0, (1, 0): 3.0}
 QAM16_SCALE = 1.0 / np.sqrt(10.0)
-
-
-@functools.lru_cache(maxsize=1)
-def qam16_constellation() -> np.ndarray:
-    """(16,) complex points, index i for message/bit-pattern i. Read-only."""
-    points = np.empty(16, dtype=np.complex128)
-    for idx in range(16):
-        b = [(idx >> s) & 1 for s in (3, 2, 1, 0)]
-        i_level = _GRAY_TO_LEVEL[(b[0], b[1])]
-        q_level = _GRAY_TO_LEVEL[(b[2], b[3])]
-        points[idx] = QAM16_SCALE * complex(i_level, q_level)
-    points.setflags(write=False)
-    return points
 
 
 @functools.lru_cache(maxsize=1)
 def qam16_codebook() -> np.ndarray:
     """The 16 points as one-use blocks, (16, 2) interleaved I/Q reals, row i
     for message i. Read-only."""
-    cb = channel.complex_to_iq(qam16_constellation()[:, None])
+    m = np.arange(16)
+    levels = QAM16_SCALE * np.array([-3.0, -1.0, 3.0, 1.0])
+    cb = np.stack([levels[m >> 2], levels[m & 3]], axis=1)
     cb.setflags(write=False)
     return cb
 

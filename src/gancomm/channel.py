@@ -29,15 +29,6 @@ def iq_to_complex(blocks: np.ndarray) -> np.ndarray:
     return blocks[..., 0::2] + 1j * blocks[..., 1::2]
 
 
-def complex_to_iq(symbols: np.ndarray) -> np.ndarray:
-    """(batch, n) complex -> (batch, 2n) interleaved reals."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    out = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.float64)
-    out[..., 0::2] = symbols.real
-    out[..., 1::2] = symbols.imag
-    return out
-
-
 # The widest Eb/N0, in dB either side of 0, that configs and sweeps accept.
 # 10^(300/10) = 1e30 keeps N0 and the noise std far inside the float64
 # range for any rate k/n; a few thousand dB overflows 10^(ebn0/10) or

@@ -6,10 +6,11 @@ receiver hidden layers, {32, 32, 32} discriminator, learning rates 0.001
 than the reference's {128, 128, 128}: {96, 96, 96} trains links that meet
 the same acceptance bounds, and a GAN step costs less.
 
-Configs, sweep specs and checkpoint nets are all read by ``read_json``, and
-configs and sweep specs parsed by ``from_dict``: unknown keys are rejected
-so a typo cannot silently fall back to a default, and a null key takes the
-default. Ranges are checked by the dataclasses, for Python callers too.
+Configs, sweep specs and checkpoint nets are all read by ``read_json``, which
+refuses a key repeated in one object, and configs and sweep specs parsed by
+``from_dict``: unknown keys are rejected so a typo cannot silently fall back
+to a default, and a null key takes the default. Ranges are checked by the
+dataclasses, for Python callers too.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ def read_json(path: str, what: str, parse=None):
     ``what`` and its path; a ConfigError from parse is raised again as
     "<what> <path>: <its message>". A NaN, Infinity or -Infinity literal,
     which standard JSON does not have, raises "<what> <path>: <key>: ..."
-    with the key it sits under."""
+    with the key it sits under, and a key that an object repeats raises
+    "<what> <path>: <key>: duplicate key"."""
     literals = []
 
     def constant(name: str):
@@ -196,12 +198,16 @@ def read_json(path: str, what: str, parse=None):
         return _LITERAL
 
     def check(items: list) -> dict:
-        # the first object to close after a literal, or one around it, holds it
-        for key, value in items if literals else ():
-            if _holds_literal(value):
+        obj = {}
+        for key, value in items:
+            if key in obj:
+                raise ConfigError(f"{what} {path}: {key}: duplicate key")
+            # the first object to close after a literal, or one around it, holds it
+            if literals and _holds_literal(value):
                 raise ConfigError(
                     f"{what} {path}: {key}: {literals[0]} is not standard JSON")
-        return dict(items)
+            obj[key] = value
+        return obj
 
     try:
         with open(path) as f:

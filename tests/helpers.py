@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from gancomm import baseline, nn, train
+from gancomm import baseline, channel, nn, train
 from gancomm.config import TrainConfig
 
 
@@ -117,6 +117,26 @@ def last_iteration_mean(log, phase):
     return float(np.mean([r.loss for r in matching if r.iteration == last_it]))
 
 
+def hamming74_bits():
+    """The 16 Hamming(7,4) codewords as (16, 7) 0/1 bits, row i for message
+    i: the BPSK codebook's negative symbols."""
+    return (baseline.hamming74_bpsk_codebook() < 0).astype(np.int64)
+
+
+def qam16_points():
+    """The 16-QAM constellation as (16,) complex points, index i for
+    message i: the codebook's one-use I/Q blocks."""
+    return channel.iq_to_complex(baseline.qam16_codebook())[:, 0]
+
+
+def reference_complex_to_iq(symbols):
+    """(batch, n) complex -> (batch, 2n) interleaved reals, I then Q per
+    use: the layout channel.iq_to_complex reads."""
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    return np.stack([symbols.real, symbols.imag], axis=-1).reshape(
+        symbols.shape[:-1] + (2 * symbols.shape[-1],))
+
+
 def hamming74_hard_decode(y):
     """Hard-decision decoding: slice bits, then nearest codeword in
     Hamming distance (equivalent to syndrome correction for this code)."""
@@ -124,7 +144,7 @@ def hamming74_hard_decode(y):
     if y.ndim != 2 or y.shape[1] != 7:
         raise nn.ShapeError(f"observations must be (batch, 7), got {y.shape}")
     hard = (y < 0.0).astype(np.int64)
-    dist = (hard[:, None, :] != baseline.hamming74_codebook()[None, :, :]).sum(axis=2)
+    dist = (hard[:, None, :] != hamming74_bits()[None, :, :]).sum(axis=2)
     return np.argmin(dist, axis=1)
 
 
@@ -142,7 +162,7 @@ def reference_qam16_demod(y, h_est):
     estimates -> (B,) indices. baseline.nearest_codeword on the equalized
     I/Q rows must match it."""
     eq = np.asarray(y, dtype=np.complex128) / h_est
-    return np.argmin(np.abs(eq[:, None] - baseline.qam16_constellation()), axis=1)
+    return np.argmin(np.abs(eq[:, None] - qam16_points()), axis=1)
 
 
 def reference_adam_step(net, grads, state):
@@ -217,15 +237,6 @@ def reference_sigmoid(z):
 def reference_ema_update(avg, net, decay):
     """The EMA update on a flat average, as one array expression."""
     avg += (1.0 - decay) * (net.params - avg)
-
-
-def bits_to_message(bits):
-    """(B, k) bits -> (B,) indices, most significant bit first."""
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 2:
-        raise nn.ShapeError(f"bits must be 2-D, got shape {bits.shape}")
-    weights = 1 << np.arange(bits.shape[1] - 1, -1, -1)
-    return bits @ weights
 
 
 def save_config(cfg, path):

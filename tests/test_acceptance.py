@@ -20,7 +20,8 @@ import pytest
 
 from gancomm import baseline, channel, evaluate, gan, nn, train
 from gancomm.config import TrainConfig
-from helpers import central_difference, float64_copy, relative_error, train_channel_gan
+from helpers import (check_net_gradients, float64_copy, reference_complex_to_iq,
+                     train_channel_gan)
 
 
 def report(ok: bool, name: str, detail: str) -> None:
@@ -109,21 +110,7 @@ def test_1_gradient_suite_full_size_nets():
     # for the channel; tolerance 1e-4 relative, under one minute. The nets
     # are float64 copies: the same code, at a precision the step resolves
     t0 = time.monotonic()
-    worst = 0.0
-
-    def fd_check(net, loss_fn, analytic, count=40):
-        nonlocal worst
-        flat = net.params.copy()
-        idx = np.linspace(0, flat.size - 1, count).astype(int)
-
-        def at(params):
-            net.set_flat_params(params)
-            return loss_fn()
-
-        fd = central_difference(at, flat, idx)
-        net.set_flat_params(flat)
-        worst = max(worst, float(relative_error(analytic.flat[idx], fd).max()))
-
+    errors = []
     for channel_kind in ("awgn", "rayleigh"):
         cfg = TrainConfig(channel=channel_kind, seed=17)
         tx, rx, g, d = train.build_system(cfg)
@@ -138,34 +125,35 @@ def test_1_gradient_suite_full_size_nets():
         cond = gan.conditioning(tx.encode(messages)[0], y_p)
 
         _, rx_grads = train.receiver_forward_backward(rx, messages, y, y_p)
-        fd_check(
+        errors.append(check_net_gradients(
             rx.net,
             lambda: train.receiver_forward_backward(rx, messages, y, y_p)[0],
             rx_grads,
-        )
+        ))
 
         real_y = rng.normal(size=(batch, 2 * cfg.n))
         fake_y, _ = gan.generate(g, z, cond)
         _, d_grads, _ = gan.d_loss(d, real_y, fake_y, cond)
-        fd_check(
+        errors.append(check_net_gradients(
             d.net, lambda: gan.d_loss(d, real_y, fake_y, cond)[0], d_grads
-        )
+        ))
 
         _, g_grads = gan.g_loss(g, d, *gan.generate(g, z, cond), cond)
-        fd_check(
+        errors.append(check_net_gradients(
             g.net, lambda: gan.g_loss(g, d, *gan.generate(g, z, cond), cond)[0], g_grads
-        )
+        ))
 
         _, tx_grads = train.transmitter_forward_backward(
             tx, rx, g, messages, z, y_p
         )
-        fd_check(
+        errors.append(check_net_gradients(
             tx.net,
             lambda: train.transmitter_forward_backward(tx, rx, g, messages, z, y_p)[0],
             tx_grads,
             count=60,
-        )
+        ))
 
+    worst = max(errors)
     elapsed = time.monotonic() - t0
     ok = worst < 1e-4 and elapsed < 60.0
     report(ok, "1 gradient suite",
@@ -198,7 +186,7 @@ def test_2_awgn_end_to_end_tracks_hamming_within_one_db(awgn_run, awgn_sweep):
 def test_3_awgn_surrogate_matches_channel_statistics():
     g, _, _ = train_channel_gan("awgn", 6.0, steps=3000, seed=1)
     std = channel.noise_std_from_snr(6.0, 4, 1)
-    x = channel.complex_to_iq(baseline.qam16_constellation()[:, None])
+    x = baseline.qam16_codebook()
     reports = evaluate.gan_fidelity(g, x, std, n_samples=10_000, seed=2)
     mean_dist = max(
         float(np.linalg.norm(r.fake_mean - r.target_mean)) for r in reports
@@ -215,7 +203,7 @@ def test_3_awgn_surrogate_matches_channel_statistics():
 def test_4_fading_surrogate_follows_the_pilot():
     g, _, _ = train_channel_gan("rayleigh", 10.0, steps=4000, seed=1)
     coeffs = np.array([1.0 + 0j, 1j, 0.5 - 0.5j])
-    x = channel.complex_to_iq(np.repeat(baseline.qam16_constellation(), 3)[:, None])
+    x = np.repeat(baseline.qam16_codebook(), 3, axis=0)
     h = np.tile(coeffs, 16)
     std = channel.noise_std_from_snr(10.0, 4, 1)
     reports = evaluate.gan_fidelity(g, x, std, n_samples=10_000, seed=2, h=h)
@@ -251,9 +239,9 @@ def test_6_mld_equals_exhaustive_search():
     rng = np.random.default_rng(12)
     n_blocks = 10_000
     messages = rng.integers(0, 16, size=n_blocks)
-    bpsk = baseline.bpsk_modulate(baseline.hamming74_codebook())
+    bpsk = baseline.hamming74_bpsk_codebook()
     y = bpsk[messages] + rng.normal(0.0, 0.8, size=(n_blocks, 7))
-    fast = baseline.nearest_codeword(y, baseline.hamming74_bpsk_codebook())
+    fast = baseline.nearest_codeword(y, bpsk)
     sq = ((y[:, None, :] - bpsk[None, :, :]) ** 2).sum(axis=2)
     exhaustive = sq.argmin(axis=1)
     mismatches = int(np.sum(fast != exhaustive))
@@ -280,7 +268,7 @@ def test_7_channel_monte_carlo_invariants():
     ones = np.ones((50_000, 14))
     h_batch = channel.rayleigh_sample(rng, 50_000)
     y = channel.fading_apply(ones, h_batch, std, rng)
-    hx = channel.complex_to_iq(
+    hx = reference_complex_to_iq(
         np.asarray(h_batch)[:, None] * channel.iq_to_complex(ones)
     )
     fading_noise_var = float((y - hx).var())
@@ -378,7 +366,7 @@ class KnownChannelTrainer(train.Trainer):
         _, rx_input_grad = nn.backward(self.rx.net, rx_tape, grad_logits, params=False)
         x_grad = rx_input_grad[:, : x.shape[1]]
         if h is not None:
-            x_grad = channel.complex_to_iq(
+            x_grad = reference_complex_to_iq(
                 np.conj(h)[:, None] * channel.iq_to_complex(x_grad))
         nn.adam_step(self.tx.net, self.tx.backward(tx_tape, x_grad), self.tx_opt)
         self._codebook = None

@@ -50,6 +50,14 @@ class TestNetRoundTrip:
         assert again.layers[0].b[0] == f32.smallest_subnormal
         assert again.params.tobytes() == net.params.tobytes()
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text('{"layers": [{"activation": "relu", "w": [[1.0]], "b": [0.0], '
+                        '"activation": "linear"}]}')
+        where = re.escape(f"checkpoint file {path}: activation: ")
+        with pytest.raises(ConfigError, match=f"^{where}duplicate key$"):
+            checkpoint.load_net(str(path))
+
     def write_net(self, path, w, b):
         path.write_text(json.dumps({"layers": [{"activation": "linear", "w": w, "b": b}]}))
 

@@ -54,6 +54,13 @@ class TestSweepFile:
         with pytest.raises(ConfigError, match="snr"):
             cli.load_sweep(str(path))
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text('{"ebn0_db": [0], "min_trials": 100, "ebn0_db": [4]}')
+        where = re.escape(f"sweep spec {path}: ebn0_db: ")
+        with pytest.raises(ConfigError, match=f"^{where}duplicate key$"):
+            cli.load_sweep(str(path))
+
     def test_grid_is_mandatory(self, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"min_trials": 100}))

@@ -157,6 +157,14 @@ class TestFiles:
         with pytest.raises(ConfigError, match=f"^{where}is not standard JSON"):
             config.load_config(str(path))
 
+    def test_duplicate_key_names_the_file_and_key(self, tmp_path):
+        # json keeps the last of two values, so seed 2 would train silently
+        path = tmp_path / "cfg.json"
+        path.write_text('{"seed": 1, "k": 4, "seed": 2}')
+        where = re.escape(f"config {path}: seed: ")
+        with pytest.raises(ConfigError, match=f"^{where}duplicate key$"):
+            config.load_config(str(path))
+
     @pytest.mark.parametrize("text, where", [
         ('{"ebn0_db": [0.0, [1.0, NaN]]}', "ebn0_db: NaN"),
         ('{"a": {"b": [Infinity]}, "c": 1}', "b: Infinity"),

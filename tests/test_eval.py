@@ -183,13 +183,11 @@ def learned_shard(tx, rx, cfg):
 
 
 def hamming_shard(ebn0, size, rng):
-    """Encode each message's bits, BPSK over AWGN (in-phase noise only, 4
-    bits over 7 uses), MLD one block at a time by correlation."""
+    """Each message's BPSK codeword over AWGN (in-phase noise only, 4 bits
+    over 7 uses), MLD one block at a time by correlation."""
     std = channel.noise_std_from_snr(ebn0, 4, 7)
     messages = rng.integers(0, 16, size=size)
-    bits = baseline.message_to_bits(messages, 4)
-    y = channel.awgn_apply(baseline.bpsk_modulate(baseline.hamming74_encode(bits)),
-                           std, rng)
+    y = channel.awgn_apply(baseline.hamming74_bpsk_codebook()[messages], std, rng)
     return sum(int(reference_correlation_decode(y[t:t + 1])[0] != messages[t])
                for t in range(size))
 
@@ -205,7 +203,7 @@ def qam16_shard(n_pilot):
     def shard_errors(ebn0, size, rng):
         std = channel.noise_std_from_snr(ebn0, 4, 1)
         messages = rng.integers(0, 16, size=size)
-        x = channel.complex_to_iq(baseline.qam16_constellation()[messages][:, None])
+        x = baseline.qam16_codebook()[messages]
         h = channel.rayleigh_sample(rng, size)
         y, h_est = np.empty(size, dtype=np.complex128), h.copy()
         for rows in decide_blocks(size):
@@ -650,7 +648,7 @@ class TestDumps:
     def test_scatter_csv_has_real_fake_and_condition_rows(self, tmp_path):
         rng = np.random.default_rng(7)
         g = gan.Generator(nn.DenseNet.create((5, 8, 2), rng), z_dim=3)
-        x = channel.complex_to_iq(baseline.qam16_constellation()[:2][:, None])
+        x = baseline.qam16_codebook()[:2]
         path = tmp_path / "scatter.csv"
         evaluate.gan_scatter_dump(g, x, 0.2, str(path), n_samples=50, seed=8)
         with open(path, newline="") as f:

@@ -20,8 +20,10 @@ progress calls it makes, learned BLER counts at workers 1 and 3 and of one
 distance, target, and real and generated means and variances), the
 constellation and GAN-scatter dump CSVs written by ``gancomm dump``, the
 CSV and SVG chart written by ``gancomm eval`` on the sweep and on a 30 dB
-point (no errors on AWGN), and a ``train_channel_gan`` run; then the BLER
-counts of the three baselines, on the sweep and on the 45,001-trial point.
+point (no errors on AWGN), and a ``train_channel_gan`` run; then the two
+baseline codebooks (each table's dtype, shape and bytes, on one line) and
+the BLER counts of the three baselines, on the sweep and on the
+45,001-trial point.
 That point's last shard is short, and so is its last block of decided
 rows. Two checkouts that print the same lines produce the same bits on all
 of these; a change that moves them on purpose says so.
@@ -141,12 +143,15 @@ def probe_channel(kind: str, tmp: pathlib.Path) -> list[tuple[str, str]]:
 
 
 def probe() -> list[tuple[str, str]]:
-    from gancomm import evaluate
+    from gancomm import baseline, evaluate
 
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for kind in CHANNELS:
             lines += probe_channel(kind, pathlib.Path(tmp))
+    lines.append(("baseline.codebooks", digest(repr([
+        (cb.dtype.str, cb.shape, cb.tobytes())
+        for cb in (baseline.hamming74_bpsk_codebook(), baseline.qam16_codebook())]))))
     for system in evaluate.BASELINE_SYSTEMS:
         for suffix, sweep in (("", SWEEP), (".tail", TAIL_SWEEP)):
             points = evaluate.bler_sweep_baseline(system, evaluate.SweepSpec(**sweep),
