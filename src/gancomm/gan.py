@@ -56,9 +56,23 @@ def conditioning(x: np.ndarray, y_pilot: np.ndarray | None) -> np.ndarray:
     return np.concatenate([x, y_pilot], axis=1)
 
 
-def _stack(a: np.ndarray, m: np.ndarray, net: nn.DenseNet) -> np.ndarray:
-    """[a, m] as one array in the net's dtype; ``nn.forward`` checks its width."""
-    return np.concatenate([a, m], axis=1, dtype=net.dtype)
+def _stack(blocks: list[np.ndarray], m: np.ndarray, net: nn.DenseNet) -> np.ndarray:
+    """[b, m] for each b of blocks, the rows of one under those of the
+    other, filled into one array in the net's dtype; ``nn.forward`` checks
+    its width."""
+    shape = np.shape(blocks[0])
+    if (len(shape) != 2 or np.ndim(m) != 2 or len(m) != shape[0]
+            or any(np.shape(b) != shape for b in blocks)):
+        raise nn.ShapeError(
+            f"blocks {[np.shape(b) for b in blocks]} and conditioning "
+            f"{np.shape(m)} must be 2-D, with one row each per batch row")
+    batch, width = shape
+    out = np.empty((len(blocks) * batch, width + m.shape[1]), dtype=net.dtype)
+    for i, b in enumerate(blocks):
+        rows = out[i * batch : (i + 1) * batch]
+        rows[:, :width] = b
+        rows[:, width:] = m
+    return out
 
 
 def generate(
@@ -69,7 +83,7 @@ def generate(
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[1] != g.z_dim:
         raise nn.ShapeError(f"z must be (batch, {g.z_dim}), got {z.shape}")
-    return nn.forward(g.net, _stack(z, m, g.net), tape)
+    return nn.forward(g.net, _stack([z], m, g.net), tape)
 
 
 def discriminate(
@@ -77,40 +91,68 @@ def discriminate(
 ) -> tuple[np.ndarray, nn.Tape]:
     """Real/fake logits, (batch, 1), positive favoring 'real', and the
     discriminator's tape (see ``nn.forward``)."""
-    return nn.forward(d.net, _stack(y, m, d.net), tape)
+    return nn.forward(d.net, _stack([y], m, d.net), tape)
+
+
+def real_fake_rows(
+    d: Discriminator, real_y: np.ndarray, fake_y: np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """The discriminator's input for ``d_loss``: the 2B rows [real_y, m;
+    fake_y, m] of a real and a fake batch under one conditioning m, in one
+    array of the net's dtype."""
+    return _stack([real_y, fake_y], m, d.net)
+
+
+def _real_fake_bce(logits: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """``nn.sigmoid_bce`` of the first half of the rows against 'real' and
+    of the second half against 'fake', in one pass over all of them, with
+    the bits of the two calls: the real loss, the fake loss, and the two
+    gradients stacked as the rows are."""
+    batch = logits.shape[0] // 2
+    real = slice(0, batch)
+    e = np.abs(logits)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    per_sample = np.maximum(logits, 0.0)
+    per_sample[real] -= logits[real]
+    scratch = np.log1p(e)
+    per_sample += scratch
+    loss_r = float(np.add.reduce(per_sample[real], axis=None) / batch)
+    loss_f = float(np.add.reduce(per_sample[batch:], axis=None) / batch)
+    np.add(1.0, e, out=scratch)
+    grad = np.where(logits >= 0, 1.0, e)
+    grad /= scratch
+    grad[real] -= 1.0
+    grad /= batch
+    return loss_r, loss_f, grad
 
 
 def d_loss(
-    d: Discriminator,
-    real_y: np.ndarray,
-    fake_y: np.ndarray,
-    m: np.ndarray,
-    tape: nn.Tape | None = None,
+    d: Discriminator, rows: np.ndarray, tape: nn.Tape | None = None
 ) -> tuple[float, nn.Gradients, float]:
-    """Discriminator BCE on a real and a fake batch under conditioning m:
-    mean BCE of the real rows against 'real' plus that of the fake rows
-    against 'fake'.
+    """Discriminator BCE on a real and a fake batch under one conditioning,
+    given as ``real_fake_rows``: mean BCE of the real rows against 'real'
+    plus that of the fake rows against 'fake'.
 
-    Returns (loss, parameter gradients, classification accuracy). The two
-    batches are scored as the 2B rows [real; fake] in one pass, ``tape``
-    (None makes a new one), and the two halves' BCE gradients, stacked the
-    same way, go back through it in one backward. The fake batch is treated
-    as a constant: no gradient flows to the generator here.
+    Returns (loss, parameter gradients, classification accuracy). The 2B
+    rows are scored in one pass, ``tape`` (None makes a new one), and the
+    two halves' BCE gradients, stacked the same way, go back through it in
+    one backward. The rows are only read, so one array may be scored again.
+    The fake batch is treated as a constant: no gradient flows to the
+    generator here.
     """
-    batch = real_y.shape[0]
-    logits, tape = discriminate(
-        d, np.concatenate([real_y, fake_y]), np.concatenate([m, m]), tape
-    )
-    loss_r, grad_r = nn.sigmoid_bce(logits[:batch], real=True)
-    loss_f, grad_f = nn.sigmoid_bce(logits[batch:], real=False)
+    if rows.ndim != 2 or rows.shape[0] % 2:
+        raise nn.ShapeError(f"expected [real; fake] rows, 2B of them, got {rows.shape}")
+    batch = rows.shape[0] // 2
+    logits, tape = nn.forward(d.net, rows, tape)
+    loss_r, loss_f, grad = _real_fake_bce(logits)
     loss = float(loss_r + loss_f)
     if not np.isfinite(loss):
         raise nn.NonFiniteError("discriminator loss is not finite")
     # before backward, which overwrites the logits
     accuracy = float(0.5 * (np.count_nonzero(logits[:batch] > 0.0) / batch
                             + np.count_nonzero(logits[batch:] <= 0.0) / batch))
-    grads, _ = nn.backward(d.net, tape, np.concatenate([grad_r, grad_f]),
-                           inputs=False)
+    grads, _ = nn.backward(d.net, tape, grad, inputs=False)
     return loss, grads, accuracy
 
 

@@ -52,9 +52,12 @@ class NonFiniteError(FloatingPointError):
 
 def _preact_grad(g: np.ndarray, a: np.ndarray, name: str) -> np.ndarray:
     # dLoss/dz from dLoss/da and the layer output a, written over a: relu's
-    # mask a > 0 equals z > 0
+    # mask a > 0 equals z > 0. The mask is written into a as 1.0 or 0.0,
+    # which is what g * (a > 0) casts the bools to, so the product keeps
+    # those bits without a bool temporary
     if name == "relu":
-        return np.multiply(g, a > 0.0, out=a)
+        np.greater(a, 0.0, out=a)
+        return np.multiply(g, a, out=a)
     a[...] = g
     return a
 
@@ -190,7 +193,12 @@ class Tape:
     size, or for a net of other shapes or dtype. ``backward`` overwrites each
     activation with its pre-activation gradient and returns arrays the tape
     owns, valid until the tape's next forward. So a tape serves one backward
-    per forward.
+    per forward. The input is kept as given (in the net's dtype) and never
+    written, so one input array may feed several passes.
+
+    A tape also keeps one zeros array per relu width, the second operand of
+    relu's maximum: numpy takes a slower loop for a scalar 0.0 than for an
+    operand of the same shape, and the bits are the same.
     """
 
     # the net input, then each layer's output: acts[i] feeds layer i and
@@ -199,6 +207,8 @@ class Tape:
     # parameter gradients, and one input-gradient array per layer input width
     grads: Gradients | None = None
     input_grads: dict[int, np.ndarray] = field(default_factory=dict)
+    # (batch, width) zeros for relu, one per width
+    zeros: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def batch_size(self) -> int:
@@ -208,6 +218,14 @@ class Tape:
         buf = self.input_grads.get(width)
         if buf is None:
             buf = self.input_grads[width] = np.empty(
+                (self.batch_size, width), dtype=self.acts[0].dtype
+            )
+        return buf
+
+    def _zeros(self, width: int) -> np.ndarray:
+        buf = self.zeros.get(width)
+        if buf is None:
+            buf = self.zeros[width] = np.zeros(
                 (self.batch_size, width), dtype=self.acts[0].dtype
             )
         return buf
@@ -251,6 +269,7 @@ def forward(
         tape.acts = [x] + [np.empty(shape, dtype=x.dtype) for shape in shapes[1:]]
         tape.grads = None
         tape.input_grads = {}
+        tape.zeros = {}
     tape.acts[0] = x
     # the activation overwrites its pre-activation
     acts = tape.acts
@@ -258,7 +277,7 @@ def forward(
         z = np.matmul(acts[i], layer.w, out=acts[i + 1])
         z += layer.b
         if layer.activation == "relu":
-            np.maximum(z, 0.0, out=z)
+            np.maximum(z, tape._zeros(z.shape[1]), out=z)
     return acts[-1], tape
 
 

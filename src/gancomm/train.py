@@ -149,7 +149,7 @@ def gan_update(
         z = gan.sample_z(rng_z, batch, g.z_dim)
         fake_y, g_tape = gan.generate(g, z, m, _tape(tapes, "gen"))
         d_loss_val, d_grads, d_acc = gan.d_loss(
-            d, real_y, fake_y, m, _tape(tapes, "disc.pair")
+            d, gan.real_fake_rows(d, real_y, fake_y, m), _tape(tapes, "disc.pair")
         )
         nn.adam_step(d.net, d_grads, d_opt)
     g_loss_val, g_grads = gan.g_loss(g, d, fake_y, g_tape, m, _tape(tapes, "disc"))

@@ -133,9 +133,10 @@ def test_1_gradient_suite_full_size_nets():
 
         real_y = rng.normal(size=(batch, 2 * cfg.n))
         fake_y, _ = gan.generate(g, z, cond)
-        _, d_grads, _ = gan.d_loss(d, real_y, fake_y, cond)
+        rows = gan.real_fake_rows(d, real_y, fake_y, cond)
+        _, d_grads, _ = gan.d_loss(d, rows)
         errors.append(check_net_gradients(
-            d.net, lambda: gan.d_loss(d, real_y, fake_y, cond)[0], d_grads
+            d.net, lambda: gan.d_loss(d, rows)[0], d_grads
         ))
 
         _, g_grads = gan.g_loss(g, d, *gan.generate(g, z, cond), cond)

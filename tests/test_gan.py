@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gancomm import gan, nn
 from gancomm.config import ConfigError
 from helpers import central_difference, float64_copy, relative_error
 
 LN2 = float(np.log(2.0))
+
+
+def d_loss(d, real, fake, m):
+    """gan.d_loss on the rows of a real and a fake batch under m."""
+    return gan.d_loss(d, gan.real_fake_rows(d, real, fake, m))
 
 
 def small_gan(seed=0, n=2, cond_dim=4, z_dim=3, float64=False):
@@ -93,7 +100,7 @@ class TestDiscriminatorLoss:
             layer.w[...] = 0.0
             layer.b[...] = 0.0
         rng = np.random.default_rng(8)
-        loss, _, acc = gan.d_loss(
+        loss, _, acc = d_loss(
             d, rng.normal(size=(9, 4)), rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
         )
         assert loss == pytest.approx(2.0 * LN2, rel=1e-15)
@@ -107,7 +114,7 @@ class TestDiscriminatorLoss:
         fake = np.full((8, 4), -8.0)
         # train a few plain gradient steps until the sign is right
         for _ in range(200):
-            _, grads, acc = gan.d_loss(d, real, fake, m)
+            _, grads, acc = d_loss(d, real, fake, m)
             if acc == 1.0:
                 break
             flat = d.net.params - 0.5 * grads.flat
@@ -132,7 +139,7 @@ class TestDiscriminatorLoss:
                                      np.concatenate([m, m]))
         want = float(0.5 * (np.mean(logits[:batch] > 0.0)
                             + np.mean(logits[batch:] <= 0.0)))
-        _, _, acc = gan.d_loss(d, real, fake, m)
+        _, _, acc = d_loss(d, real, fake, m)
         assert repr(acc) == repr(want)
 
     def test_parameter_gradients_match_finite_differences(self):
@@ -142,13 +149,13 @@ class TestDiscriminatorLoss:
         real = rng.normal(size=(6, 4))
         fake, _ = gan.generate(g, gan.sample_z(rng, 6, 3), m)
 
-        _, grads, _ = gan.d_loss(d, real, fake, m)
+        _, grads, _ = d_loss(d, real, fake, m)
         flat = d.net.params.copy()
         idx = np.linspace(0, flat.size - 1, 30).astype(int)
 
         def at(params):
             d.net.set_flat_params(params)
-            loss, _, _ = gan.d_loss(d, real, fake, m)
+            loss, _, _ = d_loss(d, real, fake, m)
             return loss
 
         fd = central_difference(at, flat, idx)
@@ -172,13 +179,54 @@ class TestDiscriminatorLoss:
                          + np.mean(np.logaddexp(0.0, logits_f)))
 
         flat = d.net.params.copy()
-        loss, grads, _ = gan.d_loss(d, real, fake, m)
+        loss, grads, _ = d_loss(d, real, fake, m)
         assert loss == pytest.approx(two_bces(flat), rel=1e-12)
         fd = central_difference(two_bces, flat, np.arange(flat.size))
         d.net.set_flat_params(flat)
         # every parameter, small gradients too, so an absolute bound: the
         # differences round at about 1e-10 here
         assert np.abs(grads.flat - fd).max() < 1e-8
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRealFakeRows:
+    @pytest.mark.parametrize("float64", [False, True])
+    def test_are_the_concatenated_batches(self, float64):
+        # float64 real blocks and conditioning, generator-dtype fakes: the
+        # fill has the bits of concatenating them and casting once
+        g, d = small_gan(seed=25, float64=float64)
+        rng = np.random.default_rng(26)
+        m = rng.normal(size=(9, 4))
+        real = rng.normal(size=(9, 4))
+        fake, _ = gan.generate(g, gan.sample_z(rng, 9, 3), m)
+        want = np.concatenate([np.concatenate([real, fake]), np.concatenate([m, m])],
+                              axis=1, dtype=d.net.dtype)
+        assert same_bytes(gan.real_fake_rows(d, real, fake, m), want)
+
+    def test_refuse_batches_of_other_sizes(self):
+        _, d = small_gan()
+        rng = np.random.default_rng(27)
+        real, m = rng.normal(size=(2, 5, 4))
+        for fake, cond in ((real[:1], m), (real, m[:1]), (real[:, :3], m), (real, m[0])):
+            with pytest.raises(nn.ShapeError):
+                gan.real_fake_rows(d, real, fake, cond)
+
+    @given(batch=st.integers(1, 400), scale=st.sampled_from([0.1, 3.0, 100.0]),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_one_bce_pass_keeps_the_bits_of_two_sigmoid_bce_calls(self, batch, scale,
+                                                                  dtype, seed):
+        rng = np.random.default_rng(seed)
+        logits = (rng.normal(size=(2 * batch, 1)) * scale).astype(dtype)
+        logits[rng.random(logits.shape) < 0.2] = rng.choice([0.0, -0.0])
+        loss_r, grad_r = nn.sigmoid_bce(logits[:batch], real=True)
+        loss_f, grad_f = nn.sigmoid_bce(logits[batch:], real=False)
+        got_r, got_f, grad = gan._real_fake_bce(logits)
+        assert (repr(got_r), repr(got_f)) == (repr(loss_r), repr(loss_f))
+        assert same_bytes(grad, np.concatenate([grad_r, grad_f]))
 
 
 class TestGeneratorLoss:

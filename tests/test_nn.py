@@ -276,6 +276,45 @@ class TestBackwardAtTrainingShapes:
         assert same_bytes(input_grad, want_input)
 
 
+# the values relu and its mask must pass with a scalar zero's bits
+SPECIAL = (-0.0, 0.0, np.nan, np.inf, -np.inf, -1.5, 2.5, 1e-45)
+
+
+class TestReluTrims:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_relu_is_the_maximum_with_a_scalar_zero(self, dtype):
+        # one input unit with weight 1 and bias 0 per output: each
+        # pre-activation is its input (a -0.0 input leaves the matmul as
+        # +0.0, whose sum starts at +0.0)
+        net = nn.DenseNet([nn.Layer(w=np.ones((1, 4), dtype), b=np.zeros(4, dtype),
+                                    activation="relu")])
+        x = np.array(SPECIAL, dtype)[:, None]
+        z = np.matmul(x, net.layers[0].w)
+        z += net.layers[0].b
+        out, tape = nn.forward(net, x)
+        assert same_bytes(out, np.maximum(z, 0.0))
+        # the same on -0.0 itself, against the zeros the tape keeps
+        rows = np.tile(np.array(SPECIAL, dtype)[:, None], (1, 4))
+        assert same_bytes(np.maximum(rows, tape.zeros[4]), np.maximum(rows, 0.0))
+
+    @given(rows=st.integers(1, 400), width=st.integers(1, 96),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_the_mask_written_in_place_is_g_times_a_above_zero(self, rows, width, dtype,
+                                                              seed):
+        # a relu output with exact zeros, and an upstream gradient holding
+        # signed zeros, NaN and infinities, which a zero mask turns to NaN
+        rng = np.random.default_rng(seed)
+        a = np.maximum(rng.normal(size=(rows, width)), 0.0).astype(dtype)
+        g = rng.normal(size=(rows, width)).astype(dtype)
+        picks = rng.random(g.shape) < 0.3
+        g[picks] = rng.choice(np.array(SPECIAL, dtype), size=int(picks.sum()))
+        with np.errstate(invalid="ignore"):
+            want = g * (a > 0)
+            got = nn._preact_grad(g, a, "relu")
+        assert got is a and same_bytes(got, want)
+
+
 class TestSoftmaxCrossEntropy:
     def test_frozen_single_row(self):
         # p = softmax([1,2,3]); loss = -log p[2]

@@ -204,7 +204,7 @@ class TestFloat32Gradients:
         def path_gradients(tx, rx, g, d):
             grads = {
                 "rx": train.receiver_forward_backward(rx, messages, y, y_p)[1],
-                "disc": gan.d_loss(d, real_y, fake_y, cond)[1],
+                "disc": gan.d_loss(d, gan.real_fake_rows(d, real_y, fake_y, cond))[1],
                 "gen": gan.g_loss(g, d, *gan.generate(g, z, cond), cond)[1],
                 "tx": train.transmitter_forward_backward(tx, rx, g, messages, z,
                                                          y_p)[1],
