@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baseline, channel, gan, transceiver
+from . import baseline, channel, gan, nn, transceiver
 from .checkpoint import atomic_open
 from .config import ConfigError, TrainConfig
 from .rng import substream
@@ -153,9 +153,11 @@ def _sweep(codebook, model, decide, k, n, spec, seed, label, workers):
     """BLER points of one system. A shard draws its messages and channel
     state, then, one block of DECIDE_ROWS rows at a time, what the receiver
     observes of the messages' codebook rows, block noise before pilot
-    noise; decide(y, y_pilot, state) returns the decided message indices
-    of a block. Eb/N0 counts k information bits over n complex channel
-    uses."""
+    noise; decide(y, y_pilot, state, tape) returns the decided message
+    indices of a block. ``tape`` is one ``nn.Tape`` per shard call, for a
+    rule that runs a net, so each shard allocates the net's arrays once;
+    the other rules ignore it. Eb/N0 counts k information bits over n
+    complex channel uses."""
     if workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
     points = []
@@ -165,6 +167,7 @@ def _sweep(codebook, model, decide, k, n, spec, seed, label, workers):
         def trial_fn(n_trials: int, rng: np.random.Generator) -> int:
             messages = rng.integers(0, len(codebook), size=n_trials)
             state = model.draw_state(rng, n_trials)
+            tape = nn.Tape()
             misses = 0
             for start in range(0, n_trials, DECIDE_ROWS):
                 rows = slice(start, start + DECIDE_ROWS)
@@ -174,7 +177,7 @@ def _sweep(codebook, model, decide, k, n, spec, seed, label, workers):
                 blocks = np.take(codebook, sent, axis=0)
                 block_state = None if state is None else state[rows]
                 y, y_pilot = model.observe(blocks, block_state, std, rng)
-                decided = decide(y, y_pilot, block_state)
+                decided = decide(y, y_pilot, block_state, tape)
                 misses += np.count_nonzero(decided != sent)
             return misses
 
@@ -204,7 +207,7 @@ def bler_sweep_learned(
     # the transmitter is deterministic, so its M blocks serve every trial
     codebook = tx.encode_messages(np.arange(cfg.M))
     return _sweep(codebook, cfg.make_channel(),
-                  lambda y, y_pilot, state: rx.decode(y, y_pilot),
+                  lambda y, y_pilot, state, tape: rx.decode(y, y_pilot, tape),
                   cfg.k, cfg.n, spec, seed, f"learned-{cfg.channel}", workers)
 
 
@@ -226,27 +229,34 @@ def bler_sweep_baseline(
         # 4 bits over 7 BPSK uses; a BPSK use carries one real, so the
         # codebook is 7 reals wide and only in-phase noise is drawn
         codebook = baseline.hamming74_bpsk_codebook()
+        half_energy = baseline.half_energy(codebook)
         return _sweep(codebook, channel.make_channel("awgn"),
-                      lambda y, y_pilot, state: baseline.nearest_codeword(y, codebook),
+                      lambda y, y_pilot, state, tape:
+                          baseline.nearest_codeword(y, codebook, half_energy),
                       4, 7, spec, seed, system, workers)
     # uncoded 16-QAM, one complex use carrying 4 bits; perfect CSI is
     # fading without pilots
     model = channel.make_channel(
         "rayleigh", 0 if system == "qam16-rayleigh-perfect-csi" else n_pilot)
-    return _sweep(baseline.qam16_codebook(), model, _qam16_decide,
+    codebook = baseline.qam16_codebook()
+    half_energy = baseline.half_energy(codebook)
+    return _sweep(codebook, model,
+                  lambda y, y_pilot, h, tape: _qam16_decide(y, y_pilot, h, half_energy),
                   4, 1, spec, seed, system, workers)
 
 
-def _qam16_decide(y, y_pilot, h):
+def _qam16_decide(y, y_pilot, h, half_energy=None):
     """Equalize by the LS estimate of the received pilots, or by the true h
     on a channel without pilots, then take the nearest 16-QAM point of the
-    equalized symbols as I/Q rows. An exactly-zero estimate cannot be
+    equalized symbols as I/Q rows (``half_energy`` is the codebook's, see
+    ``baseline.nearest_codeword``). An exactly-zero estimate cannot be
     equalized; its block decides -1, an error."""
     h_est = h if y_pilot is None else baseline.ls_estimate(channel.iq_to_complex(y_pilot))
     usable = h_est != 0
     eq = channel.iq_to_complex(y)  # (B, 1), so its float64 view is (B, 2) I/Q
     np.divide(eq, h_est[:, None], out=eq, where=usable[:, None])
-    decided = baseline.nearest_codeword(eq.view(np.float64), baseline.qam16_codebook())
+    decided = baseline.nearest_codeword(eq.view(np.float64), baseline.qam16_codebook(),
+                                        half_energy)
     decided[~usable] = -1
     return decided
 

@@ -135,8 +135,14 @@ class Receiver:
             y = np.concatenate([y, y_pilot], axis=1, dtype=self.net.dtype)
         return nn.forward(self.net, y, tape)
 
-    def decode(self, y: np.ndarray, y_pilot: np.ndarray | None = None) -> np.ndarray:
+    def decode(
+        self,
+        y: np.ndarray,
+        y_pilot: np.ndarray | None = None,
+        tape: nn.Tape | None = None,
+    ) -> np.ndarray:
         """Received blocks -> (B,) decided messages: the largest logit, i.e.
-        the most likely message under the softmax; ties go to the lowest index."""
-        logits, _ = self.forward_logits(y, y_pilot)
+        the most likely message under the softmax; ties go to the lowest
+        index. The net's pass runs on ``tape`` (None makes a new one)."""
+        logits, _ = self.forward_logits(y, y_pilot, tape)
         return np.argmax(logits, axis=1)

@@ -70,10 +70,12 @@ def test_a_trainer_still_steps_after_run_released_its_tapes():
 @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
 def test_a_steady_state_sweep_shard_peaks_within_its_blocks(kind, monkeypatch):
     # default nets, one full shard: the gathered rows, the received blocks
-    # and the noise span one DECIDE_ROWS block; only the messages and h span
-    # the shard. At 500 rows it peaks at 0.5 MiB on AWGN and 0.8 on
-    # Rayleigh, at 2,000 rows at 1.35 and 1.7; drawn shard-wide the rows and
-    # noise were 2.1 MiB each at 7 uses and the shard peaked near 10 MiB
+    # and the noise span one DECIDE_ROWS block, and the receiver's tape, kept
+    # through the shard, one block's pass; only the messages and h span the
+    # shard. At 500 rows it peaks at 0.6 MiB on AWGN and 0.95 on Rayleigh
+    # (0.5 and 0.8 with a new tape per block), at 2,000 rows at 1.35 and
+    # 1.7; drawn shard-wide the rows and noise were 2.1 MiB each at 7 uses
+    # and the shard peaked near 10 MiB
     cfg = TrainConfig(channel=kind)
     tx, rx, _, _ = train.build_system(cfg)
     trial_fns = []
@@ -98,7 +100,7 @@ def test_a_one_shard_sweep_call_peaks_within_its_blocks(system):
     # the whole call: the gathered rows, the received blocks and pilots,
     # the receiver's pass, Hamming's scores and 16-QAM's distances all span
     # one DECIDE_ROWS block; only the messages and h span the shard. At 500
-    # rows a call peaks at 0.3 (Hamming) to 0.9 MiB (16-QAM), at 2,000 rows
+    # rows a call peaks at 0.3 (Hamming) to 0.95 MiB (learned Rayleigh), at 2,000 rows
     # at 0.65 to 1.7 MiB (learned Rayleigh). With the rows and received
     # blocks shard-wide (2.1 MiB each for a learned system at 7 uses) a call
     # peaked near 6 MiB for a learned system and 2.6 MiB for Hamming
@@ -120,21 +122,26 @@ def test_every_shard_is_decided_in_blocks_of_decide_rows(monkeypatch):
     monkeypatch.setattr(evaluate, "DECIDE_ROWS", 7)
     cfg = TrainConfig(k=2, n=2, channel="rayleigh", tx_hidden=(8,), rx_hidden=(8,))
     tx, rx, _, _ = train.build_system(cfg)
-    seen = []
+    seen, tapes = [], []
     decode = rx.decode
 
-    def recording_decode(y, y_pilot):
+    def recording_decode(y, y_pilot, tape):
         seen.append(len(y))
-        return decode(y, y_pilot)
+        tapes.append(tape)
+        return decode(y, y_pilot, tape)
 
     monkeypatch.setattr(rx, "decode", recording_decode)
     evaluate.bler_sweep_learned(tx, rx, cfg, evaluate.SweepSpec((4.0,), 150, 150))
     assert seen == [7] * 14 + [2] + [7] * 7 + [1]
+    # and the receiver's passes of a shard run on one tape of its own
+    assert all(tape is tapes[0] for tape in tapes[:15])
+    assert all(tape is tapes[15] for tape in tapes[15:]) and tapes[15] is not tapes[0]
 
 
 def test_two_shards_on_two_workers_peak_within_their_blocks():
     # two learned Rayleigh shards at once, each thread's arrays spanning
-    # one block: 1.6 MiB at 500 rows, 3.4 at 2,000; with shard-wide rows,
+    # one block: 1.9 MiB at 500 rows (1.6 with a new receiver tape per
+    # block), 3.4 at 2,000; with shard-wide rows,
     # received blocks and pilots the call peaked near 12 MiB
     cfg = TrainConfig(channel="rayleigh")
     tx, rx, _, _ = train.build_system(cfg)
