@@ -137,20 +137,20 @@ def gan_update(
     d_updates: int,
     tapes: Mapping[str, nn.Tape] | None = None,
 ) -> tuple[float, float, float]:
-    """One adversarial step: d_updates discriminator updates, each on a
-    fresh generator pass, then one generator update on the last of those
-    passes, which the generator has not moved since. Returns (d loss, g
-    loss, d accuracy). ``tapes``, if given, holds reusable tapes by net:
-    gen, disc.pair for the discriminator's 2B-row [real; fake] pass, and
-    disc for its B-row pass in the generator update."""
-    batch = real_y.shape[0]
-    d_loss_val = d_acc = 0.0
+    """One adversarial step on one generator pass: z is drawn once, and
+    the pass's fakes and the real batch, filled once into one
+    ``gan.real_fake_rows`` array, are scored by each of the d_updates
+    discriminator updates; then one generator update on that same pass,
+    which the generator has not moved since. Returns (d loss, g loss, d
+    accuracy), the discriminator's from its last update. ``tapes``, if
+    given, holds reusable tapes by net: gen, disc.pair for the
+    discriminator's 2B-row [real; fake] pass, and disc for its B-row pass
+    in the generator update."""
+    z = gan.sample_z(rng_z, real_y.shape[0], g.z_dim)
+    fake_y, g_tape = gan.generate(g, z, m, _tape(tapes, "gen"))
+    rows = gan.real_fake_rows(d, real_y, fake_y, m)
     for _ in range(d_updates):
-        z = gan.sample_z(rng_z, batch, g.z_dim)
-        fake_y, g_tape = gan.generate(g, z, m, _tape(tapes, "gen"))
-        d_loss_val, d_grads, d_acc = gan.d_loss(
-            d, gan.real_fake_rows(d, real_y, fake_y, m), _tape(tapes, "disc.pair")
-        )
+        d_loss_val, d_grads, d_acc = gan.d_loss(d, rows, _tape(tapes, "disc.pair"))
         nn.adam_step(d.net, d_grads, d_opt)
     g_loss_val, g_grads = gan.g_loss(g, d, fake_y, g_tape, m, _tape(tapes, "disc"))
     nn.adam_step(g.net, g_grads, g_opt)

@@ -4,8 +4,9 @@ Every test prints a single PASS/FAIL line with its measured margins (run
 pytest with -s to watch them stream). The suite trains real systems, so it
 takes a few minutes end to end; everything is seeded and deterministic.
 
-Acceptance 2, 5 and 9 also print one line per grid point (9 prints two,
-then a pooled efficiency per channel), and train once per
+Acceptance 2, 5 and 9 also print one line per grid point (9 prints
+three, then pooled efficiencies and train times per channel), and train
+once per
 ``--acceptance-seed N`` (repeatable; seed 1 by default).
 The GAN links and their sweeps are module fixtures, shared by the three
 tests.
@@ -20,6 +21,7 @@ import pytest
 
 from gancomm import baseline, channel, evaluate, gan, nn, train
 from gancomm.config import TrainConfig
+from gancomm.rng import substream
 from helpers import (check_net_gradients, float64_copy, reference_complex_to_iq,
                      train_channel_gan)
 
@@ -70,24 +72,24 @@ RAYLEIGH_SPEC = evaluate.SweepSpec(
 )
 
 
-def trained(cfg):
-    trainer = train.Trainer(cfg)
+def trained(cfg, trainer_class=train.Trainer):
+    """A trainer that has run cfg's schedule, and the seconds that took."""
+    t0 = time.monotonic()
+    trainer = trainer_class(cfg)
     trainer.run()
-    return trainer
+    return trainer, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def awgn_run(seed):
     cfg = TrainConfig(seed=seed)
-    t0 = time.monotonic()
-    trainer = trained(cfg)
-    return cfg, trainer, time.monotonic() - t0
+    return cfg, *trained(cfg)
 
 
 @pytest.fixture(scope="module")
 def rayleigh_run(seed):
     cfg = TrainConfig(channel="rayleigh", seed=seed)
-    return cfg, trained(cfg)
+    return cfg, *trained(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +102,7 @@ def awgn_sweep(awgn_run):
 @pytest.fixture(scope="module")
 def rayleigh_sweep(rayleigh_run):
     # the GAN link's BLER over acceptance 5's grid
-    cfg, trainer = rayleigh_run
+    cfg, trainer, _ = rayleigh_run
     return evaluate.bler_sweep_learned(trainer.tx, trainer.rx, cfg, RAYLEIGH_SPEC)
 
 
@@ -219,7 +221,7 @@ def test_4_fading_surrogate_follows_the_pilot():
 
 
 def test_5_rayleigh_end_to_end_within_two_db_of_ls(rayleigh_run, rayleigh_sweep):
-    cfg, _ = rayleigh_run
+    cfg, _, _ = rayleigh_run
     shifted = dataclasses.replace(
         RAYLEIGH_SPEC, ebn0_db=tuple(x - 2.0 for x in RAYLEIGH_SPEC.ebn0_db))
     learned = rayleigh_sweep
@@ -374,25 +376,60 @@ class KnownChannelTrainer(train.Trainer):
         return self._record(iteration, "tx", loss)
 
 
-def surrogate_efficiency(rx_only: float, gan_link: float, known: float) -> str:
-    """ln(B_rx-only / B_GAN) / ln(B_rx-only / B_known): 0 when the GAN link
+class PolicyGradientTrainer(train.Trainer):
+    """The policy-gradient arm (Aoudia and Hoydis, arXiv:1804.02276): the
+    transmitter sends perturbed blocks x_p = sqrt(1 - s^2) x + s w, w from
+    a stream of its own, through the real channel, and learns from nothing
+    but the receiver's loss on each block, by the score-function estimate
+    of the gradient: (l_i - mean l) sqrt(1 - s^2) w_i / (s B) per block. A
+    control for acceptance 9, with no GAN and no channel model; the product
+    path never trains this way."""
+
+    # the perturbation's standard deviation, fixed before any run
+    SIGMA = 0.15
+
+    def __init__(self, cfg: TrainConfig):
+        super().__init__(cfg)
+        self._rng_perturb = substream(cfg.seed, "train", "perturb")
+
+    def train_transmitter_step(self, iteration: int) -> float:
+        messages, state = self._draw_batch()
+        x, tx_tape = self.tx.encode(messages)
+        w = self._rng_perturb.standard_normal(x.shape)
+        keep = math.sqrt(1.0 - self.SIGMA**2)
+        y, y_p = self.channel_model.observe(keep * x + self.SIGMA * w, state,
+                                            self.noise_std, self._rng_channel)
+        # each block's cross-entropy; the receiver is only read
+        logits = self.rx.forward_logits(y, y_p)[0].astype(np.float64)
+        logits -= logits.max(axis=1, keepdims=True)
+        losses = (np.log(np.exp(logits).sum(axis=1))
+                  - logits[np.arange(len(messages)), messages])
+        weights = (losses - losses.mean()) * keep / (self.SIGMA * len(messages))
+        nn.adam_step(self.tx.net, self.tx.backward(tx_tape, weights[:, None] * w),
+                     self.tx_opt)
+        self._codebook = None
+        return self._record(iteration, "tx", float(losses.mean()))
+
+
+def surrogate_efficiency(rx_only: float, arm: float, known: float) -> str:
+    """ln(B_rx-only / B_arm) / ln(B_rx-only / B_known): 0 when the arm
     does no better than an untrained transmitter, 1 when it does as well as
     the known channel; n/a where a BLER is 0 or the known arm does no
     better than rx-only."""
-    if min(rx_only, gan_link, known) <= 0.0 or known == rx_only:
+    if min(rx_only, arm, known) <= 0.0 or known == rx_only:
         return "n/a"
-    return f"{math.log(rx_only / gan_link) / math.log(rx_only / known):.3f}"
+    return f"{math.log(rx_only / arm) / math.log(rx_only / known):.3f}"
 
 
-def pooled_efficiency(gan_points, rx_only, known) -> float:
-    """sum ln(B_rx-only / B_GAN) / sum ln(B_rx-only / B_known) over the grid
+def pooled_efficiency(arm_points, rx_only, known) -> float:
+    """sum ln(B_rx-only / B_arm) / sum ln(B_rx-only / B_known) over the grid
     points where all three BLERs are above 0; NaN, which fails any bound,
     where no point counts or the known arm does no better than rx-only in
     the sum."""
     gained = possible = 0.0
-    for gp, rp, kp in zip(gan_points, rx_only, known):
-        if min(gp.bler, rp.bler, kp.bler) > 0.0:
-            gained += math.log(rp.bler / gp.bler)
+    for ap, rp, kp in zip(arm_points, rx_only, known):
+        if min(ap.bler, rp.bler, kp.bler) > 0.0:
+            gained += math.log(rp.bler / ap.bler)
             possible += math.log(rp.bler / kp.bler)
     return gained / possible if possible > 0.0 else math.nan
 
@@ -404,34 +441,47 @@ def pooled_efficiency(gan_points, rx_only, known) -> float:
 POOLED_EFFICIENCY_BOUND = 0.6
 
 
-def test_9_the_gan_link_beats_the_receiver_only_arm(seed, awgn_sweep, rayleigh_sweep):
+def test_9_the_gan_link_beats_the_receiver_only_arm(seed, awgn_run, rayleigh_run,
+                                                    awgn_sweep, rayleigh_sweep):
     # the control arm: no GAN and no transmitter steps, so the transmitter
     # keeps its random initialization and only the receiver trains, on the
     # real channel. Swept on the same trials as the GAN link (the sweep
     # seed is the training seed), it must do no better at any grid point.
     # The known-channel arm, on the same trials, gives each point's
     # surrogate efficiency, reported with no bound, and each channel's
-    # pooled efficiency, which must reach POOLED_EFFICIENCY_BOUND
+    # pooled efficiency, which must reach POOLED_EFFICIENCY_BOUND. The
+    # policy-gradient arm, the model-free reference the GAN link ought to
+    # beat, is reported the same way, with no bound
     worse = []
     worst = {}
     pooled = {}
-    for kind, gan_points, spec in (("awgn", awgn_sweep, AWGN_SPEC),
-                                   ("rayleigh", rayleigh_sweep, RAYLEIGH_SPEC)):
+    for kind, run, gan_points, spec in (("awgn", awgn_run, awgn_sweep, AWGN_SPEC),
+                                        ("rayleigh", rayleigh_run, rayleigh_sweep,
+                                         RAYLEIGH_SPEC)):
+        head = f"acceptance 9, {kind}, seed {seed}"
         cfg = TrainConfig(channel=kind, seed=seed, tx_steps=0, gan_steps=0,
                           warmup_gan_steps=0)
-        arm = trained(cfg)
+        arm, rx_only_seconds = trained(cfg)
         rx_only = evaluate.bler_sweep_learned(arm.tx, arm.rx, cfg, spec)
         worst[kind] = report_margins(9, cfg, gan_points, rx_only, "rx-only", "GAN")
-        known_cfg = TrainConfig(channel=kind, seed=seed, gan_steps=0, warmup_gan_steps=0)
-        known_arm = KnownChannelTrainer(known_cfg)
-        known_arm.run()
-        known = evaluate.bler_sweep_learned(known_arm.tx, known_arm.rx, known_cfg, spec)
-        for gp, rp, kp in zip(gan_points, rx_only, known):
-            print(f"acceptance 9, {kind}, seed {seed}: {kp.ebn0_db:g} dB: known channel "
-                  f"{kp.bler:.3e} ({kp.errors} errors): efficiency "
+        no_gan = TrainConfig(channel=kind, seed=seed, gan_steps=0, warmup_gan_steps=0)
+        known_arm, known_seconds = trained(no_gan, KnownChannelTrainer)
+        known = evaluate.bler_sweep_learned(known_arm.tx, known_arm.rx, no_gan, spec)
+        pg_arm, pg_seconds = trained(no_gan, PolicyGradientTrainer)
+        pg = evaluate.bler_sweep_learned(pg_arm.tx, pg_arm.rx, no_gan, spec)
+        for gp, rp, kp, pp in zip(gan_points, rx_only, known, pg):
+            print(f"{head}: {kp.ebn0_db:g} dB: known channel {kp.bler:.3e} "
+                  f"({kp.errors} errors): efficiency "
                   f"{surrogate_efficiency(rp.bler, gp.bler, kp.bler)}", flush=True)
+            print(f"{head}: {pp.ebn0_db:g} dB: policy gradient {pp.bler:.3e} "
+                  f"({pp.errors} errors): efficiency "
+                  f"{surrogate_efficiency(rp.bler, pp.bler, kp.bler)}", flush=True)
         pooled[kind] = pooled_efficiency(gan_points, rx_only, known)
-        print(f"acceptance 9, {kind}, seed {seed}: pooled efficiency {pooled[kind]:.3f}",
+        print(f"{head}: pooled efficiency {pooled[kind]:.3f}", flush=True)
+        print(f"{head}: policy gradient pooled efficiency "
+              f"{pooled_efficiency(pg, rx_only, known):.3f}", flush=True)
+        print(f"{head}: train seconds: GAN {run[2]:.1f}, rx-only {rx_only_seconds:.1f}, "
+              f"known channel {known_seconds:.1f}, policy gradient {pg_seconds:.1f}",
               flush=True)
         worse += [f"{kind} at {gp.ebn0_db:g} dB: GAN {gp.bler:.3e} > rx-only {rp.bler:.3e}"
                   for gp, rp in zip(gan_points, rx_only) if gp.bler > rp.bler]

@@ -100,8 +100,8 @@ def test_a_one_shard_sweep_call_peaks_within_its_blocks(system):
     # the whole call: the gathered rows, the received blocks and pilots,
     # the receiver's pass, Hamming's scores and 16-QAM's distances all span
     # one DECIDE_ROWS block; only the messages and h span the shard. At 500
-    # rows a call peaks at 0.3 (Hamming) to 0.95 MiB (learned Rayleigh), at 2,000 rows
-    # at 0.65 to 1.7 MiB (learned Rayleigh). With the rows and received
+    # rows a call peaks at 0.3 (Hamming) to 0.95 MiB (learned Rayleigh), at
+    # 2,000 rows at 0.65 to 1.7 MiB (learned Rayleigh). With the rows and received
     # blocks shard-wide (2.1 MiB each for a learned system at 7 uses) a call
     # peaked near 6 MiB for a learned system and 2.6 MiB for Hamming
     shard = evaluate.SHARD_TRIALS

@@ -250,9 +250,9 @@ class TestGanUpdate:
     @pytest.mark.parametrize("d_updates", [1, 2, 3])
     def test_a_step_runs_each_net_only_as_often_as_it_must(self, d_updates,
                                                            monkeypatch):
-        # d_updates generator passes, each scored with the real batch in
-        # one 2B-row discriminator pass, then the generator update reuses
-        # the last of them: one more B-row discriminator pass, and the one
+        # one z draw and one generator pass, scored with the real batch by
+        # d_updates 2B-row discriminator passes; then the generator update
+        # reuses that pass: one more B-row discriminator pass, and the one
         # generator backward
         trainer = train.Trainer(tiny_cfg(d_updates=d_updates))
         batch = trainer.cfg.batch_size
@@ -279,18 +279,18 @@ class TestGanUpdate:
         # the GAN's calls; the first step also encodes the codebook
         forwards = [(net, rows) for kind, net, rows in calls if kind == "forward" and net]
         backwards = [(net, rows) for kind, net, rows in calls if kind == "backward" and net]
-        assert len(z_draws) == d_updates
-        assert forwards.count(("gen", batch)) == d_updates
+        assert len(z_draws) == 1
+        assert forwards.count(("gen", batch)) == 1
         assert forwards.count(("disc", 2 * batch)) == d_updates
         assert forwards.count(("disc", batch)) == 1
-        assert len(forwards) == 2 * d_updates + 1
+        assert len(forwards) == d_updates + 2
         assert backwards.count(("gen", batch)) == 1
         assert backwards.count(("disc", 2 * batch)) == d_updates
         assert backwards.count(("disc", batch)) == 1
         assert len(backwards) == d_updates + 2
         assert sorted(trainer._tapes) == ["disc", "disc.pair", "gen"]
 
-    def test_generator_update_is_g_loss_on_the_last_discriminator_z(self, monkeypatch):
+    def test_generator_update_is_g_loss_on_the_steps_one_z(self, monkeypatch):
         cfg = tiny_cfg()
         _, _, g, d = train.build_system(cfg)
         g_opt = nn.AdamState.for_net(g.net, 1e-3)
@@ -309,7 +309,7 @@ class TestGanUpdate:
             if net is g.net:
                 # the discriminator has taken its updates, the generator not yet
                 seen["got"] = grads.flat.copy()
-                fake_y, g_tape = gan.generate(g, zs[-1], m)
+                fake_y, g_tape = gan.generate(g, zs[0], m)
                 seen["want"] = gan.g_loss(g, d, fake_y, g_tape, m)[1].flat.copy()
             adam_step(net, grads, state)
 
@@ -317,8 +317,40 @@ class TestGanUpdate:
         monkeypatch.setattr(nn, "adam_step", recording_adam_step)
         train.gan_update(g, d, g_opt, d_opt, real_y, m, rng, d_updates=2,
                          tapes=collections.defaultdict(nn.Tape))
-        assert len(zs) == 2
+        assert len(zs) == 1
         assert seen["got"].tobytes() == seen["want"].tobytes()
+
+    @pytest.mark.parametrize("d_updates", [2, 3])
+    def test_every_discriminator_update_scores_the_same_rows(self, d_updates,
+                                                             monkeypatch):
+        # the step's real batch over the one generator pass's fakes, each
+        # beside the step's conditioning, byte for byte in every update
+        trainer = train.Trainer(tiny_cfg(d_updates=d_updates))
+        seen = collections.defaultdict(list)
+        update, generate, d_loss = train.gan_update, gan.generate, gan.d_loss
+
+        def recording_update(g, d, g_opt, d_opt, real_y, m, *args, **kwargs):
+            seen["real_y"].append(real_y.copy())
+            seen["m"].append(m.copy())
+            return update(g, d, g_opt, d_opt, real_y, m, *args, **kwargs)
+
+        def recording_generate(*args, **kwargs):
+            fake_y, tape = generate(*args, **kwargs)
+            seen["fake_y"].append(fake_y.copy())
+            return fake_y, tape
+
+        def recording_d_loss(d, rows, tape=None):
+            seen["rows"].append(rows.copy())
+            return d_loss(d, rows, tape)
+
+        monkeypatch.setattr(train, "gan_update", recording_update)
+        monkeypatch.setattr(gan, "generate", recording_generate)
+        monkeypatch.setattr(gan, "d_loss", recording_d_loss)
+        trainer.train_gan_step(1)
+        (real_y,), (m,), (fake_y,) = seen["real_y"], seen["m"], seen["fake_y"]
+        want = gan.real_fake_rows(trainer.discriminator, real_y, fake_y, m)
+        assert len(seen["rows"]) == d_updates
+        assert all(rows.tobytes() == want.tobytes() for rows in seen["rows"])
 
 
 class TestTrainer:
@@ -536,8 +568,9 @@ class TestJitter:
     @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
     def test_only_the_gan_step_draws_and_from_its_own_stream(self, kind):
         # a GAN step draws from the batch and channel streams what a receiver
-        # step draws, and from the z stream what d_updates passes need; the
-        # jitter comes from a stream of its own, which no other step touches
+        # step draws, and from the z stream what its one generator pass
+        # needs; the jitter comes from a stream of its own, which no other
+        # step touches
         cfg = tiny_cfg(channel=kind, d_updates=2)
         gan_step, rx_step = train.Trainer(cfg), train.Trainer(cfg)
         gan_step.train_gan_step(1)
@@ -545,8 +578,7 @@ class TestJitter:
         for name in ("_rng_batch", "_rng_channel"):
             assert stream_state(getattr(gan_step, name)) == stream_state(getattr(rx_step, name))
         z = substream(cfg.seed, "train", "z")
-        for _ in range(cfg.d_updates):
-            gan.sample_z(z, cfg.batch_size, cfg.z_dim)
+        gan.sample_z(z, cfg.batch_size, cfg.z_dim)
         assert stream_state(gan_step._rng_z) == stream_state(z)
         jitter = substream(cfg.seed, "train", "jitter")
         untouched = stream_state(jitter)
