@@ -229,26 +229,26 @@ def bler_sweep_baseline(
         # 4 bits over 7 BPSK uses; a BPSK use carries one real, so the
         # codebook is 7 reals wide and only in-phase noise is drawn
         codebook = baseline.hamming74_bpsk_codebook()
-        half_energy = baseline.half_energy(codebook)
+        energy = baseline.half_energy(codebook)
         return _sweep(codebook, channel.make_channel("awgn"),
                       lambda y, y_pilot, state, tape:
-                          baseline.nearest_codeword(y, codebook, half_energy),
+                          baseline.nearest_codeword(y, codebook, energy),
                       4, 7, spec, seed, system, workers)
     # uncoded 16-QAM, one complex use carrying 4 bits; perfect CSI is
     # fading without pilots
     model = channel.make_channel(
         "rayleigh", 0 if system == "qam16-rayleigh-perfect-csi" else n_pilot)
     codebook = baseline.qam16_codebook()
-    half_energy = baseline.half_energy(codebook)
+    energy = baseline.half_energy(codebook)
     return _sweep(codebook, model,
-                  lambda y, y_pilot, h, tape: _qam16_decide(y, y_pilot, h, half_energy),
+                  lambda y, y_pilot, h, tape: _qam16_decide(y, y_pilot, h, energy),
                   4, 1, spec, seed, system, workers)
 
 
-def _qam16_decide(y, y_pilot, h, half_energy=None):
+def _qam16_decide(y, y_pilot, h, energy=None):
     """Equalize by the LS estimate of the received pilots, or by the true h
     on a channel without pilots, then take the nearest 16-QAM point of the
-    equalized symbols as I/Q rows (``half_energy`` is the codebook's, see
+    equalized symbols as I/Q rows (``energy`` as in
     ``baseline.nearest_codeword``). An exactly-zero estimate cannot be
     equalized; its block decides -1, an error."""
     h_est = h if y_pilot is None else baseline.ls_estimate(channel.iq_to_complex(y_pilot))
@@ -256,7 +256,7 @@ def _qam16_decide(y, y_pilot, h, half_energy=None):
     eq = channel.iq_to_complex(y)  # (B, 1), so its float64 view is (B, 2) I/Q
     np.divide(eq, h_est[:, None], out=eq, where=usable[:, None])
     decided = baseline.nearest_codeword(eq.view(np.float64), baseline.qam16_codebook(),
-                                        half_energy)
+                                        energy)
     decided[~usable] = -1
     return decided
 

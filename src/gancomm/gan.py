@@ -60,19 +60,17 @@ def _stack(blocks: list[np.ndarray], m: np.ndarray, net: nn.DenseNet) -> np.ndar
     """[b, m] for each b of blocks, the rows of one under those of the
     other, filled into one array in the net's dtype; ``nn.forward`` checks
     its width."""
-    shape = np.shape(blocks[0])
-    if (len(shape) != 2 or np.ndim(m) != 2 or len(m) != shape[0]
-            or any(np.shape(b) != shape for b in blocks)):
+    shape = blocks[0].shape
+    if (len(shape) != 2 or m.ndim != 2 or len(m) != shape[0]
+            or any(b.shape != shape for b in blocks)):
         raise nn.ShapeError(
-            f"blocks {[np.shape(b) for b in blocks]} and conditioning "
-            f"{np.shape(m)} must be 2-D, with one row each per batch row")
-    batch, width = shape
-    out = np.empty((len(blocks) * batch, width + m.shape[1]), dtype=net.dtype)
+            f"blocks {[b.shape for b in blocks]} and conditioning {m.shape} "
+            f"must be 2-D, with one row each per batch row")
+    out = np.empty((len(blocks), shape[0], shape[1] + m.shape[1]), dtype=net.dtype)
     for i, b in enumerate(blocks):
-        rows = out[i * batch : (i + 1) * batch]
-        rows[:, :width] = b
-        rows[:, width:] = m
-    return out
+        out[i, :, : shape[1]] = b
+    out[:, :, shape[1] :] = m
+    return out.reshape(-1, out.shape[2])
 
 
 def generate(
@@ -109,20 +107,19 @@ def _real_fake_bce(logits: np.ndarray) -> tuple[float, float, np.ndarray]:
     the bits of the two calls: the real loss, the fake loss, and the two
     gradients stacked as the rows are."""
     batch = logits.shape[0] // 2
-    real = slice(0, batch)
     e = np.abs(logits)
     np.negative(e, out=e)
     np.exp(e, out=e)
     per_sample = np.maximum(logits, 0.0)
-    per_sample[real] -= logits[real]
+    per_sample[:batch] -= logits[:batch]
     scratch = np.log1p(e)
     per_sample += scratch
-    loss_r = float(np.add.reduce(per_sample[real], axis=None) / batch)
+    loss_r = float(np.add.reduce(per_sample[:batch], axis=None) / batch)
     loss_f = float(np.add.reduce(per_sample[batch:], axis=None) / batch)
     np.add(1.0, e, out=scratch)
     grad = np.where(logits >= 0, 1.0, e)
     grad /= scratch
-    grad[real] -= 1.0
+    grad[:batch] -= 1.0
     grad /= batch
     return loss_r, loss_f, grad
 
