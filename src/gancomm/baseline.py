@@ -46,22 +46,21 @@ def half_energy(codebook: np.ndarray) -> np.ndarray:
 
 
 def nearest_codeword(
-    y: np.ndarray, codebook: np.ndarray, energy: np.ndarray | None = None
+    y: np.ndarray, codebook: np.ndarray, energy: np.ndarray
 ) -> np.ndarray:
     """The index of each row of y's nearest codebook row in Euclidean
     distance, lowest index on ties: maximum-likelihood decoding on AWGN.
 
     y is (B, width) real, codebook (M, width). |y - c|^2 = |y|^2 - 2 (y.c -
     |c|^2 / 2), so this takes the argmax of y.c - |c|^2 / 2 over the rows c.
-    ``energy`` is the codebook's ``half_energy``, computed here when not
-    given; a caller deciding many blocks against one codebook computes it
-    once. Returns (B,) indices.
+    ``energy`` is the codebook's ``half_energy``, which a caller deciding
+    many blocks against one codebook computes once. Returns (B,) indices.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != codebook.shape[1]:
         raise nn.ShapeError(f"observations {y.shape} must be (batch, {codebook.shape[1]})")
     scores = y @ codebook.T
-    scores -= half_energy(codebook) if energy is None else energy
+    scores -= energy
     return np.argmax(scores, axis=1)
 
 

@@ -245,7 +245,7 @@ def bler_sweep_baseline(
                   4, 1, spec, seed, system, workers)
 
 
-def _qam16_decide(y, y_pilot, h, energy=None):
+def _qam16_decide(y, y_pilot, h, energy):
     """Equalize by the LS estimate of the received pilots, or by the true h
     on a channel without pilots, then take the nearest 16-QAM point of the
     equalized symbols as I/Q rows (``energy`` as in

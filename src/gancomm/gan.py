@@ -84,44 +84,20 @@ def generate(
     return nn.forward(g.net, _stack([z], m, g.net), tape)
 
 
-def discriminate(
-    d: Discriminator, y: np.ndarray, m: np.ndarray, tape: nn.Tape | None = None
-) -> tuple[np.ndarray, nn.Tape]:
-    """Real/fake logits, (batch, 1), positive favoring 'real', and the
-    discriminator's tape (see ``nn.forward``)."""
-    return nn.forward(d.net, _stack([y], m, d.net), tape)
-
-
 def real_fake_rows(
     d: Discriminator, real_y: np.ndarray, fake_y: np.ndarray, m: np.ndarray
 ) -> np.ndarray:
-    """The discriminator's input for ``d_loss``: the 2B rows [real_y, m;
-    fake_y, m] of a real and a fake batch under one conditioning m, in one
-    array of the net's dtype."""
+    """The discriminator's input for ``d_loss`` and ``g_loss``: the 2B rows
+    [real_y, m; fake_y, m] of a real and a fake batch under one
+    conditioning m, in one array of the net's dtype."""
     return _stack([real_y, fake_y], m, d.net)
 
 
-def _real_fake_bce(logits: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """``nn.sigmoid_bce`` of the first half of the rows against 'real' and
-    of the second half against 'fake', in one pass over all of them, with
-    the bits of the two calls: the real loss, the fake loss, and the two
-    gradients stacked as the rows are."""
-    batch = logits.shape[0] // 2
-    e = np.abs(logits)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    per_sample = np.maximum(logits, 0.0)
-    per_sample[:batch] -= logits[:batch]
-    scratch = np.log1p(e)
-    per_sample += scratch
-    loss_r = float(np.add.reduce(per_sample[:batch], axis=None) / batch)
-    loss_f = float(np.add.reduce(per_sample[batch:], axis=None) / batch)
-    np.add(1.0, e, out=scratch)
-    grad = np.where(logits >= 0, 1.0, e)
-    grad /= scratch
-    grad[:batch] -= 1.0
-    grad /= batch
-    return loss_r, loss_f, grad
+def _half(rows: np.ndarray) -> int:
+    """B, for the 2B rows of a ``real_fake_rows`` array."""
+    if rows.ndim != 2 or rows.shape[0] % 2:
+        raise nn.ShapeError(f"expected [real; fake] rows, 2B of them, got {rows.shape}")
+    return rows.shape[0] // 2
 
 
 def d_loss(
@@ -138,11 +114,9 @@ def d_loss(
     The fake batch is treated as a constant: no gradient flows to the
     generator here.
     """
-    if rows.ndim != 2 or rows.shape[0] % 2:
-        raise nn.ShapeError(f"expected [real; fake] rows, 2B of them, got {rows.shape}")
-    batch = rows.shape[0] // 2
+    batch = _half(rows)
     logits, tape = nn.forward(d.net, rows, tape)
-    loss_r, loss_f, grad = _real_fake_bce(logits)
+    loss_r, loss_f, grad = nn.sigmoid_bce(logits, batch)
     loss = float(loss_r + loss_f)
     if not np.isfinite(loss):
         raise nn.NonFiniteError("discriminator loss is not finite")
@@ -156,24 +130,25 @@ def d_loss(
 def g_loss(
     g: Generator,
     d: Discriminator,
-    fake_y: np.ndarray,
+    rows: np.ndarray,
     g_tape: nn.Tape,
-    m: np.ndarray,
     tape: nn.Tape | None = None,
 ) -> tuple[float, nn.Gradients]:
     """Non-saturating generator loss: BCE of D(fake) against target 'real'.
 
-    ``fake_y`` and ``g_tape`` are a generator pass under conditioning m, as
-    ``generate`` returns them; the generator must not have moved since, and
-    the tape is consumed. The discriminator is read but not updated: its
-    pass runs on ``tape`` (None makes a new one), and only its input
-    gradient is used to reach the generator parameters.
+    ``rows`` is ``real_fake_rows`` of a real batch and a generator pass's
+    fakes, and ``g_tape`` that pass's tape; the generator must not have
+    moved since, and the tape is consumed. Only the fake half is scored, as
+    a view of ``rows``. The discriminator is read but not updated: its pass
+    runs on ``tape`` (None makes a new one), and only its input gradient is
+    used to reach the generator parameters.
     """
-    logits, d_tape = discriminate(d, fake_y, m, tape)
-    loss, grad_logits = nn.sigmoid_bce(logits, real=True)
+    batch = _half(rows)
+    logits, d_tape = nn.forward(d.net, rows[batch:], tape)
+    loss, _, grad_logits = nn.sigmoid_bce(logits, batch)
     if not np.isfinite(loss):
         raise nn.NonFiniteError("generator loss is not finite")
     _, d_input_grad = nn.backward(d.net, d_tape, grad_logits, params=False)
-    upstream_fake = d_input_grad[:, : fake_y.shape[1]]
+    upstream_fake = d_input_grad[:, : g.net.output_dim]
     g_grads, _ = nn.backward(g.net, g_tape, upstream_fake, inputs=False)
-    return float(loss), g_grads
+    return loss, g_grads

@@ -368,12 +368,14 @@ def softmax_cross_entropy(
     return loss, grad
 
 
-def sigmoid_bce(logits: np.ndarray, real: bool) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy of logits against one label for every
-    row, t = 1 for real and 0 for fake, in the stable log-sum-exp form.
+def sigmoid_bce(logits: np.ndarray, batch: int) -> tuple[float, float, np.ndarray]:
+    """Binary cross-entropy of logits labelled t = 1 (real) on rows
+    [:batch] and t = 0 (fake) on any rows after them, in the stable
+    log-sum-exp form; each label's sum is averaged over ``batch``.
 
-    loss_i = max(z,0) - z*t + log(1 + exp(-|z|)); grad = (sigmoid(z) - t) / N.
-    The gradient comes back in the logits' dtype.
+    loss_i = max(z,0) - z*t + log(1 + exp(-|z|)); grad = (sigmoid(z) - t) / batch.
+    Returns (real loss, fake loss, grad), the gradient in the logits' dtype
+    with its rows as the logits'.
     """
     z = np.asarray(logits)
     # the operations of that formula in its order, in place; z * t is z for
@@ -382,19 +384,18 @@ def sigmoid_bce(logits: np.ndarray, real: bool) -> tuple[float, np.ndarray]:
     np.negative(e, out=e)
     np.exp(e, out=e)
     per_sample = np.maximum(z, 0.0)
-    if real:
-        per_sample -= z
+    per_sample[:batch] -= z[:batch]
     scratch = np.log1p(e)
     per_sample += scratch
-    loss = float(np.add.reduce(per_sample, axis=None) / z.size)
+    loss_r = float(np.add.reduce(per_sample[:batch], axis=None) / batch)
+    loss_f = float(np.add.reduce(per_sample[batch:], axis=None) / batch)
     # sigmoid(z) is 1 / (1 + e) for z >= 0 and e / (1 + e) below
     np.add(1.0, e, out=scratch)
     grad = np.where(z >= 0, 1.0, e)
     grad /= scratch
-    if real:
-        grad -= 1.0
-    grad /= z.size
-    return loss, grad
+    grad[:batch] -= 1.0
+    grad /= batch
+    return loss_r, loss_f, grad
 
 
 @dataclass

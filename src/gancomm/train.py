@@ -141,18 +141,18 @@ def gan_update(
     the pass's fakes and the real batch, filled once into one
     ``gan.real_fake_rows`` array, are scored by each of the d_updates
     discriminator updates; then one generator update on that same pass,
-    which the generator has not moved since. Returns (d loss, g loss, d
-    accuracy), the discriminator's from its last update. ``tapes``, if
-    given, holds reusable tapes by net: gen, disc.pair for the
-    discriminator's 2B-row [real; fake] pass, and disc for its B-row pass
-    in the generator update."""
+    which the generator has not moved since, scoring the array's fake half.
+    Returns (d loss, g loss, d accuracy), the discriminator's from its last
+    update. ``tapes``, if given, holds reusable tapes by net: gen, disc.pair
+    for the discriminator's 2B-row [real; fake] pass, and disc for its
+    B-row pass over the fake half in the generator update."""
     z = gan.sample_z(rng_z, real_y.shape[0], g.z_dim)
     fake_y, g_tape = gan.generate(g, z, m, _tape(tapes, "gen"))
     rows = gan.real_fake_rows(d, real_y, fake_y, m)
     for _ in range(d_updates):
         d_loss_val, d_grads, d_acc = gan.d_loss(d, rows, _tape(tapes, "disc.pair"))
         nn.adam_step(d.net, d_grads, d_opt)
-    g_loss_val, g_grads = gan.g_loss(g, d, fake_y, g_tape, m, _tape(tapes, "disc"))
+    g_loss_val, g_grads = gan.g_loss(g, d, rows, g_tape, _tape(tapes, "disc"))
     nn.adam_step(g.net, g_grads, g_opt)
     return d_loss_val, g_loss_val, d_acc
 

@@ -224,8 +224,9 @@ def reference_softmax_cross_entropy(logits, messages):
 def reference_sigmoid(z):
     """The logistic function, branch by branch on the sign of z:
     1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, each
-    form finite over its half. nn.sigmoid_bce's gradient must match it
-    bit for bit."""
+    form finite over its half. nn.sigmoid_bce's gradient, before it
+    subtracts the labels and divides by the batch, must match it bit for
+    bit."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))

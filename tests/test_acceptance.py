@@ -141,10 +141,12 @@ def test_1_gradient_suite_full_size_nets():
             d.net, lambda: gan.d_loss(d, rows)[0], d_grads
         ))
 
-        _, g_grads = gan.g_loss(g, d, *gan.generate(g, z, cond), cond)
-        errors.append(check_net_gradients(
-            g.net, lambda: gan.g_loss(g, d, *gan.generate(g, z, cond), cond)[0], g_grads
-        ))
+        def g_loss():
+            fake_y, g_tape = gan.generate(g, z, cond)
+            return gan.g_loss(g, d, gan.real_fake_rows(d, real_y, fake_y, cond), g_tape)
+
+        _, g_grads = g_loss()
+        errors.append(check_net_gradients(g.net, lambda: g_loss()[0], g_grads))
 
         _, tx_grads = train.transmitter_forward_backward(
             tx, rx, g, messages, z, y_p
@@ -244,7 +246,7 @@ def test_6_mld_equals_exhaustive_search():
     messages = rng.integers(0, 16, size=n_blocks)
     bpsk = baseline.hamming74_bpsk_codebook()
     y = bpsk[messages] + rng.normal(0.0, 0.8, size=(n_blocks, 7))
-    fast = baseline.nearest_codeword(y, bpsk)
+    fast = baseline.nearest_codeword(y, bpsk, baseline.half_energy(bpsk))
     sq = ((y[:, None, :] - bpsk[None, :, :]) ** 2).sum(axis=2)
     exhaustive = sq.argmin(axis=1)
     mismatches = int(np.sum(fast != exhaustive))

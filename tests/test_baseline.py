@@ -11,14 +11,16 @@ from helpers import (hamming74_bits, hamming74_hard_decode, qam16_points,
 
 def mld_decode(y):
     """Hamming(7,4) MLD: the nearest BPSK codeword."""
-    return baseline.nearest_codeword(y, baseline.hamming74_bpsk_codebook())
+    cb = baseline.hamming74_bpsk_codebook()
+    return baseline.nearest_codeword(y, cb, baseline.half_energy(cb))
 
 
 def qam16_decide(y, h):
     """The 16-QAM sweeps' decision on (B,) complex symbols equalized by the
     (B,) channel coefficients h."""
     return evaluate._qam16_decide(reference_complex_to_iq(np.asarray(y)[:, None]), None,
-                                  np.asarray(h, dtype=np.complex128))
+                                  np.asarray(h, dtype=np.complex128),
+                                  baseline.half_energy(baseline.qam16_codebook()))
 
 
 class TestHammingEncode:
@@ -240,7 +242,8 @@ class TestNearestCodeword:
         # row 1; the values are exact in binary, so the scores tie exactly
         cb = np.array([[3.0, 0.0], [1.0, 1.0], [-1.0, 1.0], [1.0, 1.0]])
         y = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 1.0], [3.0, 0.1]])
-        assert baseline.nearest_codeword(y, cb).tolist() == [1, 1, 2, 0]
+        assert baseline.nearest_codeword(y, cb, baseline.half_energy(cb)).tolist() == [
+            1, 1, 2, 0]
 
     def test_four_way_tie_on_the_qam16_grid_goes_to_lowest_index(self):
         # the origin is equally far from the four inner points of the
@@ -250,13 +253,15 @@ class TestNearestCodeword:
             d2 = ((grid - y) ** 2).sum(axis=1)
             nearest = np.flatnonzero(d2 == d2.min())
             assert len(nearest) == 4
-            assert baseline.nearest_codeword(np.array([y]), grid)[0] == nearest.min()
+            decided = baseline.nearest_codeword(np.array([y]), grid,
+                                                baseline.half_energy(grid))
+            assert decided[0] == nearest.min()
 
     def test_rejects_observations_of_another_width(self):
         cb = baseline.hamming74_bpsk_codebook()
         for y in (np.ones(7), np.ones((3, 6)), np.ones((2, 3, 7))):
             with pytest.raises(nn.ShapeError):
-                baseline.nearest_codeword(y, cb)
+                baseline.nearest_codeword(y, cb, baseline.half_energy(cb))
 
 
 class TestLsEstimate:

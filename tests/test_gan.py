@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gancomm import gan, nn
 from gancomm.config import ConfigError
@@ -15,6 +13,14 @@ LN2 = float(np.log(2.0))
 def d_loss(d, real, fake, m):
     """gan.d_loss on the rows of a real and a fake batch under m."""
     return gan.d_loss(d, gan.real_fake_rows(d, real, fake, m))
+
+
+def g_loss(g, d, z, m, real=None):
+    """gan.g_loss on a generator pass from z under m, beside a real batch
+    (zeros unless given)."""
+    fake, g_tape = gan.generate(g, z, m)
+    real = np.zeros_like(fake) if real is None else real
+    return gan.g_loss(g, d, gan.real_fake_rows(d, real, fake, m), g_tape)
 
 
 def small_gan(seed=0, n=2, cond_dim=4, z_dim=3, float64=False):
@@ -83,12 +89,12 @@ class TestSampling:
         b, _ = gan.generate(g, gan.sample_z(rng, 6, 3), m)
         assert np.abs(a - b).max() > 1e-4
 
-    def test_discriminate_shape(self):
+    def test_discriminator_scores_one_logit_per_row(self):
         _, d = small_gan()
         rng = np.random.default_rng(6)
-        logits, _ = gan.discriminate(d, rng.normal(size=(5, 4)),
-                                     rng.normal(size=(5, 4)))
-        assert logits.shape == (5, 1)
+        real, fake, m = rng.normal(size=(3, 5, 4))
+        logits, _ = nn.forward(d.net, gan.real_fake_rows(d, real, fake, m))
+        assert logits.shape == (10, 1)
 
 
 class TestDiscriminatorLoss:
@@ -135,8 +141,7 @@ class TestDiscriminatorLoss:
         m = rng.normal(size=(batch, 4))
         real = rng.normal(size=(batch, 4))
         fake, _ = gan.generate(g, gan.sample_z(rng, batch, 3), m)
-        logits, _ = gan.discriminate(d, np.concatenate([real, fake]),
-                                     np.concatenate([m, m]))
+        logits, _ = nn.forward(d.net, gan.real_fake_rows(d, real, fake, m))
         want = float(0.5 * (np.mean(logits[:batch] > 0.0)
                             + np.mean(logits[batch:] <= 0.0)))
         _, _, acc = d_loss(d, real, fake, m)
@@ -173,8 +178,8 @@ class TestDiscriminatorLoss:
 
         def two_bces(params):
             d.net.set_flat_params(params)
-            logits_r, _ = gan.discriminate(d, real, m)
-            logits_f, _ = gan.discriminate(d, fake, m)
+            logits_r, _ = nn.forward(d.net, np.hstack([real, m]))
+            logits_f, _ = nn.forward(d.net, np.hstack([fake, m]))
             return float(np.mean(np.logaddexp(0.0, -logits_r))
                          + np.mean(np.logaddexp(0.0, logits_f)))
 
@@ -214,20 +219,6 @@ class TestRealFakeRows:
             with pytest.raises(nn.ShapeError):
                 gan.real_fake_rows(d, real, fake, cond)
 
-    @given(batch=st.integers(1, 400), scale=st.sampled_from([0.1, 3.0, 100.0]),
-           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
-    @settings(max_examples=80, deadline=None)
-    def test_one_bce_pass_keeps_the_bits_of_two_sigmoid_bce_calls(self, batch, scale,
-                                                                  dtype, seed):
-        rng = np.random.default_rng(seed)
-        logits = (rng.normal(size=(2 * batch, 1)) * scale).astype(dtype)
-        logits[rng.random(logits.shape) < 0.2] = rng.choice([0.0, -0.0])
-        loss_r, grad_r = nn.sigmoid_bce(logits[:batch], real=True)
-        loss_f, grad_f = nn.sigmoid_bce(logits[batch:], real=False)
-        got_r, got_f, grad = gan._real_fake_bce(logits)
-        assert (repr(got_r), repr(got_f)) == (repr(loss_r), repr(loss_f))
-        assert same_bytes(grad, np.concatenate([grad_r, grad_f]))
-
 
 class TestGeneratorLoss:
     def test_parameter_gradients_match_finite_differences(self):
@@ -238,25 +229,59 @@ class TestGeneratorLoss:
         z = gan.sample_z(rng, 6, 3)
         m = rng.normal(size=(6, 4))
 
-        _, grads = gan.g_loss(g, d, *gan.generate(g, z, m), m)
+        _, grads = g_loss(g, d, z, m)
         flat = g.net.params.copy()
         idx = np.linspace(0, flat.size - 1, 30).astype(int)
 
         def at(params):
             g.net.set_flat_params(params)
-            loss, _ = gan.g_loss(g, d, *gan.generate(g, z, m), m)
+            loss, _ = g_loss(g, d, z, m)
             return loss
 
         fd = central_difference(at, flat, idx)
         g.net.set_flat_params(flat)
         assert relative_error(grads.flat[idx], fd).max() < 1e-6
 
+    def test_scores_the_fake_half_of_the_rows_in_place(self, monkeypatch):
+        # the discriminator's pass reads a view of rows[B:], and the real
+        # half leaves loss and gradients as they are
+        g, d = small_gan(seed=29)
+        rng = np.random.default_rng(30)
+        z, m = gan.sample_z(rng, 6, 3), rng.normal(size=(6, 4))
+        fake, g_tape = gan.generate(g, z, m)
+        rows = gan.real_fake_rows(d, rng.normal(size=(6, 4)), fake, m)
+        inputs, forward = [], nn.forward
+
+        def recording_forward(net, x, *args, **kwargs):
+            inputs.append(x)
+            return forward(net, x, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "forward", recording_forward)
+        loss, grads = gan.g_loss(g, d, rows, g_tape)
+        (x,) = inputs
+        assert np.shares_memory(x, rows) and same_bytes(x, rows[6:])
+        monkeypatch.undo()
+        for real in (None, 100.0 * rng.normal(size=(6, 4))):
+            other_loss, other_grads = g_loss(g, d, z, m, real)
+            assert repr(other_loss) == repr(loss)
+            assert same_bytes(other_grads.flat, grads.flat)
+
+    def test_refuses_the_row_counts_d_loss_refuses(self):
+        g, d = small_gan()
+        rng = np.random.default_rng(31)
+        z, m = gan.sample_z(rng, 4, 3), rng.normal(size=(4, 4))
+        _, g_tape = gan.generate(g, z, m)
+        for rows in (np.zeros((7, 8), np.float32), np.zeros(8, np.float32)):
+            for loss in (lambda: gan.d_loss(d, rows), lambda: gan.g_loss(g, d, rows, g_tape)):
+                with pytest.raises(nn.ShapeError, match="2B"):
+                    loss()
+
     def test_discriminator_parameters_are_left_alone(self):
         g, d = small_gan(seed=19)
         rng = np.random.default_rng(20)
         before = d.net.params.copy()
         z, m = gan.sample_z(rng, 4, 3), rng.normal(size=(4, 4))
-        gan.g_loss(g, d, *gan.generate(g, z, m), m)
+        g_loss(g, d, z, m)
         assert np.array_equal(d.net.params, before)
 
     def test_loss_falls_when_fakes_start_fooling(self):
@@ -264,11 +289,11 @@ class TestGeneratorLoss:
         rng = np.random.default_rng(22)
         z = gan.sample_z(rng, 16, 3)
         m = rng.normal(size=(16, 4))
-        first, _ = gan.g_loss(g, d, *gan.generate(g, z, m), m)
+        first, _ = g_loss(g, d, z, m)
         for _ in range(100):
-            _, grads = gan.g_loss(g, d, *gan.generate(g, z, m), m)
+            _, grads = g_loss(g, d, z, m)
             g.net.set_flat_params(g.net.params - 0.1 * grads.flat)
-        last, _ = gan.g_loss(g, d, *gan.generate(g, z, m), m)
+        last, _ = g_loss(g, d, z, m)
         assert last < first
 
     def test_conditioning_input_gradient_matches_finite_differences(self):

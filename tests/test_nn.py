@@ -400,70 +400,79 @@ class TestSigmoidBce:
     def test_frozen_values(self):
         # z=0.8 real and z=-0.3 fake: the mean of -log(sigmoid(0.8)) and
         # -log(1 - sigmoid(-0.3)), and each gradient over a batch of two
-        loss_r, grad_r = nn.sigmoid_bce(np.array([0.8]), real=True)
-        loss_f, grad_f = nn.sigmoid_bce(np.array([-0.3]), real=False)
+        loss_r, loss_f, grad = nn.sigmoid_bce(np.array([[0.8], [-0.3]]), 1)
         assert (loss_r + loss_f) / 2 == pytest.approx(0.46272795520815246, rel=1e-12)
-        assert grad_r[0] / 2 == pytest.approx(-0.15501275943619375, rel=1e-12)
-        assert grad_f[0] / 2 == pytest.approx(0.2127787415941705, rel=1e-12)
+        assert grad[0, 0] / 2 == pytest.approx(-0.15501275943619375, rel=1e-12)
+        assert grad[1, 0] / 2 == pytest.approx(0.2127787415941705, rel=1e-12)
+        # the real row alone scores the same, with no fake rows to score
+        alone_r, alone_f, alone_grad = nn.sigmoid_bce(np.array([[0.8]]), 1)
+        assert (alone_r, alone_f) == (loss_r, 0.0)
+        assert alone_grad[0, 0] == grad[0, 0]
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(22)
         logits = rng.normal(size=(8, 1)) * 2
         flat = logits.reshape(-1)
-        for real in (True, False):
-            _, grad = nn.sigmoid_bce(logits, real)
+        for batch in (8, 4):  # all rows real; half real and half fake
+            _, _, grad = nn.sigmoid_bce(logits, batch)
 
             def loss_at(v):
-                return nn.sigmoid_bce(v.reshape(8, 1), real)[0]
+                return sum(nn.sigmoid_bce(v.reshape(8, 1), batch)[:2])
 
             fd = central_difference(loss_at, flat, np.arange(flat.size))
             assert relative_error(grad.reshape(-1), fd).max() < 1e-6
 
     def test_extreme_logits_stay_finite(self):
-        for logits, real in ((np.array([800.0]), False), (np.array([-800.0]), True)):
-            loss, grad = nn.sigmoid_bce(logits, real)
-            assert np.isfinite(loss) and np.isfinite(grad).all()
-            assert loss == pytest.approx(800.0, rel=1e-12)
+        # -800 labelled real and 800 labelled fake each cost 800
+        for logits, want in (([[-800.0]], (800.0, 0.0)),
+                             ([[-800.0], [800.0]], (800.0, 800.0))):
+            loss_r, loss_f, grad = nn.sigmoid_bce(np.array(logits), 1)
+            assert np.isfinite(grad).all()
+            assert (loss_r, loss_f) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_label_matches_a_full_target_array(self, dtype):
-        # the label enters as a scalar of the logits' dtype, so loss and
-        # gradient keep the bits of the same formula over a target array
+        # each label applies to a slice of rows, so loss and gradient keep
+        # the bits of the same formula over a target array
         z = (np.random.default_rng(23).normal(size=(16, 1)) * 3).astype(dtype)
-        # both zeros sit on the sigmoid's branch point; exp(-88) is subnormal
-        # in float32
-        z[:3, 0] = (0.0, -0.0, 88.0)
-        for real in (True, False):
-            t = np.full_like(z, 1.0 if real else 0.0)
-            loss, grad = nn.sigmoid_bce(z, real)
+        # zeros on the sigmoid's branch point in both halves; exp(-88) is
+        # subnormal in float32
+        z[:3, 0] = z[8:11, 0] = (0.0, -0.0, 88.0)
+        for batch in (16, 8):  # all rows real; half real and half fake
+            t = np.zeros_like(z)
+            t[:batch] = 1.0
+            loss_r, loss_f, grad = nn.sigmoid_bce(z, batch)
             ref = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-            assert loss == float(ref.mean())
+            assert loss_r == float(ref[:batch].sum() / batch)
+            assert loss_f == float(ref[batch:].sum() / batch)
             assert grad.dtype == z.dtype
-            assert grad.tobytes() == ((reference_sigmoid(z) - t) / z.size).tobytes()
+            assert grad.tobytes() == ((reference_sigmoid(z) - t) / batch).tobytes()
 
 
-def reference_sigmoid_bce(z, real):
+def reference_sigmoid_bce(z, batch):
     """sigmoid_bce as one expression per output, making new arrays: the
     in-place function must keep its bits."""
-    t = z.dtype.type(1.0 if real else 0.0)
+    t = np.where(np.arange(len(z))[:, None] < batch, z.dtype.type(1.0), z.dtype.type(0.0))
     e = np.exp(-np.abs(z))
     per_sample = np.maximum(z, 0.0) - z * t + np.log1p(e)
-    grad = (np.where(z >= 0, 1.0, e) / (1.0 + e) - t) / z.size
-    return float(per_sample.mean()), grad
+    grad = (np.where(z >= 0, 1.0, e) / (1.0 + e) - t) / batch
+    return (float(per_sample[:batch].sum() / batch), float(per_sample[batch:].sum() / batch),
+            grad)
 
 
 class TestSigmoidBceInPlace:
     @given(rows=st.integers(1, 640), scale=st.sampled_from([0.1, 3.0, 100.0]),
-           dtype=st.sampled_from([np.float32, np.float64]),
-           real=st.booleans(), seed=st.integers(0, 2**16))
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
     @settings(max_examples=80, deadline=None)
-    def test_matches_the_expression_bit_for_bit(self, rows, scale, dtype, real, seed):
+    def test_matches_the_expression_bit_for_bit(self, rows, scale, dtype, seed):
         rng = np.random.default_rng(seed)
-        z = with_signed_zeros((rng.normal(size=(rows, 1)) * scale).astype(dtype), rng)
-        want_loss, want_grad = reference_sigmoid_bce(z, real)
-        loss, grad = nn.sigmoid_bce(z, real)
-        assert repr(loss) == repr(want_loss)
-        assert same_bytes(grad, want_grad)
+        z = with_signed_zeros((rng.normal(size=(2 * rows, 1)) * scale).astype(dtype), rng)
+        # all rows real, then half real and half fake
+        for logits in (z[:rows], z):
+            want_r, want_f, want_grad = reference_sigmoid_bce(logits, rows)
+            loss_r, loss_f, grad = nn.sigmoid_bce(logits, rows)
+            assert (repr(loss_r), repr(loss_f)) == (repr(want_r), repr(want_f))
+            assert same_bytes(grad, want_grad)
 
 
 class TestAdam:
@@ -741,7 +750,7 @@ class TestDtype:
         for _ in range(2):
             out, _ = nn.forward(net, rng.normal(size=(3, 5)), tape)
             _, upstream = nn.softmax_cross_entropy(out, np.array([0, 2, 3]))
-            _, bce_grad = nn.sigmoid_bce(out, real=True)
+            _, _, bce_grad = nn.sigmoid_bce(out, len(out))
             grads, input_grad = nn.backward(net, tape, upstream.astype(np.float64))
             nn.adam_step(net, grads, state)
             ema.update(net)

@@ -202,10 +202,12 @@ class TestFloat32Gradients:
         cond = gan.conditioning(x, y_p)
 
         def path_gradients(tx, rx, g, d):
+            g_fake_y, g_tape = gan.generate(g, z, cond)
             grads = {
                 "rx": train.receiver_forward_backward(rx, messages, y, y_p)[1],
                 "disc": gan.d_loss(d, gan.real_fake_rows(d, real_y, fake_y, cond))[1],
-                "gen": gan.g_loss(g, d, *gan.generate(g, z, cond), cond)[1],
+                "gen": gan.g_loss(g, d, gan.real_fake_rows(d, real_y, g_fake_y, cond),
+                                  g_tape)[1],
                 "tx": train.transmitter_forward_backward(tx, rx, g, messages, z,
                                                          y_p)[1],
             }
@@ -310,7 +312,8 @@ class TestGanUpdate:
                 # the discriminator has taken its updates, the generator not yet
                 seen["got"] = grads.flat.copy()
                 fake_y, g_tape = gan.generate(g, zs[0], m)
-                seen["want"] = gan.g_loss(g, d, fake_y, g_tape, m)[1].flat.copy()
+                rows = gan.real_fake_rows(d, real_y, fake_y, m)
+                seen["want"] = gan.g_loss(g, d, rows, g_tape)[1].flat.copy()
             adam_step(net, grads, state)
 
         monkeypatch.setattr(gan, "sample_z", recording_sample_z)
@@ -351,6 +354,35 @@ class TestGanUpdate:
         want = gan.real_fake_rows(trainer.discriminator, real_y, fake_y, m)
         assert len(seen["rows"]) == d_updates
         assert all(rows.tobytes() == want.tobytes() for rows in seen["rows"])
+
+    def test_a_step_fills_the_discriminators_input_once(self, monkeypatch):
+        # two fills per step, the generator's input and the [real; fake]
+        # rows; the generator update's B-row discriminator pass reads the
+        # fake half of the rows the discriminator updates scored
+        trainer = train.Trainer(tiny_cfg(d_updates=2))
+        batch = trainer.cfg.batch_size
+        stacks, d_inputs = [], []
+        stack, forward = gan._stack, nn.forward
+
+        def counting_stack(*args):
+            stacks.append(stack(*args))
+            return stacks[-1]
+
+        def recording_forward(net, x, *args, **kwargs):
+            if net is trainer.discriminator.net:
+                d_inputs.append(x)
+            return forward(net, x, *args, **kwargs)
+
+        trainer.train_gan_step(1)  # the first step also encodes the codebook
+        monkeypatch.setattr(gan, "_stack", counting_stack)
+        monkeypatch.setattr(nn, "forward", recording_forward)
+        trainer.train_gan_step(2)
+        assert len(stacks) == 2
+        *pair_inputs, fake_input = d_inputs
+        assert [len(x) for x in d_inputs] == [2 * batch, 2 * batch, batch]
+        assert all(x is stacks[1] for x in pair_inputs)
+        assert np.shares_memory(fake_input, stacks[1])
+        assert fake_input.tobytes() == stacks[1][batch:].tobytes()
 
 
 class TestTrainer:
