@@ -33,9 +33,12 @@ DEFAULT_TRAIN_EBN0_DB = {"awgn": 4.0, "rayleigh": 10.0}
 # acceptance margin at half the steps Rayleigh takes.
 DEFAULT_GAN_STEPS = {"awgn": 10, "rayleigh": 20}
 
-# Keys of removed TrainConfig fields, with the one value every run used.
-# Older run directories still load; any other value is refused.
-RETIRED_KEYS = {"hidden_activation": "relu", "label_smoothing": 0.0}
+# Keys of removed TrainConfig fields, with the one value every run used
+# (the GAN step's are train's constants). Older run directories still load;
+# any other value or type is refused, though an integer may stand for a float.
+RETIRED_KEYS = {"hidden_activation": "relu", "label_smoothing": 0.0,
+                "lr_gan": 0.0001, "lr_disc": 0.0004, "gan_beta1": 0.0,
+                "ema_decay": 0.995, "d_updates": 2}
 
 
 class ConfigError(ValueError):
@@ -51,10 +54,6 @@ class TrainConfig:
     train_ebn0_db: float | None = None  # resolved per channel in __post_init__
     batch_size: int = 320
     lr_transceiver: float = 0.001
-    lr_gan: float = 0.0001
-    lr_disc: float | None = None  # resolved to 4 * lr_gan in __post_init__
-    gan_beta1: float = 0.0
-    ema_decay: float = 0.995
     outer_iterations: int = 600
     rx_steps: int = 10
     tx_steps: int = 10
@@ -67,7 +66,6 @@ class TrainConfig:
     rx_hidden: tuple[int, ...] = (32, 32)
     gen_hidden: tuple[int, ...] = (96, 96, 96)
     disc_hidden: tuple[int, ...] = (32, 32, 32)
-    d_updates: int = 2
 
     def __post_init__(self) -> None:
         for name in ("tx_hidden", "rx_hidden", "gen_hidden", "disc_hidden"):
@@ -79,8 +77,6 @@ class TrainConfig:
                 self.gan_steps = DEFAULT_GAN_STEPS[self.channel]
             if self.warmup_gan_steps is None:
                 self.warmup_gan_steps = 10 * self.gan_steps
-        if self.lr_disc is None:
-            self.lr_disc = 4.0 * self.lr_gan
         self.validate()
 
     def validate(self) -> None:
@@ -94,10 +90,8 @@ class TrainConfig:
         require(self.n >= 1, "n", "must be >= 1")
         require(self.n_pilot >= 1, "n_pilot", "must be >= 1")
         require(self.batch_size >= 1, "batch_size", "must be >= 1")
-        for key in ("lr_transceiver", "lr_gan", "lr_disc"):
-            require(0 < getattr(self, key) < math.inf, key, "must be finite and > 0")
-        require(0.0 <= self.gan_beta1 < 1.0, "gan_beta1", "must lie in [0, 1)")
-        require(0.0 <= self.ema_decay < 1.0, "ema_decay", "must lie in [0, 1)")
+        require(0 < self.lr_transceiver < math.inf, "lr_transceiver",
+                "must be finite and > 0")
         require(self.outer_iterations >= 1, "outer_iterations", "must be >= 1")
         for key in ("rx_steps", "tx_steps", "gan_steps", "warmup_gan_steps",
                     "final_rx_steps"):
@@ -110,7 +104,6 @@ class TrainConfig:
                 key,
                 "must list positive layer widths",
             )
-        require(self.d_updates >= 1, "d_updates", "must be >= 1")
         require(
             abs(float(self.train_ebn0_db)) <= EBN0_DB_LIMIT,
             "train_ebn0_db",
@@ -167,7 +160,8 @@ class TrainConfig:
             data = dict(data)
             for key, only in RETIRED_KEYS.items():
                 value = data.pop(key, None)
-                if value is not None and (isinstance(value, bool) or value != only):
+                if value is not None and (type(value) not in (type(only), int)
+                                          or value != only):
                     raise ConfigError(
                         f"{key}: retired; only {only!r} still loads, got {value!r}")
         return from_dict(cls, data)

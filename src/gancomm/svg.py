@@ -9,7 +9,6 @@ and legend.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 WIDTH, HEIGHT = 720, 480
 _LEFT, _TOP = 64, 36
@@ -93,6 +92,8 @@ def bler_chart(label: str, ebn0_db: list[float], bler: list[float]) -> str:
     lx, ly = _LEFT + _PLOT_W - 150, _TOP + 14
     parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                  f'stroke="{_COLOR}" stroke-width="1.5"/>')
-    parts.append(f'<text x="{lx + 28}" y="{ly}">{escape(label)}</text>')
+    # not xml.sax.saxutils.escape, whose import pulls in http.client
+    legend = label.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    parts.append(f'<text x="{lx + 28}" y="{ly}">{legend}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -38,6 +38,15 @@ from .rng import substream
 # of unit average power per complex use (see the module docstring).
 COND_JITTER = 0.5
 
+# The GAN step's Adam settings and weight averaging, fixed: they keep the
+# surrogate's variance honest. Single-rate Adam at default momentum collapses
+# it; one discriminator update fails acceptance 2 on AWGN (ROADMAP item 11).
+LR_GAN = 0.0001
+LR_DISC = 4 * LR_GAN
+GAN_BETA1 = 0.0
+EMA_DECAY = 0.995
+D_UPDATES = 2
+
 
 @dataclass
 class StepRecord:
@@ -134,12 +143,11 @@ def gan_update(
     real_y: np.ndarray,
     m: np.ndarray,
     rng_z: np.random.Generator,
-    d_updates: int,
     tapes: Mapping[str, nn.Tape] | None = None,
 ) -> tuple[float, float, float]:
     """One adversarial step on one generator pass: z is drawn once, and
     the pass's fakes and the real batch, filled once into one
-    ``gan.real_fake_rows`` array, are scored by each of the d_updates
+    ``gan.real_fake_rows`` array, are scored by each of the ``D_UPDATES``
     discriminator updates; then one generator update on that same pass,
     which the generator has not moved since, scoring the array's fake half.
     Returns (d loss, g loss, d accuracy), the discriminator's from its last
@@ -149,7 +157,7 @@ def gan_update(
     z = gan.sample_z(rng_z, real_y.shape[0], g.z_dim)
     fake_y, g_tape = gan.generate(g, z, m, _tape(tapes, "gen"))
     rows = gan.real_fake_rows(d, real_y, fake_y, m)
-    for _ in range(d_updates):
+    for _ in range(D_UPDATES):
         d_loss_val, d_grads, d_acc = gan.d_loss(d, rows, _tape(tapes, "disc.pair"))
         nn.adam_step(d.net, d_grads, d_opt)
     g_loss_val, g_grads = gan.g_loss(g, d, rows, g_tape, _tape(tapes, "disc"))
@@ -185,13 +193,10 @@ class Trainer:
         self.tx, self.rx, self.generator, self.discriminator = build_system(cfg)
         self.tx_opt = nn.AdamState.for_net(self.tx.net, cfg.lr_transceiver)
         self.rx_opt = nn.AdamState.for_net(self.rx.net, cfg.lr_transceiver)
-        self.g_opt = nn.AdamState.for_net(
-            self.generator.net, cfg.lr_gan, beta1=cfg.gan_beta1
-        )
-        self.d_opt = nn.AdamState.for_net(
-            self.discriminator.net, cfg.lr_disc, beta1=cfg.gan_beta1
-        )
-        self._g_ema = nn.EmaTracker(self.generator.net, cfg.ema_decay)
+        self.g_opt = nn.AdamState.for_net(self.generator.net, LR_GAN, beta1=GAN_BETA1)
+        self.d_opt = nn.AdamState.for_net(self.discriminator.net, LR_DISC,
+                                          beta1=GAN_BETA1)
+        self._g_ema = nn.EmaTracker(self.generator.net, EMA_DECAY)
         self._codebook: np.ndarray | None = None
         self._rng_batch = substream(cfg.seed, "train", "batch")
         self._rng_channel = substream(cfg.seed, "train", "channel")
@@ -238,8 +243,7 @@ class Trainer:
         _, x, real_y, y_p = self._observe_batch(jitter=True)
         d_loss_val, g_loss_val, d_acc = gan_update(
             self.generator, self.discriminator, self.g_opt, self.d_opt,
-            real_y, gan.conditioning(x, y_p), self._rng_z,
-            d_updates=self.cfg.d_updates, tapes=self._tapes,
+            real_y, gan.conditioning(x, y_p), self._rng_z, tapes=self._tapes,
         )
         self._g_ema.update(self.generator.net)
         return self._record(iteration, "gan", d_loss_val, g_loss=g_loss_val,

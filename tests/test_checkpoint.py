@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from gancomm import checkpoint, cli, evaluate, nn, train
+from gancomm import checkpoint, cli, config, evaluate, nn, train
 from gancomm.config import ConfigError, TrainConfig
 from helpers import assert_params_layout
 
@@ -390,27 +390,68 @@ class TestInterruptedWrite:
 
 
 class TestOlderRunDirectory:
-    # config.json of a run written while hidden_activation and
-    # label_smoothing were still TrainConfig fields, at their one value
+    # config.json of a run written while hidden_activation, label_smoothing
+    # and the GAN step's optimizer settings were still TrainConfig fields,
+    # each at its one value (the last of them wrote all 24 fields)
+    OLDER = {"hidden_activation": "relu", "label_smoothing": 0.0,
+             "lr_gan": 0.0001, "lr_disc": 0.0004, "gan_beta1": 0.0,
+             "ema_decay": 0.995, "d_updates": 2}
+
     def write_older_run(self, path, **retired):
         cfg = tiny_cfg()
         checkpoint.save_system(str(path), cfg, *train.build_system(cfg))
-        older = {**cfg.to_dict(), "hidden_activation": "relu", "label_smoothing": 0.0}
+        older = {**cfg.to_dict(), **self.OLDER}
         checkpoint.write_json({**older, **retired}, str(path / "config.json"))
         return cfg
 
     # null takes the default, as for any key; an integer 0 is the float 0.0
     @pytest.mark.parametrize("retired", [{}, {"hidden_activation": None},
-                                         {"label_smoothing": 0}])
+                                         {"label_smoothing": 0},
+                                         {"lr_disc": None, "d_updates": None},
+                                         {"gan_beta1": 0}])
     def test_loads_to_the_same_config(self, tmp_path, retired):
         cfg = self.write_older_run(tmp_path, **retired)
         assert checkpoint.load_system(str(tmp_path))[0] == cfg
 
     @pytest.mark.parametrize("key, value", [("hidden_activation", "tanh"),
                                             ("label_smoothing", 0.1),
-                                            ("label_smoothing", False)])
+                                            ("label_smoothing", False),
+                                            ("lr_gan", 2e-4),
+                                            ("lr_gan", "0.0001"),
+                                            ("lr_disc", 1e-3),
+                                            ("gan_beta1", 0.5),
+                                            ("ema_decay", 0.99),
+                                            ("ema_decay", True),
+                                            ("d_updates", 3),
+                                            ("d_updates", 2.0),
+                                            ("d_updates", True),
+                                            ("d_updates", 10**400)])
     def test_other_value_is_refused_by_key(self, tmp_path, key, value):
         self.write_older_run(tmp_path, **{key: value})
         path = re.escape(str(tmp_path / "config.json"))
-        with pytest.raises(ConfigError, match=f"^config {path}: {key}: "):
+        with pytest.raises(ConfigError, match=f"^config {path}: {key}: retired; "):
             checkpoint.load_system(str(tmp_path))
+
+    def test_evaluates_to_the_same_csv(self, tmp_path):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"ebn0_db": [0.0, 4.0], "min_trials": 2000,
+                                     "max_trials": 2000}))
+        cfg = self.write_older_run(tmp_path / "older")
+        checkpoint.save_system(str(tmp_path / "current"), cfg, *train.build_system(cfg))
+        csvs = []
+        for name in ("older", "current"):
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(["eval", "--checkpoint", str(tmp_path / name), "--sweep",
+                             str(sweep), "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_the_gan_keys_hold_the_values_training_uses(self):
+        trainer = train.Trainer(tiny_cfg())
+        used = {"lr_gan": trainer.g_opt.learning_rate,
+                "lr_disc": trainer.d_opt.learning_rate,
+                "gan_beta1": trainer.g_opt.beta1, "ema_decay": trainer._g_ema.decay,
+                "d_updates": train.D_UPDATES}
+        assert trainer.d_opt.beta1 == trainer.g_opt.beta1
+        assert used == {key: config.RETIRED_KEYS[key] for key in used}
+        assert used == {key: self.OLDER[key] for key in used}

@@ -127,6 +127,19 @@ class TestBlasThreads:
         assert out == seen + "\n"
 
 
+class TestStartup:
+    def test_import_loads_no_http_client(self):
+        # xml.sax.saxutils, the obvious escape for the chart's label, pulls
+        # urllib.request and http.client into every command's startup
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(gancomm.__file__))}
+        code = ("import sys, gancomm.cli; "
+                "print(sorted({'http.client', 'urllib.request'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
+
+
 class TestTrainCommand:
     def test_writes_manifest_checkpoints_and_log(self, trained_dir):
         names = {p.name for p in trained_dir.iterdir()}
@@ -183,7 +196,7 @@ class TestTrainCommand:
         ('{"train_ebn0_db": 5000}', "train_ebn0_db"),
         ('{"train_ebn0_db": -4000}', "train_ebn0_db"),
         ('{"lr_gan": Infinity}', "lr_gan"),
-        ('{"lr_disc": 1' + '0' * 400 + '}', "lr_disc"),
+        ('{"lr_transceiver": 1' + '0' * 400 + '}', "lr_transceiver"),
     ], ids=["5000dB", "-4000dB", "infinity", "huge-int"])
     def test_unrepresentable_number_fails_before_the_run_starts(
             self, tmp_path, capsys, text, key):

@@ -45,11 +45,6 @@ class TestDefaults:
         assert TrainConfig(gan_steps=3).warmup_gan_steps == 30
         assert TrainConfig(warmup_gan_steps=0).warmup_gan_steps == 0
 
-    def test_discriminator_lr_defaults_to_four_times_generator(self):
-        cfg = TrainConfig(lr_gan=0.0002)
-        assert cfg.lr_disc == pytest.approx(0.0008)
-        assert TrainConfig(lr_disc=0.01).lr_disc == 0.01
-
     def test_hidden_layers_coerced_to_int_tuples(self):
         cfg = TrainConfig(tx_hidden=[16, 8])
         assert cfg.tx_hidden == (16, 8)
@@ -66,12 +61,8 @@ class TestValidation:
             {"n_pilot": 0},
             {"batch_size": 0},
             {"lr_transceiver": 0.0},
-            {"lr_gan": -1e-4},
-            {"lr_gan": float("inf")},
+            {"lr_transceiver": -1e-4},
             {"lr_transceiver": float("inf")},
-            {"lr_disc": float("inf")},
-            {"gan_beta1": 1.0},
-            {"ema_decay": 1.0},
             {"outer_iterations": 0},
             {"rx_steps": -1},
             {"seed": -1},
@@ -80,10 +71,14 @@ class TestValidation:
             {"gen_hidden": (128, 0)},
             {"warmup_gan_steps": -1},
             {"final_rx_steps": -1},
-            {"d_updates": 0},
             {"train_ebn0_db": float("nan")},
             {"train_ebn0_db": 5000.0},
             {"train_ebn0_db": -300.5},
+            {"lr_transceiver": float("nan")},
+            {"tx_steps": -1},
+            {"gan_steps": -1},
+            {"rx_hidden": (8, -1)},
+            {"disc_hidden": (0,)},
         ],
     )
     def test_out_of_range_values_rejected(self, kwargs):
@@ -97,7 +92,7 @@ class TestValidation:
 
 class TestDictRoundTrip:
     def test_to_dict_from_dict_identity(self):
-        cfg = TrainConfig(channel="rayleigh", lr_gan=0.0003, tx_hidden=(48, 24))
+        cfg = TrainConfig(channel="rayleigh", lr_transceiver=0.003, tx_hidden=(48, 24))
         again = TrainConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
@@ -119,12 +114,12 @@ class TestDictRoundTrip:
             TrainConfig.from_dict({"seed": True})
 
     def test_string_where_number_expected(self):
-        with pytest.raises(ConfigError, match="lr_gan"):
-            TrainConfig.from_dict({"lr_gan": "fast"})
+        with pytest.raises(ConfigError, match="lr_transceiver"):
+            TrainConfig.from_dict({"lr_transceiver": "fast"})
 
     def test_infinite_float_names_the_key(self):
-        with pytest.raises(ConfigError, match="lr_gan"):
-            TrainConfig.from_dict({"lr_gan": float("inf")})
+        with pytest.raises(ConfigError, match="lr_transceiver"):
+            TrainConfig.from_dict({"lr_transceiver": float("inf")})
 
     def test_hidden_must_be_integer_list(self):
         with pytest.raises(ConfigError, match="rx_hidden"):
@@ -152,8 +147,8 @@ class TestFiles:
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_standard_literal_names_the_file_and_key(self, tmp_path, literal):
         path = tmp_path / "cfg.json"
-        path.write_text(f'{{"k": 4, "lr_gan": {literal}}}')
-        where = re.escape(f"config {path}: lr_gan: {literal} ")
+        path.write_text(f'{{"k": 4, "lr_transceiver": {literal}}}')
+        where = re.escape(f"config {path}: lr_transceiver: {literal} ")
         with pytest.raises(ConfigError, match=f"^{where}is not standard JSON"):
             config.load_config(str(path))
 
@@ -191,7 +186,6 @@ class TestFiles:
 
 ebn0 = st.floats(-EBN0_DB_LIMIT, EBN0_DB_LIMIT)
 learning_rate = st.floats(0.0, 1.0, exclude_min=True)
-unit_interval = st.floats(0.0, 1.0, exclude_max=True)
 widths = st.lists(st.integers(1, 512), min_size=1, max_size=4).map(tuple)
 
 train_configs = st.builds(
@@ -200,9 +194,7 @@ train_configs = st.builds(
     channel=st.sampled_from(config.CHANNELS),
     train_ebn0_db=st.none() | ebn0,
     batch_size=st.integers(min_value=1),
-    lr_transceiver=learning_rate, lr_gan=learning_rate,
-    lr_disc=st.none() | learning_rate,
-    gan_beta1=unit_interval, ema_decay=unit_interval,
+    lr_transceiver=learning_rate,
     outer_iterations=st.integers(min_value=1),
     rx_steps=st.integers(min_value=0), tx_steps=st.integers(min_value=0),
     gan_steps=st.integers(min_value=0),
@@ -210,7 +202,6 @@ train_configs = st.builds(
     final_rx_steps=st.integers(min_value=0), seed=st.integers(min_value=0),
     z_dim=st.integers(1, 64),
     tx_hidden=widths, rx_hidden=widths, gen_hidden=widths, disc_hidden=widths,
-    d_updates=st.integers(1, 8),
 )
 
 sweep_specs = st.builds(

@@ -382,16 +382,26 @@ class TestSoftmaxCrossEntropy:
         assert np.abs(grad.sum(axis=1)).max() < 1e-12
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.sampled_from([2, 4, 16, 64]),
-           st.sampled_from([np.float32, np.float64]))
-    @settings(max_examples=60, deadline=None)
+           st.sampled_from([np.float32, np.float64]), st.sampled_from([0.0, 0.3, 0.9]))
+    @settings(max_examples=120, deadline=None)
     def test_matches_the_one_hot_reference_bit_for_bit(self, seed, batch, m_count,
-                                                       dtype):
+                                                       dtype, special):
+        # the reference takes each row's max along axis 1. A share of the
+        # entries is +0.0, -0.0, -inf or a copy of the row's max, so rows
+        # tie at their max, at a signed zero, or are -inf throughout (NaN)
         rng = np.random.default_rng(seed)
         logits = (rng.normal(size=(batch, m_count)) * 4).astype(dtype)
+        kinds = rng.integers(0, 4, logits.shape)
+        row_max = np.broadcast_to(logits.max(axis=1, keepdims=True), logits.shape)
+        values = np.select([kinds == 0, kinds == 1, kinds == 2], [0.0, -0.0, -np.inf],
+                           row_max)
+        picks = rng.random(logits.shape) < special
+        logits[picks] = values[picks]
         messages = rng.integers(0, m_count, batch)
-        loss, grad = nn.softmax_cross_entropy(logits, messages)
-        want_loss, want_grad = reference_softmax_cross_entropy(logits, messages)
-        assert loss == want_loss
+        with np.errstate(invalid="ignore"):
+            loss, grad = nn.softmax_cross_entropy(logits, messages)
+            want_loss, want_grad = reference_softmax_cross_entropy(logits, messages)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert grad.dtype == want_grad.dtype == dtype
         assert grad.tobytes() == want_grad.tobytes()
 

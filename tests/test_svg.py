@@ -20,6 +20,9 @@ class TestLineChart:
     def test_label_is_escaped(self):
         text = bler_chart("a<b & c", [0.0], [0.5])
         assert ">a&lt;b &amp; c</text>" in text
+        # & first, so no entity is escaped twice; quotes stay as they are
+        text = bler_chart("""a<b>&c "q" 'x' &amp;""", [0.0], [0.5])
+        assert """>a&lt;b&gt;&amp;c "q" 'x' &amp;amp;</text>""" in text
 
     def test_all_points_dropped_draws_the_frame_alone(self):
         text = bler_chart("a", [0.0], [0.0])

@@ -233,7 +233,8 @@ class TestFloat32Gradients:
 
 
 class TestGanUpdate:
-    def test_both_nets_move_and_step_counts_track_d_updates(self):
+    def test_both_nets_move_and_step_counts_track_d_updates(self, monkeypatch):
+        monkeypatch.setattr(train, "D_UPDATES", 3)
         cfg = tiny_cfg()
         _, _, g, d = train.build_system(cfg)
         g_opt = nn.AdamState.for_net(g.net, 1e-3)
@@ -243,7 +244,7 @@ class TestGanUpdate:
         m = rng.normal(size=(8, 4))
         g_before = g.net.params.copy()
         d_before = d.net.params.copy()
-        train.gan_update(g, d, g_opt, d_opt, real_y, m, rng, d_updates=3)
+        train.gan_update(g, d, g_opt, d_opt, real_y, m, rng)
         assert not np.array_equal(g.net.params, g_before)
         assert not np.array_equal(d.net.params, d_before)
         assert d_opt.step_count == 3
@@ -256,7 +257,8 @@ class TestGanUpdate:
         # d_updates 2B-row discriminator passes; then the generator update
         # reuses that pass: one more B-row discriminator pass, and the one
         # generator backward
-        trainer = train.Trainer(tiny_cfg(d_updates=d_updates))
+        monkeypatch.setattr(train, "D_UPDATES", d_updates)
+        trainer = train.Trainer(tiny_cfg())
         batch = trainer.cfg.batch_size
         role = {id(trainer.generator.net): "gen", id(trainer.discriminator.net): "disc"}
         calls, z_draws = [], []
@@ -318,7 +320,7 @@ class TestGanUpdate:
 
         monkeypatch.setattr(gan, "sample_z", recording_sample_z)
         monkeypatch.setattr(nn, "adam_step", recording_adam_step)
-        train.gan_update(g, d, g_opt, d_opt, real_y, m, rng, d_updates=2,
+        train.gan_update(g, d, g_opt, d_opt, real_y, m, rng,
                          tapes=collections.defaultdict(nn.Tape))
         assert len(zs) == 1
         assert seen["got"].tobytes() == seen["want"].tobytes()
@@ -328,7 +330,8 @@ class TestGanUpdate:
                                                              monkeypatch):
         # the step's real batch over the one generator pass's fakes, each
         # beside the step's conditioning, byte for byte in every update
-        trainer = train.Trainer(tiny_cfg(d_updates=d_updates))
+        monkeypatch.setattr(train, "D_UPDATES", d_updates)
+        trainer = train.Trainer(tiny_cfg())
         seen = collections.defaultdict(list)
         update, generate, d_loss = train.gan_update, gan.generate, gan.d_loss
 
@@ -359,7 +362,7 @@ class TestGanUpdate:
         # two fills per step, the generator's input and the [real; fake]
         # rows; the generator update's B-row discriminator pass reads the
         # fake half of the rows the discriminator updates scored
-        trainer = train.Trainer(tiny_cfg(d_updates=2))
+        trainer = train.Trainer(tiny_cfg())
         batch = trainer.cfg.batch_size
         stacks, d_inputs = [], []
         stack, forward = gan._stack, nn.forward
@@ -603,7 +606,7 @@ class TestJitter:
         # step draws, and from the z stream what its one generator pass
         # needs; the jitter comes from a stream of its own, which no other
         # step touches
-        cfg = tiny_cfg(channel=kind, d_updates=2)
+        cfg = tiny_cfg(channel=kind)
         gan_step, rx_step = train.Trainer(cfg), train.Trainer(cfg)
         gan_step.train_gan_step(1)
         rx_step.train_receiver_step(1)
