@@ -6,10 +6,11 @@ fading coefficient h applies to a whole block (and to its pilot), drawn
 fresh per block.
 
 These simulators generate the data the channel GAN trains on and carry all
-final evaluation traffic. They are observation-only: there is deliberately
-no gradient path through this module (see ``backward``). ``make_channel``
-wraps them in one object per channel kind, which is where the rest of the
-package learns whether there is a fading state and a pilot.
+final evaluation traffic. They are observation-only: the channel has no
+backward pass, and transmitter gradients flow through the generator
+instead. ``make_channel`` wraps them in one object per channel kind, which
+is where the rest of the package learns whether there is a fading state
+and a pilot.
 
 Each simulator returns a new array: it writes the noiseless block into it
 (fading multiplies h onto zero-copy complex views of the interleaved
@@ -193,15 +194,3 @@ def make_channel(kind: str, n_pilot: int = 1) -> Channel:
     if kind == "rayleigh":
         return RayleighChannel(n_pilot)
     raise ValueError(f"unknown channel kind {kind!r}")
-
-
-def backward(*_args, **_kwargs):
-    """Deliberately unimplemented: the physical channel is not differentiable.
-
-    Transmitter gradients must flow through the generator surrogate; asking
-    the real channel for a gradient is a programming error.
-    """
-    raise RuntimeError(
-        "the real channel has no backward path; route transmitter gradients "
-        "through the GAN surrogate"
-    )

@@ -283,7 +283,6 @@ class ConditionReport:
     real_var: np.ndarray  # per real dimension
     fake_var: np.ndarray
     energy_distance: float
-    n_samples: int
 
 
 # Rows of each set that energy_distance compares, and the rows of the first
@@ -402,7 +401,6 @@ def gan_fidelity(
             real_var=real.var(axis=0),
             fake_var=fake.var(axis=0),
             energy_distance=energy_distance(real, fake),
-            n_samples=n_samples,
         )
         for label, target, real, fake in _condition_draws(
             g, x, h, noise_std, n_samples, seed, "fidelity", n_pilot)

@@ -119,10 +119,6 @@ class Receiver:
     def __init__(self, net: nn.DenseNet):
         self.net = net
 
-    @property
-    def m_count(self) -> int:
-        return self.net.output_dim
-
     def forward_logits(
         self,
         y: np.ndarray,

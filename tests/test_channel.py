@@ -226,14 +226,6 @@ class TestPilots:
                                   np.random.default_rng(0))
 
 
-class TestNoGradient:
-    def test_backward_always_raises(self):
-        with pytest.raises(RuntimeError, match="surrogate"):
-            channel.backward()
-        with pytest.raises(RuntimeError):
-            channel.backward(np.zeros((2, 2)), anything=1)
-
-
 class TestChannelObject:
     @staticmethod
     def same(a, b):

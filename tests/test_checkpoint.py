@@ -198,7 +198,7 @@ class TestSystemRoundTrip:
         _, *loaded = checkpoint.load_system(str(tmp_path))
         for tx, rx, g, _ in (built, loaded):
             assert tx.n == cfg.n
-            assert tx.m_count == rx.m_count == cfg.M
+            assert tx.m_count == rx.net.output_dim == cfg.M
             assert g.z_dim == cfg.z_dim
 
     def test_loaded_nets_are_views_of_one_vector(self, tmp_path):
